@@ -139,6 +139,11 @@ def _parse_support(text: str):
 
 
 def _cmd_scan(args) -> int:
+    floors = (("--random", args.random, 1), ("--bound", args.bound, 0), ("--limit", args.limit, 1))
+    for flag, value, least in floors:
+        if value is not None and value < least:
+            print(f"scan: {flag} must be at least {least}, got {value}", file=sys.stderr)
+            return EXIT_USAGE
     if args.random is not None:
         report = scan_random(args.random, args.bound, args.seed, jobs=args.jobs)
     elif args.support is not None:

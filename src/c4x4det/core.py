@@ -128,7 +128,7 @@ class CoeffVec16(tuple):
         if len(t) != 16:
             raise ValueError(f"expected 16 coefficients, got {len(t)}")
         for x in t:
-            if not isinstance(x, int):
+            if not isinstance(x, int) or isinstance(x, bool):
                 raise TypeError(f"coefficients must be exact integers, got {x!r}")
         return super().__new__(cls, t)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import NamedTuple, Optional
 
-from .errors import EnvelopeExceededError, PreconditionError
+from .errors import EnvelopeExceededError, InternalMismatchError, PreconditionError
 
 ENVELOPE = 10**12
 
@@ -259,7 +259,8 @@ def _two_squares_prime(p: int) -> tuple:
         a, b = b, a % b
     v2 = p - b * b
     v = isqrt(v2)
-    assert v * v == v2, (p, b)
+    if v * v != v2:
+        raise InternalMismatchError(f"descent for {p} ended at {b}; {p} - {b}^2 is no square")
     u, v = (b, v) if b % 2 == 1 else (v, b)
     return (u, v)
 
@@ -296,7 +297,8 @@ def two_squares_prime_5mod8(p: int) -> TwoSquaresRep:
     u, v = _rep_for_prime(p)  # u odd, v even, both >= 0
     y = _fix_sign(v, 2)
     x = _fix_sign(u, 1 if p % 16 == 5 else 3)
-    assert x * x + y * y == p
+    if x * x + y * y != p:
+        raise InternalMismatchError(f"{x}^2 + {y}^2 != {p}")
     return TwoSquaresRep(x, y, p)
 
 
@@ -315,5 +317,6 @@ def two_squares_2p(p: int) -> TwoSquaresRep:
         x, y = _fix_sign(s, 3), _fix_sign(t, 1)
     else:
         x, y = _fix_sign(t, 3), _fix_sign(s, 1)
-    assert x * x + y * y == 2 * p
+    if x * x + y * y != 2 * p:
+        raise InternalMismatchError(f"{x}^2 + {y}^2 != 2*{p}")
     return TwoSquaresRep(x, y, 2 * p)

@@ -110,7 +110,8 @@ def _pair_split(primes: Tuple[int, int, int], slot_residue: int):
 def _constrained_params(p: int, x_residue: int):
     """(high, low) with p = (8*high + x_residue)^2 + (8*low + 2)^2."""
     rep = two_squares_prime_5mod8(p)
-    assert rep.x % 8 == x_residue and rep.y % 8 == 2
+    if rep.x % 8 != x_residue or rep.y % 8 != 2:
+        raise InternalMismatchError(f"{rep} misses residues ({x_residue}, 2) mod 8")
     return (rep.x - x_residue) // 8, (rep.y - 2) // 8
 
 

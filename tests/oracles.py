@@ -1,11 +1,16 @@
 """Independent brute-force oracles shared by the unit and acceptance tests.
 
-Nothing here may call into the classifier or the factorization helpers it
-uses; divisor walks are plain trial division so disagreements point at the
-library, never at a shared bug.
+The brute-force oracles call nothing in the library; their divisor walks are
+plain trial division, so disagreements point at the library, never at a
+shared bug.  ``a_decompose_walk`` is the one reference built on library
+parts (see its docstring).
 """
 
+from itertools import combinations_with_replacement
 from math import isqrt
+
+from c4x4det.classifier import OddA
+from c4x4det.numtheory import factorize, signed_divisors_1mod8
 
 
 def positive_divisors(n: int) -> list:
@@ -66,3 +71,31 @@ def brute_set_a_member(n: int) -> bool:
                     if (j - k - l - m - nn) % 2 != 0:
                         return True
     return False
+
+
+def a_decompose_walk(n: int):
+    """Reference set-A search: walk every signed 1-mod-8 divisor per triple.
+
+    This is the divisor walk the closed form in ``classifier.a_decompose``
+    replaced.  For each triple it tries the divisors d of the cofactor
+    ascending and returns the first (j, k) that meets the parity constraint,
+    so it fixes the certificate the closed form must reproduce.  It takes
+    the library's factorization and divisor list, which carry their own
+    oracle tests, so it checks the closed form and not the factoring.
+    """
+    fac = factorize(n, envelope=None)
+    mult = {p: e for p, e in fac.factors if p % 8 == 5}
+    if sum(mult.values()) < 3:
+        return None
+    for triple in combinations_with_replacement(sorted(mult), 3):
+        if any(triple.count(p) > mult[p] for p in set(triple)):
+            continue
+        p1, p2, p3 = triple
+        c = n // (p1 * p2 * p3)
+        l, m, nn = (p1 + 3) // 8, (p2 + 3) // 8, (p3 + 3) // 8
+        for d in signed_divisors_1mod8(c, envelope=None):
+            j = (d - 1) // 8
+            k = (c // d + 3) // 8
+            if (j - k - l - m - nn) % 2 != 0:
+                return OddA(j, k, p1, p2, p3)
+    return None

@@ -1,7 +1,9 @@
 import random
 
 import pytest
-from oracles import brute_set_a_member
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import a_decompose_walk, brute_set_a_member
 
 from c4x4det.classifier import (
     Even15,
@@ -17,6 +19,8 @@ from c4x4det.classifier import (
 )
 from c4x4det.errors import InternalMismatchError, PreconditionError
 from c4x4det.gdet import det16_direct
+from c4x4det.numtheory import is_in_P, signed_divisors_1mod8
+from c4x4det.verification import scan_random
 
 
 class TestValuation:
@@ -108,6 +112,42 @@ class TestADecompose:
             if n % 16 != 9:
                 continue
             assert (a_decompose(n) is not None) == brute_set_a_member(n), n
+
+    def test_matches_divisor_walk_window(self):
+        for n in range(-300_000, 300_001):
+            if n % 16 == 9:
+                assert a_decompose(n) == a_decompose_walk(n), n
+
+    def test_matches_divisor_walk_scan_values(self):
+        values = set()
+        for seed in range(20):
+            values |= {v for v in scan_random(32, 9, seed).seen_values if v % 16 == 9}
+        assert len(values) > 100
+        for n in sorted(values):
+            expected = a_decompose_walk(n)
+            assert a_decompose(n, envelope=None) == expected, n
+            cls = classify(n, envelope=None)
+            assert cls == (expected or NotInS(Reason.ODD_A_NO_DECOMPOSITION)), n
+
+    @given(
+        st.lists(st.sampled_from([p for p in range(5, 400, 8) if is_in_P(p)]),
+                 min_size=3, max_size=3),
+        st.lists(st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31]), max_size=10),
+        st.sampled_from([1, -1]),
+    )
+    @settings(max_examples=300)
+    def test_parity_lemma(self, triple, cofactor_primes, sign):
+        # c must be 5 mod 8 for k = (c/d + 3)/8 to be an integer
+        c = sign
+        for q in cofactor_primes:
+            c *= q
+        c *= {1: 5, 3: 7, 5: 1, 7: 3}[c % 8]
+        l, m, nn = ((p + 3) // 8 for p in triple)
+        verdicts = {
+            ((d - 1) // 8 - (c // d + 3) // 8 - l - m - nn) % 2
+            for d in signed_divisors_1mod8(c, envelope=None)
+        }
+        assert len(verdicts) == 1, (triple, c)
 
 
 class TestValidator:

@@ -141,6 +141,17 @@ class TestScan:
         assert code == 2
         assert "required" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--random", "5", "--bound", "-1"),
+        ("--random", "-5"),
+        ("--support", "0,1", "--limit", "-3"),
+    ])
+    def test_out_of_range_count_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "scan", *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and argv[-2] in err
+
     def test_malformed_support_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["scan", "--support", "0,x,1"])

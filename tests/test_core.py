@@ -48,6 +48,10 @@ class TestCoeffVec16:
         with pytest.raises(TypeError):
             CoeffVec16([1.0] + [0] * 15)
 
+    def test_rejects_bools(self):
+        with pytest.raises(TypeError):
+            CoeffVec16([True] + [0] * 15)
+
     def test_is_a_tuple(self):
         v = CoeffVec16(range(16))
         assert v[3] == 3 and len(v) == 16

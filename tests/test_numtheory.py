@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from c4x4det.errors import EnvelopeExceededError, PreconditionError
+from c4x4det import numtheory
+from c4x4det.errors import EnvelopeExceededError, InternalMismatchError, PreconditionError
 from c4x4det.numtheory import (
     ENVELOPE,
     Factorization,
@@ -174,3 +175,22 @@ class TestTwoSquares:
             p = odd_p[0]
             cofactor = n // p
             assert cofactor % 8 == 1
+
+
+class TestRepresentationChecks:
+    """A bad pair from a representation helper raises, also under ``python -O``."""
+
+    def test_descent_rejects_bad_root(self, monkeypatch):
+        monkeypatch.setattr(numtheory, "_sqrt_minus_one_mod", lambda p: 1)
+        with pytest.raises(InternalMismatchError):
+            numtheory._two_squares_prime(13)
+
+    def test_prime_rep_rejects_bad_pair(self, monkeypatch):
+        monkeypatch.setattr(numtheory, "_rep_for_prime", lambda p: (5, 2))
+        with pytest.raises(InternalMismatchError):
+            two_squares_prime_5mod8(13)
+
+    def test_doubled_rep_rejects_bad_pair(self, monkeypatch):
+        monkeypatch.setattr(numtheory, "_rep_for_prime", lambda p: (3, 2))
+        with pytest.raises(InternalMismatchError):
+            two_squares_2p(5)

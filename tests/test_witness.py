@@ -1,12 +1,16 @@
+import importlib
 import random
 
 import pytest
 
 from c4x4det.classifier import Even15, Even16, NotInS, OddA, OddOne, Reason, classify
-from c4x4det.errors import NotAttainableError, PreconditionError
+from c4x4det.errors import InternalMismatchError, NotAttainableError, PreconditionError
 from c4x4det.gdet import det16_direct
-from c4x4det.numtheory import is_in_P, two_squares_prime_5mod8
+from c4x4det.numtheory import TwoSquaresRep, is_in_P, two_squares_prime_5mod8
 from c4x4det.witness import WitnessCase, emit, plan, witness
+
+# the package re-exports the function witness under the submodule's name
+witness_module = importlib.import_module("c4x4det.witness")
 
 
 class TestPlan:
@@ -177,3 +181,10 @@ class TestConstructionTables:
             t = (x - 2 * e - 1) // 8
             u = (y - 2) // 8
             assert (8 * t + 2 * e + 1) ** 2 + (8 * u + 2) ** 2 == p
+
+    def test_bad_representation_residue_raises(self, monkeypatch):
+        # holds under ``python -O`` too: the check is not an assert
+        monkeypatch.setattr(witness_module, "two_squares_prime_5mod8",
+                            lambda p: TwoSquaresRep(3, 2, p))
+        with pytest.raises(InternalMismatchError):
+            witness_module._constrained_params(13, 1)
