@@ -139,7 +139,12 @@ def _parse_support(text: str):
 
 
 def _cmd_scan(args) -> int:
-    floors = (("--random", args.random, 1), ("--bound", args.bound, 0), ("--limit", args.limit, 1))
+    floors = (
+        ("--random", args.random, 1),
+        ("--bound", args.bound, 0),
+        ("--limit", args.limit, 1),
+        ("--jobs", args.jobs, 1),
+    )
     for flag, value, least in floors:
         if value is not None and value < least:
             print(f"scan: {flag} must be at least {least}, got {value}", file=sys.stderr)
@@ -205,7 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of seeded random tuples")
     p_scan.add_argument("--bound", type=int, default=9)
     p_scan.add_argument("--seed", type=int, default=0)
-    p_scan.add_argument("--jobs", type=int, default=1)
+    p_scan.add_argument("--jobs", type=int, default=1,
+                        help="worker processes, capped at the CPU count")
     p_scan.set_defaults(fn=_cmd_scan)
 
     p_self = sub.add_parser("selfcheck", help="identity suites + oracle agreement")
@@ -227,6 +233,9 @@ def main(argv=None) -> int:
     except NotAttainableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
+    except ArithmeticError as exc:  # e.g. rho or the non-residue search gave up
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def run() -> None:

@@ -160,8 +160,14 @@ def derive(a) -> DerivedSpectra:
     """
     if len(a) != 16:
         raise ValueError(f"expected 16 coefficients, got {len(a)}")
-    b = tuple((a[i] + a[i + 8]) + (a[i + 4] + a[i + 12]) for i in range(4))
-    c = tuple((a[i] + a[i + 8]) - (a[i + 4] + a[i + 12]) for i in range(4))
-    d = tuple(a[i] - a[i + 8] for i in range(8))
-    alpha = tuple(GaussInt(d[i], d[i + 4]) for i in range(4))
-    return DerivedSpectra(b, c, d, alpha)
+    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 = a
+    e0, e1, e2, e3 = a0 + a8, a1 + a9, a2 + a10, a3 + a11
+    o0, o1, o2, o3 = a4 + a12, a5 + a13, a6 + a14, a7 + a15
+    d0, d1, d2, d3 = a0 - a8, a1 - a9, a2 - a10, a3 - a11
+    d4, d5, d6, d7 = a4 - a12, a5 - a13, a6 - a14, a7 - a15
+    return DerivedSpectra(
+        (e0 + o0, e1 + o1, e2 + o2, e3 + o3),
+        (e0 - o0, e1 - o1, e2 - o2, e3 - o3),
+        (d0, d1, d2, d3, d4, d5, d6, d7),
+        (GaussInt(d0, d4), GaussInt(d1, d5), GaussInt(d2, d6), GaussInt(d3, d7)),
+    )

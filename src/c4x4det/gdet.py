@@ -1,13 +1,17 @@
 """The order-16 group determinant, computed three independent ways.
 
 * :func:`det16_direct` builds the literal 16x16 matrix ``M[g][h] = a[g*h^-1]``
-  and eliminates it fraction-free (Bareiss), staying in exact integers.  This
-  is the oracle every other route is checked against.
+  from a group index table and eliminates it fraction-free (Bareiss), staying
+  in exact integers.  The elimination is generic: it uses nothing of the
+  group structure.  This is the oracle every other route is checked against.
 * :func:`det16_factored` uses the closed form
   ``det4(b) * det4(c) * beta_norm * gamma_norm`` over the derived spectra.
 * :func:`det16_spectral` multiplies the four character-block determinants
-  ``det4_gauss(sum_s i^{k s} a[j+4s], ...)`` for k = 0..3 and asserts the
-  product has no imaginary part.
+  ``det4_gauss(sum_s i^{k s} a[j+4s], ...)`` for k = 0..3 and checks that the
+  product has no imaginary part.  It computes on plain ``(re, im)`` integer
+  pairs and calls neither :func:`derive` nor :func:`det4`; ``GaussInt``
+  appears only at the :func:`spectral_factors` and :func:`det4_gauss`
+  boundary.
 
 All three agree exactly on every input; the test suite enforces this both on
 fixed examples and on randomized sweeps.
@@ -49,12 +53,21 @@ def det4(x0, x1, x2, x3):
     return (s * s - t * t) * (u * u + v * v)
 
 
+def _det4_pairs(x0r, x0i, x1r, x1i, x2r, x2i, x3r, x3i):
+    # The det4 closed form on Gaussian integers held as (re, im) int pairs.
+    sr, si, tr, ti = x0r + x2r, x0i + x2i, x1r + x3r, x1i + x3i
+    ur, ui, vr, vi = x0r - x2r, x0i - x2i, x1r - x3r, x1i - x3i
+    pr, pi = sr * sr - si * si - tr * tr + ti * ti, 2 * (sr * si - tr * ti)
+    qr, qi = ur * ur - ui * ui + vr * vr - vi * vi, 2 * (ur * ui + vr * vi)
+    return pr * qr - pi * qi, pr * qi + pi * qr
+
+
 def det4_gauss(x0, x1, x2, x3) -> GaussInt:
     """Same closed form as :func:`det4`, evaluated in exact Gaussian integers."""
     x0, x1, x2, x3 = (z if isinstance(z, GaussInt) else GaussInt(z)
                       for z in (x0, x1, x2, x3))
-    s, t, u, v = x0 + x2, x1 + x3, x0 - x2, x1 - x3
-    return (s * s - t * t) * (u * u + v * v)
+    return GaussInt(*_det4_pairs(x0.re, x0.im, x1.re, x1.im,
+                                 x2.re, x2.im, x3.re, x3.im))
 
 
 class BetaGammaNorms(NamedTuple):
@@ -95,6 +108,13 @@ def beta_gamma_norms_alt(d) -> BetaGammaNorms:
     return BetaGammaNorms(beta, gamma)
 
 
+# _GROUP_INDEX[g][h] is the flat index of g*h^-1: componentwise subtraction mod 4.
+_GROUP_INDEX = tuple(
+    tuple((((g & 3) - (h & 3)) & 3) + 4 * (((g >> 2) - (h >> 2)) & 3) for h in range(16))
+    for g in range(16)
+)
+
+
 def group_matrix(a):
     """The 16x16 matrix M[g][h] = a[g*h^-1] with elements (r, s) at r + 4*s.
 
@@ -103,19 +123,13 @@ def group_matrix(a):
     """
     if len(a) != 16:
         raise ValueError(f"expected 16 coefficients, got {len(a)}")
-    rows = []
-    for g in range(16):
-        rg, sg = g & 3, g >> 2
-        row = [0] * 16
-        for h in range(16):
-            rh, sh = h & 3, h >> 2
-            row[h] = a[((rg - rh) & 3) + 4 * ((sg - sh) & 3)]
-        rows.append(row)
-    return rows
+    return [[a[t] for t in row] for row in _GROUP_INDEX]
 
 
 def _det_bareiss(m) -> int:
-    # Fraction-free elimination; every interior division is exact.
+    # Fraction-free elimination; every interior division is exact.  Rows
+    # with a zero in the pivot column still pick up the pivot scaling, which
+    # is the same update with f == 0.
     n = len(m)
     sign = 1
     prev = 1
@@ -130,17 +144,11 @@ def _det_bareiss(m) -> int:
                 return 0
         pk = m[k]
         piv = pk[k]
-        for i in range(k + 1, n):
-            ri = m[i]
+        cols = range(k + 1, n)
+        for ri in m[k + 1:]:
             f = ri[k]
-            if f:
-                for j in range(k + 1, n):
-                    ri[j] = (ri[j] * piv - f * pk[j]) // prev
-                ri[k] = 0
-            else:
-                # the row still picks up the pivot scaling
-                for j in range(k + 1, n):
-                    ri[j] = (ri[j] * piv) // prev
+            for j in cols:
+                ri[j] = (ri[j] * piv - f * pk[j]) // prev
         prev = piv
     return sign * m[n - 1][n - 1]
 
@@ -160,6 +168,26 @@ def det16_factored(a) -> int:
     return det4(*b) * det4(*c) * norms.beta_norm * norms.gamma_norm
 
 
+def _spectral_pairs(a) -> tuple:
+    # Block k evaluates the det4 closed form on z_j = sum_s i^{k s} a[j + 4 s]
+    # as (re, im) int pairs.  With e_j/o_j the sums and r_j/w_j the
+    # differences of the s-even and s-odd coefficients, z_j is (e+o, 0),
+    # (r, w), (e-o, 0) and (r, -w) for k = 0..3.
+    if len(a) != 16:
+        raise ValueError(f"expected 16 coefficients, got {len(a)}")
+    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 = a
+    e0, e1, e2, e3 = a0 + a8, a1 + a9, a2 + a10, a3 + a11
+    o0, o1, o2, o3 = a4 + a12, a5 + a13, a6 + a14, a7 + a15
+    r0, r1, r2, r3 = a0 - a8, a1 - a9, a2 - a10, a3 - a11
+    w0, w1, w2, w3 = a4 - a12, a5 - a13, a6 - a14, a7 - a15
+    return (
+        _det4_pairs(e0 + o0, 0, e1 + o1, 0, e2 + o2, 0, e3 + o3, 0),
+        _det4_pairs(r0, w0, r1, w1, r2, w2, r3, w3),
+        _det4_pairs(e0 - o0, 0, e1 - o1, 0, e2 - o2, 0, e3 - o3, 0),
+        _det4_pairs(r0, -w0, r1, -w1, r2, -w2, r3, -w3),
+    )
+
+
 def spectral_factors(a) -> tuple:
     """The four Gaussian character-block determinants, k = 0..3.
 
@@ -167,27 +195,7 @@ def spectral_factors(a) -> tuple:
     ``z_j = sum_s i^{k s} * a[j + 4 s]``.  Block 0 sees the b vector, block 2
     the c vector, and blocks 1 and 3 are complex conjugates of one another.
     """
-    if len(a) != 16:
-        raise ValueError(f"expected 16 coefficients, got {len(a)}")
-    factors = []
-    for k in range(4):
-        args = []
-        for j in range(4):
-            re = im = 0
-            for s in range(4):
-                v = a[j + 4 * s]
-                ks = (k * s) & 3
-                if ks == 0:
-                    re += v
-                elif ks == 1:
-                    im += v
-                elif ks == 2:
-                    re -= v
-                else:
-                    im -= v
-            args.append(GaussInt(re, im))
-        factors.append(det4_gauss(*args))
-    return tuple(factors)
+    return tuple(GaussInt(re, im) for re, im in _spectral_pairs(a))
 
 
 def det16_spectral(a) -> int:
@@ -197,10 +205,12 @@ def det16_spectral(a) -> int:
     imaginary part can only come from an index-convention bug, so it is a
     hard failure rather than something to discard.
     """
-    f0, f1, f2, f3 = spectral_factors(a)
-    product = f0 * f1 * f2 * f3
-    if product.im != 0:
+    (re, im), (r1, i1), (r2, i2), (r3, i3) = _spectral_pairs(a)
+    re, im = re * r1 - im * i1, re * i1 + im * r1
+    re, im = re * r2 - im * i2, re * i2 + im * r2
+    re, im = re * r3 - im * i3, re * i3 + im * r3
+    if im != 0:
         raise InternalMismatchError(
-            f"spectral product has nonzero imaginary part: {product!r}"
+            f"spectral product has nonzero imaginary part: {GaussInt(re, im)!r}"
         )
-    return product.re
+    return re

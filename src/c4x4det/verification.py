@@ -17,8 +17,10 @@ harness can diff them.
 from __future__ import annotations
 
 import json
+import os
 import random
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -133,22 +135,25 @@ def _random_block(args):
     return checked, violations, seen
 
 
-def _run_blocks(block_fn, blocks, jobs: int) -> ScanReport:
-    start = time.perf_counter()
+def _bounded_map(pool, block_fn, blocks, window: int) -> Iterator:
+    # Executor.map submits every block at once; keep at most `window` pending.
+    pending: deque = deque()
+    for args in blocks:
+        if len(pending) >= window:
+            yield pending.popleft().result()
+        pending.append(pool.submit(block_fn, args))
+    while pending:
+        yield pending.popleft().result()
+
+
+def _merge(results, start: float) -> ScanReport:
     checked = 0
     violations = []
     seen: set = set()
-    if jobs <= 1:
-        results = map(block_fn, blocks)
-    else:
-        pool = ProcessPoolExecutor(max_workers=jobs)
-        results = pool.map(block_fn, blocks)
     for c, v, s in results:  # merged in block order, so output is reproducible
         checked += c
         violations.extend(v)
         seen |= s
-    if jobs > 1:
-        pool.shutdown()
     return ScanReport(
         tuples_checked=checked,
         distinct_values=len(seen),
@@ -158,13 +163,25 @@ def _run_blocks(block_fn, blocks, jobs: int) -> ScanReport:
     )
 
 
+def _run_blocks(block_fn, blocks: Iterable, jobs: int) -> ScanReport:
+    """Run ``block_fn`` over ``blocks`` on at most ``os.cpu_count()`` processes."""
+    start = time.perf_counter()
+    jobs = min(jobs, os.cpu_count() or 1)
+    if jobs <= 1:
+        return _merge(map(block_fn, blocks), start)
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return _merge(_bounded_map(pool, block_fn, blocks, 2 * jobs), start)
+
+
 def scan_exhaustive(
     support: Iterable[int], limit: Optional[int] = None, jobs: int = 1
 ) -> ScanReport:
     """Classify the determinant of every vector over ``support`` (lexicographic).
 
     ``limit`` caps the number of tuples; *violations* collects any vector
-    whose value the classifier rejects (there should never be one).
+    whose value the classifier rejects (there should never be one).  Blocks
+    are generated as they are consumed, so memory does not grow with
+    ``|support|**16``.
     """
     supp = tuple(sorted(set(support)))
     if not supp:
@@ -173,7 +190,7 @@ def scan_exhaustive(
     if limit is not None:
         total = min(total, limit)
     block = max(1, min(1 << 14, total))
-    blocks = [(supp, lo, min(lo + block, total)) for lo in range(0, total, block)]
+    blocks = ((supp, lo, min(lo + block, total)) for lo in range(0, total, block))
     return _run_blocks(_exhaustive_block, blocks, jobs)
 
 
@@ -184,14 +201,10 @@ def scan_random(count: int, coeff_bound: int, seed: int, jobs: int = 1) -> ScanR
     and records any disagreement as a violation.  The sample stream depends
     only on ``seed`` (not on ``jobs``).
     """
-    blocks = []
-    remaining = count
-    b = 0
-    while remaining > 0:
-        size = min(_RANDOM_BLOCK, remaining)
-        blocks.append((seed, b, size, coeff_bound))
-        remaining -= size
-        b += 1
+    blocks = (
+        (seed, b, min(_RANDOM_BLOCK, count - lo), coeff_bound)
+        for b, lo in enumerate(range(0, count, _RANDOM_BLOCK))
+    )
     return _run_blocks(_random_block, blocks, jobs)
 
 

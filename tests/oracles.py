@@ -3,13 +3,15 @@
 The brute-force oracles call nothing in the library; their divisor walks are
 plain trial division, so disagreements point at the library, never at a
 shared bug.  ``a_decompose_walk`` is the one reference built on library
-parts (see its docstring).
+parts (see its docstring); ``spectral_factors_gauss`` uses only the
+``GaussInt`` arithmetic class.
 """
 
 from itertools import combinations_with_replacement
 from math import isqrt
 
 from c4x4det.classifier import OddA
+from c4x4det.core import GaussInt
 from c4x4det.numtheory import factorize, signed_divisors_1mod8
 
 
@@ -99,3 +101,32 @@ def a_decompose_walk(n: int):
             if (j - k - l - m - nn) % 2 != 0:
                 return OddA(j, k, p1, p2, p3)
     return None
+
+
+def spectral_factors_gauss(a) -> tuple:
+    """Reference character blocks, computed with ``GaussInt`` objects.
+
+    Block k is the det4 closed form on ``z_j = sum_s i^{k s} a[j + 4 s]``,
+    summed one term at a time by the power ``i^{k s}``.  The library's
+    ``spectral_factors`` computes the same blocks on plain (re, im) pairs.
+    """
+    factors = []
+    for k in range(4):
+        z = []
+        for j in range(4):
+            re = im = 0
+            for s in range(4):
+                v = a[j + 4 * s]
+                ks = (k * s) & 3
+                if ks == 0:
+                    re += v
+                elif ks == 1:
+                    im += v
+                elif ks == 2:
+                    re -= v
+                else:
+                    im -= v
+            z.append(GaussInt(re, im))
+        z0, z1, z2, z3 = z
+        factors.append(((z0 + z2) ** 2 - (z1 + z3) ** 2) * ((z0 - z2) ** 2 + (z1 - z3) ** 2))
+    return tuple(factors)

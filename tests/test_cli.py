@@ -72,6 +72,20 @@ class TestClassify:
             "verified": False,
         }
 
+    def test_factorization_failure_exits_2(self, capsys, monkeypatch):
+        from c4x4det import classifier
+
+        def gave_up(n, envelope=None):
+            raise ArithmeticError(f"rho failed to split {n}")
+
+        monkeypatch.setattr(classifier, "factorize", gave_up)
+        classifier._classify_unbounded.cache_clear()
+        code, out, err = run_cli(capsys, "classify", "4188009")  # 9 mod 16: set A
+        classifier._classify_unbounded.cache_clear()
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: rho failed to split 4188009"]
+
     def test_envelope_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "classify", str(10**13))
         assert code == 2
@@ -145,6 +159,7 @@ class TestScan:
         ("--random", "5", "--bound", "-1"),
         ("--random", "-5"),
         ("--support", "0,1", "--limit", "-3"),
+        ("--support", "0,1", "--jobs", "0"),
     ])
     def test_out_of_range_count_exits_2(self, capsys, argv):
         code, out, err = run_cli(capsys, "scan", *argv)

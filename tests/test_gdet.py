@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from c4x4det import gdet
 from c4x4det.core import GaussInt, derive
+from c4x4det.errors import InternalMismatchError
 from c4x4det.gdet import (
     beta_gamma_norms,
     beta_gamma_norms_alt,
@@ -18,10 +20,29 @@ from c4x4det.gdet import (
     group_matrix,
     spectral_factors,
 )
+from oracles import spectral_factors_gauss
 
 coeffs = st.tuples(*[st.integers(-9, 9)] * 16)
 d_vecs = st.tuples(*[st.integers(-50, 50)] * 8)
 quads = st.tuples(*[st.integers(-50, 50)] * 4)
+big_coeffs = st.tuples(*[st.integers(-10**12, 10**12)] * 16)
+
+
+@st.composite
+def degenerate_matrices(draw):
+    """n x n integer matrices, n = 1..8, often with repeated rows or zero columns."""
+    n = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(st.integers(-20, 20), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i] = list(rows[j])
+    zero_cols = draw(st.integers(0, n))
+    for row in rows:
+        row[:zero_cols] = [0] * zero_cols
+    if draw(st.booleans()):  # a nonzero entry low in column 0 forces swaps
+        rows[-1][0] = draw(st.integers(1, 20))
+    return rows
 
 
 def det_gauss_slow(mat):
@@ -159,9 +180,34 @@ class TestDet16:
 
     def test_direct_against_rational_elimination(self):
         rng = random.Random(12345)
-        for _ in range(25):
-            a = tuple(rng.randint(-9, 9) for _ in range(16))
-            assert det16_direct(a) == det_gauss_slow(group_matrix(a))
+        vectors = [tuple(rng.randint(-9, 9) for _ in range(16)) for _ in range(25)]
+        # zero pivots and singular matrices: all-zero, all-equal, a swap at
+        # step 0, and {0,1} vectors (many of them singular)
+        vectors += [(0,) * 16, (7,) * 16, (0,) * 15 + (1,)]
+        vectors += [tuple(rng.randint(0, 1) for _ in range(16)) for _ in range(200)]
+        for a in vectors:
+            assert det16_direct(a) == det_gauss_slow(group_matrix(a)), a
+
+    @given(degenerate_matrices())
+    @settings(max_examples=300)
+    def test_bareiss_against_rational_elimination(self, rows):
+        expected = det_gauss_slow(rows)
+        assert gdet._det_bareiss([list(r) for r in rows]) == expected
+
+    @given(big_coeffs)
+    @settings(max_examples=200)
+    def test_spectral_matches_gaussint_reference(self, a):
+        reference = spectral_factors_gauss(a)
+        assert spectral_factors(a) == reference
+        f0, f1, f2, f3 = reference
+        assert det16_spectral(a) == (f0 * f1 * f2 * f3).re
+
+    def test_spectral_imaginary_part_is_a_hard_failure(self, monkeypatch):
+        # must raise under python -O too, so it cannot be an assert
+        monkeypatch.setattr(gdet, "_spectral_pairs",
+                            lambda a: ((1, 0), (0, 1), (1, 0), (1, 0)))
+        with pytest.raises(InternalMismatchError, match="nonzero imaginary part"):
+            det16_spectral((1,) + (0,) * 15)
 
     @given(coeffs)
     @settings(max_examples=100)

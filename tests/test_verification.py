@@ -1,5 +1,9 @@
 import json
+import os
 
+import pytest
+
+from c4x4det import verification
 from c4x4det.classifier import NotInS, classify
 from c4x4det.verification import (
     lemma_suites,
@@ -42,6 +46,104 @@ class TestScanExhaustive:
         report = scan_exhaustive((0, 1), limit=100)
         assert "PASS" in report.summary()
         assert list(report.json_lines()) == []
+
+
+class _Future:
+    def __init__(self, pool, fn, args):
+        self.pool, self.fn, self.args = pool, fn, args
+
+    def result(self):
+        self.pool.pending -= 1
+        return self.fn(self.args)
+
+
+class FakeExecutor:
+    """Stands in for ProcessPoolExecutor in-process; starts no process.
+
+    It records ``max_workers``, every submitted block in order, the peak
+    number of submitted but unread blocks, and whether ``__exit__`` ran.
+    """
+
+    instances: list = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.submitted = []
+        self.pending = self.peak_pending = 0
+        self.exited = False
+        FakeExecutor.instances.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.exited = True
+        return False
+
+    def submit(self, fn, args):
+        self.submitted.append(args)
+        self.pending += 1
+        self.peak_pending = max(self.peak_pending, self.pending)
+        return _Future(self, fn, args)
+
+    def map(self, fn, items):
+        raise AssertionError("Executor.map submits every block eagerly")
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    FakeExecutor.instances = []
+    monkeypatch.setattr(verification, "ProcessPoolExecutor", FakeExecutor)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    return FakeExecutor.instances
+
+
+def _count_block(args):
+    # stands in for _exhaustive_block: counts the block without scanning it
+    _, lo, hi = args
+    return hi - lo, [], {lo}
+
+
+class TestPool:
+    def test_jobs_clamped_to_cpu_count(self, fake_pool):
+        report = scan_exhaustive((0, 1), limit=100, jobs=64)
+        assert [p.max_workers for p in fake_pool] == [4]
+        assert report.tuples_checked == 100 and report.ok
+
+    def test_jobs_within_cpu_count_kept(self, fake_pool):
+        scan_random(10, 3, seed=0, jobs=3)
+        assert [p.max_workers for p in fake_pool] == [3]
+
+    def test_pool_exits_when_a_block_raises(self, fake_pool):
+        def boom(args):
+            raise RuntimeError("block failed")
+
+        with pytest.raises(RuntimeError, match="block failed"):
+            verification._run_blocks(boom, [(0,), (1,)], jobs=2)
+        assert fake_pool[0].exited
+
+    @pytest.mark.parametrize("blocks", [3, 40])
+    def test_pending_blocks_bounded(self, fake_pool, monkeypatch, blocks):
+        monkeypatch.setattr(verification, "_exhaustive_block", _count_block)
+        report = scan_exhaustive(range(10), limit=blocks * 16384, jobs=2)
+        pool = fake_pool[0]
+        assert pool.peak_pending <= 2 * 2
+        # every block submitted once, in order, and merged in that order
+        assert [lo for _, lo, _ in pool.submitted] == [16384 * i for i in range(blocks)]
+        assert report.tuples_checked == blocks * 16384
+        assert report.seen_values == {16384 * i for i in range(blocks)}
+
+    def test_unlimited_scan_yields_blocks_lazily(self, monkeypatch):
+        # 10**16 tuples: a list of block descriptors would never fit in memory
+        first = []
+
+        def take_first(block_fn, blocks, jobs):
+            first.append(next(iter(blocks)))
+            return None
+
+        monkeypatch.setattr(verification, "_run_blocks", take_first)
+        scan_exhaustive(range(10))
+        assert first == [(tuple(range(10)), 0, 16384)]
 
 
 class TestScanRandom:
