@@ -19,12 +19,13 @@ print("factored (closed-form product):    ", det16_factored(a))
 print("spectral (character blocks):       ", det16_spectral(a))
 print()
 
-b, c, d, alpha = derive(a)
+spectra = derive(a)
+b, c, d = spectra
 norms = beta_gamma_norms(d)
 print("derived spectra:")
 print("  b =", b, " c =", c)
 print("  d =", d)
-print("  alpha =", alpha)
+print("  alpha =", spectra.alpha)
 print()
 print("factored pieces:")
 print(f"  det4(b) = {det4(*b)}")

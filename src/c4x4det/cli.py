@@ -20,7 +20,7 @@ from .classifier import Even15, Even16, NotInS, OddA, OddOne, classify
 from .core import derive
 from .errors import EnvelopeExceededError, NotAttainableError
 from .gdet import beta_gamma_norms, det4, det16_factored, spectral_factors
-from .numtheory import ENVELOPE
+from .numtheory import check_envelope
 from .verification import lemma_suites, scan_exhaustive, scan_random
 from .witness import witness
 
@@ -47,7 +47,7 @@ def _certificate_fields(cls):
     raise TypeError(f"no document form for {cls!r}")
 
 
-def _document(n, cls, witness_vec=None, verified=False) -> dict:
+def _document(n, cls, witness_vec=None) -> dict:
     if isinstance(cls, NotInS):
         return {
             "value": str(n),
@@ -65,7 +65,7 @@ def _document(n, cls, witness_vec=None, verified=False) -> dict:
         "class": klass,
         "params": params,
         "witness": list(witness_vec) if witness_vec is not None else None,
-        "verified": verified,
+        "verified": witness_vec is not None,
     }
 
 
@@ -88,7 +88,7 @@ def _cmd_eval(args) -> int:
     value = det16_factored(a)
     print(value)
     if args.explain:
-        b, c, d, _ = derive(a)
+        b, c, d = derive(a)
         norms = beta_gamma_norms(d)
         print(f"det4(b) = {det4(*b)}  with b = {b}")
         print(f"det4(c) = {det4(*c)}  with c = {c}")
@@ -99,35 +99,21 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _envelope_guard(n: int) -> None:
-    if abs(n) > ENVELOPE:
-        raise EnvelopeExceededError(
-            f"|{n}| exceeds the supported envelope {ENVELOPE}"
-        )
-
-
 def _cmd_classify(args) -> int:
-    _envelope_guard(args.value)
+    check_envelope(args.value)
     cls = classify(args.value)
     _emit_document(_document(args.value, cls), args.json)
     return EXIT_OK if not isinstance(cls, NotInS) else EXIT_NEGATIVE
 
 
 def _cmd_witness(args) -> int:
-    _envelope_guard(args.value)
+    check_envelope(args.value)
     cls = classify(args.value)
     if isinstance(cls, NotInS):
         _emit_document(_document(args.value, cls), args.json)
         return EXIT_NEGATIVE
-    if args.no_verify:
-        from .witness import emit, plan  # local import keeps the hot path obvious
-
-        vec = emit(plan(cls))
-        verified = False
-    else:
-        vec, cls = witness(args.value)
-        verified = True
-    _emit_document(_document(args.value, cls, witness_vec=vec, verified=verified), args.json)
+    vec, cls = witness(args.value)
+    _emit_document(_document(args.value, cls, witness_vec=vec), args.json)
     return EXIT_OK
 
 
@@ -138,6 +124,15 @@ def _parse_support(text: str):
         raise argparse.ArgumentTypeError(f"bad support list {text!r}") from exc
 
 
+def _within_floors(command: str, floors) -> bool:
+    """False, after one stderr line, if some (flag, value, least) has value < least."""
+    for flag, value, least in floors:
+        if value is not None and value < least:
+            print(f"{command}: {flag} must be at least {least}, got {value}", file=sys.stderr)
+            return False
+    return True
+
+
 def _cmd_scan(args) -> int:
     floors = (
         ("--random", args.random, 1),
@@ -145,10 +140,11 @@ def _cmd_scan(args) -> int:
         ("--limit", args.limit, 1),
         ("--jobs", args.jobs, 1),
     )
-    for flag, value, least in floors:
-        if value is not None and value < least:
-            print(f"scan: {flag} must be at least {least}, got {value}", file=sys.stderr)
-            return EXIT_USAGE
+    if not _within_floors("scan", floors):
+        return EXIT_USAGE
+    if args.random is not None and args.support is not None:
+        print("scan: --support and --random cannot be combined", file=sys.stderr)
+        return EXIT_USAGE
     if args.random is not None:
         report = scan_random(args.random, args.bound, args.seed, jobs=args.jobs)
     elif args.support is not None:
@@ -163,6 +159,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
+    if not _within_floors("selfcheck", (("--samples", args.samples, 1),)):
+        return EXIT_USAGE
     suites = lemma_suites(args.samples, args.seed)
     print(suites.summary())
     scan = scan_random(args.samples, 9, args.seed)
@@ -197,8 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_wit = sub.add_parser("witness", help="coefficients realizing a value")
     p_wit.add_argument("value", type=int)
     p_wit.add_argument("--json", action="store_true")
-    p_wit.add_argument("--no-verify", action="store_true",
-                       help="skip the determinant re-check of the emitted tuple")
     p_wit.set_defaults(fn=_cmd_witness)
 
     p_scan = sub.add_parser("scan", help="classify determinants of many tuples")

@@ -3,8 +3,9 @@
 A group element is a pair (r, s) with r, s taken mod 4, stored at flat index
 j = r + 4*s.  A :class:`CoeffVec16` assigns one integer to each of the 16
 elements.  :func:`derive` splits such a vector into the half-sum / half-difference
-vectors ``b``, ``c``, ``d`` and the Gaussian-integer vector ``alpha`` that drive
-the determinant factorization in :mod:`c4x4det.gdet`:
+vectors ``b``, ``c`` and ``d`` that drive the determinant factorization in
+:mod:`c4x4det.gdet`; the Gaussian-integer vector ``alpha`` is computed from
+``d`` when it is read:
 
     b[i] = (a[i] + a[i+8]) + (a[i+4] + a[i+12])      0 <= i <= 3
     c[i] = (a[i] + a[i+8]) - (a[i+4] + a[i+12])      0 <= i <= 3
@@ -137,12 +138,17 @@ class CoeffVec16(tuple):
 
 
 class DerivedSpectra(NamedTuple):
-    """The vectors b, c (length 4), d (length 8) and alpha (length 4, Gaussian)."""
+    """The vectors b, c (length 4) and d (length 8); alpha is computed from d."""
 
     b: tuple
     c: tuple
     d: tuple
-    alpha: tuple
+
+    @property
+    def alpha(self) -> tuple:
+        """The Gaussian vector alpha[i] = d[i] + i*d[i+4], 0 <= i <= 3."""
+        d = self.d
+        return tuple(GaussInt(d[i], d[i + 4]) for i in range(4))
 
 
 def derive(a) -> DerivedSpectra:
@@ -154,7 +160,7 @@ def derive(a) -> DerivedSpectra:
     * ``b[i] == c[i] == d[i] + d[i+4]  (mod 2)``
     * ``b[i] + c[i] == 2*d[i]          (mod 4)``
     * ``b[i] - c[i] == 2*d[i+4]        (mod 4)``
-    * ``alpha[i] == GaussInt(d[i], d[i+4])``
+    * ``alpha[i] == GaussInt(d[i], d[i+4])`` (``alpha`` is built when read)
 
     and derive is linear in ``a`` componentwise.
     """
@@ -169,5 +175,4 @@ def derive(a) -> DerivedSpectra:
         (e0 + o0, e1 + o1, e2 + o2, e3 + o3),
         (e0 - o0, e1 - o1, e2 - o2, e3 - o3),
         (d0, d1, d2, d3, d4, d5, d6, d7),
-        (GaussInt(d0, d4), GaussInt(d1, d5), GaussInt(d2, d6), GaussInt(d3, d7)),
     )

@@ -163,7 +163,7 @@ def det16_direct(a) -> int:
 
 def det16_factored(a) -> int:
     """det4(b) * det4(c) * beta_norm * gamma_norm over the derived spectra."""
-    b, c, d, _alpha = derive(a)
+    b, c, d = derive(a)
     norms = beta_gamma_norms(d)
     return det4(*b) * det4(*c) * norms.beta_norm * norms.gamma_norm
 

@@ -128,9 +128,6 @@ class Factorization:
             out *= p**e
         return out
 
-    def __iter__(self):
-        return iter(self.factors)
-
 
 def _factor_unsigned(n: int) -> dict:
     """Complete factorization of n >= 1 as a prime -> exponent dict."""
@@ -162,6 +159,12 @@ def _factor_unsigned(n: int) -> dict:
     return out
 
 
+def check_envelope(n: int, envelope: Optional[int] = ENVELOPE) -> None:
+    """Raise :class:`EnvelopeExceededError` when |n| exceeds ``envelope`` (None: no cap)."""
+    if envelope is not None and abs(n) > envelope:
+        raise EnvelopeExceededError(f"|{n}| exceeds the supported envelope {envelope}")
+
+
 def factorize(n: int, envelope: Optional[int] = ENVELOPE) -> Factorization:
     """Complete signed prime factorization of n.
 
@@ -169,8 +172,7 @@ def factorize(n: int, envelope: Optional[int] = ENVELOPE) -> Factorization:
     (pass ``envelope=None`` to lift the cap).  n == 0 factors as sign 0 with
     no prime factors.
     """
-    if envelope is not None and abs(n) > envelope:
-        raise EnvelopeExceededError(f"|{n}| exceeds the supported envelope {envelope}")
+    check_envelope(n, envelope)
     if n == 0:
         return Factorization(0, ())
     sign = 1 if n > 0 else -1
@@ -199,8 +201,7 @@ def signed_divisors_1mod8(c: int, envelope: Optional[int] = ENVELOPE) -> list:
     """
     if c == 0:
         raise PreconditionError("zero has no divisor set here")
-    if envelope is not None and abs(c) > envelope:
-        raise EnvelopeExceededError(f"|{c}| exceeds the supported envelope {envelope}")
+    check_envelope(c, envelope)
     fac = factorize(abs(c), envelope=None)
     out = []
     for d in divisors(fac):
@@ -220,21 +221,6 @@ class TwoSquaresRep(NamedTuple):
     target: int
 
 
-def two_squares_all(n: int) -> list:
-    """Brute-force reference: all (u, v) with 0 <= u, u^2 + v^2 = n, 0 <= v.
-
-    Enumerates v in [0, isqrt(n)]; quadratic-time in sqrt(n) but entirely
-    independent of the fast path, so it serves as the oracle in tests.
-    """
-    out = []
-    for v in range(isqrt(n) + 1):
-        rest = n - v * v
-        u = isqrt(rest)
-        if u * u == rest:
-            out.append((u, v))
-    return out
-
-
 def _sqrt_minus_one_mod(p: int) -> int:
     # p prime, p % 4 == 1: a^((p-1)/4) for the least quadratic non-residue a.
     for a in range(2, p):
@@ -243,13 +229,12 @@ def _sqrt_minus_one_mod(p: int) -> int:
     raise ArithmeticError(f"no quadratic non-residue found for {p}")
 
 
-def _two_squares_prime(p: int) -> tuple:
+def _rep_for_prime(p: int) -> tuple:
     """The unique (u, v), u odd > 0, v even >= 0, with u^2 + v^2 = p prime = 1 mod 4.
 
-    Cornacchia via Euclidean descent from a square root of -1 mod p.
+    Cornacchia via Euclidean descent from a square root of -1 mod p; both
+    constrained representations below start from this pair.
     """
-    if p == 2:
-        return (1, 1)
     r = _sqrt_minus_one_mod(p)
     if r > p // 2:
         r = p - r
@@ -263,17 +248,6 @@ def _two_squares_prime(p: int) -> tuple:
         raise InternalMismatchError(f"descent for {p} ended at {b}; {p} - {b}^2 is no square")
     u, v = (b, v) if b % 2 == 1 else (v, b)
     return (u, v)
-
-
-def _rep_for_prime(p: int) -> tuple:
-    # Brute force for small p keeps the reference path exercised; Cornacchia
-    # takes over where brute force would crawl.  Both give the same pair.
-    if p < 10**6:
-        for u, v in two_squares_all(p):
-            if u % 2 == 1:
-                return (u, v)
-        raise ArithmeticError(f"{p} is not a sum of two squares")
-    return _two_squares_prime(p)
 
 
 def _fix_sign(value: int, residue: int) -> int:

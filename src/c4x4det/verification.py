@@ -25,7 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .classifier import NotInS, classify
+from .classifier import NotInS, classify, v2
 from .core import derive
 from .errors import InternalMismatchError
 from .gdet import (
@@ -104,35 +104,30 @@ def _index_tuple(index: int, support: Sequence[int]) -> tuple:
     return tuple(out)
 
 
-def _exhaustive_block(args):
-    support, start, stop = args
+def _scan_block(tuples: Iterable, require_oracle: bool):
+    """(checked, violations, seen values) over one block of tuples."""
     checked = 0
     violations = []
     seen = set()
-    for idx in range(start, stop):
-        a = _index_tuple(idx, support)
-        value, bad = _check_tuple(a, require_oracle=False)
+    for a in tuples:
+        value, bad = _check_tuple(a, require_oracle)
         seen.add(value)
         checked += 1
         if bad is not None:
             violations.append(bad)
     return checked, violations, seen
+
+
+def _exhaustive_block(args):
+    support, start, stop = args
+    return _scan_block((_index_tuple(i, support) for i in range(start, stop)), False)
 
 
 def _random_block(args):
     seed, block, size, bound = args
     rng = random.Random(seed * (1 << 32) + block)
-    checked = 0
-    violations = []
-    seen = set()
-    for _ in range(size):
-        a = tuple(rng.randint(-bound, bound) for _ in range(16))
-        value, bad = _check_tuple(a, require_oracle=True)
-        seen.add(value)
-        checked += 1
-        if bad is not None:
-            violations.append(bad)
-    return checked, violations, seen
+    tuples = (tuple(rng.randint(-bound, bound) for _ in range(16)) for _ in range(size))
+    return _scan_block(tuples, True)
 
 
 def _bounded_map(pool, block_fn, blocks, window: int) -> Iterator:
@@ -244,10 +239,6 @@ def window_roundtrip(values: Iterable[int], observed=None) -> ScanReport:
 # --- identity suites ---------------------------------------------------------
 
 
-def _v2(n: int) -> int:
-    return (n & -n).bit_length() - 1
-
-
 def _rand_vec(rng, length, bound=50):
     return tuple(rng.randint(-bound, bound) for _ in range(length))
 
@@ -260,7 +251,9 @@ def _suite_rotation_antisymmetry(rng):
 
 def _suite_derived_congruences(rng):
     a = _rand_vec(rng, 16)
-    b, c, d, alpha = derive(a)
+    spectra = derive(a)
+    b, c, d = spectra
+    alpha = spectra.alpha
     for i in range(4):
         if (b[i] - c[i]) % 2 or (b[i] - d[i] - d[i + 4]) % 2:
             return f"mod-2 congruence fails at {i} for {a}"
@@ -281,7 +274,7 @@ def _suite_half_swap_invariance(rng):
 
 def _suite_parity_alignment(rng):
     a = _rand_vec(rng, 16)
-    b, c, d, _ = derive(a)
+    b, c, d = derive(a)
     bn, gn = beta_gamma_norms(d)
     vals = (det16_factored(a), det4(*b), det4(*c), bn, gn)
     if len({v % 2 for v in vals}) != 1:
@@ -308,7 +301,7 @@ def _suite_sum_square_difference(rng):
 
 def _suite_cross_term_congruences(rng):
     a = _rand_vec(rng, 16)
-    b, c, d, _ = derive(a)
+    b, c, d = derive(a)
     d0, d1, d2, d3, d4, d5, d6, d7 = d
     b0, b1, b2, b3 = b
     c0, c1, c2, c3 = c
@@ -342,34 +335,34 @@ def _suite_valuation_classes(rng):
 
     d_even = det4(2 * k, 2 * l, 2 * m, 2 * n)
     if (k + m - l - n) % 2:
-        if d_even == 0 or _v2(d_even) != 4:
+        if d_even == 0 or v2(d_even) != 4:
             return f"all-even pattern not in 2^4*odd for {(k,l,m,n)}"
     elif d_even % 2**8:
         return f"all-even pattern not divisible by 2^8 for {(k,l,m,n)}"
 
     d_odd = det4(2 * k + 1, 2 * l + 1, 2 * m + 1, 2 * n + 1)
     if (k + m - l - n) % 2:
-        if d_odd == 0 or _v2(d_odd) != 4:
+        if d_odd == 0 or v2(d_odd) != 4:
             return f"all-odd pattern not in 2^4*odd for {(k,l,m,n)}"
     elif ((k + m) * (l + n)) % 4 == 3:
-        if d_odd == 0 or _v2(d_odd) != 7:
+        if d_odd == 0 or v2(d_odd) != 7:
             return f"all-odd pattern not in 2^7*odd for {(k,l,m,n)}"
     elif d_odd % 2**9:
         return f"all-odd pattern not divisible by 2^9 for {(k,l,m,n)}"
 
     d_alt = det4(2 * k, 2 * l + 1, 2 * m, 2 * n + 1)
     if (k - m) % 2 == 1 and (l - n) % 2 == 1:
-        if d_alt == 0 or _v2(d_alt) != 5:
+        if d_alt == 0 or v2(d_alt) != 5:
             return f"alternating pattern not in 2^5*odd for {(k,l,m,n)}"
     elif (k - m) % 2 == 0 and ((2 * k + 2 * l + 1) * (2 * m + 2 * n + 1)) % 8 in (3, 5):
-        if d_alt == 0 or _v2(d_alt) != 6:
+        if d_alt == 0 or v2(d_alt) != 6:
             return f"alternating pattern not in 2^6*odd for {(k,l,m,n)}"
     elif d_alt % 2**7:
         return f"alternating pattern not divisible by 2^7 for {(k,l,m,n)}"
 
     d_pair = det4(2 * k, 2 * l, 2 * m + 1, 2 * n + 1)
     if ((2 * k + 2 * m + 1) * (2 * l + 2 * n + 1)) % 8 in (3, 5):
-        if d_pair == 0 or _v2(d_pair) != 4:
+        if d_pair == 0 or v2(d_pair) != 4:
             return f"paired pattern not in 2^4*odd for {(k,l,m,n)}"
     elif d_pair % 2**5:
         return f"paired pattern not divisible by 2^5 for {(k,l,m,n)}"
@@ -379,7 +372,7 @@ def _sample_odd_sum_split(rng):
     # coefficient vectors whose b vector has odd b0+b2+b1+b3
     while True:
         a = _rand_vec(rng, 16)
-        b, c, d, _ = derive(a)
+        b, c, d = derive(a)
         if (b[0] + b[2] + b[1] + b[3]) % 2:
             return a, b, c, d
 

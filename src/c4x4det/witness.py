@@ -274,36 +274,30 @@ def _table_a_odd_odd(J, K, r, s, t, u, v, w, e):
     )
 
 
-def _a_table_args(p: WitnessPlan):
-    return tuple(p[name] for name in ("J", "K", "r", "s", "t", "u", "v", "w", "e"))
+_TABLES = {
+    WitnessCase.ODD_16M_PLUS_1: _tuple_16m_plus_1,
+    WitnessCase.POW2_16_4M_PLUS_1: _tuple_pow2_16_4m_plus_1,
+    WitnessCase.POW2_16_4M_MINUS_1: _tuple_pow2_16_4m_minus_1,
+    WitnessCase.POW2_16_EVEN: _tuple_pow2_16_even,
+    WitnessCase.POW2_15_4M_PLUS_1: _tuple_pow2_15_plus,
+    WitnessCase.POW2_15_4M_MINUS_1: _tuple_pow2_15_minus,
+    WitnessCase.A_EVEN_EVEN_PAIR13: _table_a_even_even,
+    WitnessCase.A_EVEN_EVEN_PAIR5: _table_a_even_even,
+    WitnessCase.A_EVEN_ODD_PAIR13: _table_a_even_odd,
+    WitnessCase.A_EVEN_ODD_PAIR5: _table_a_even_odd,
+    WitnessCase.A_ODD_EVEN_PAIR13: _table_a_odd_even,
+    WitnessCase.A_ODD_EVEN_PAIR5: _table_a_odd_even,
+    WitnessCase.A_ODD_ODD_PAIR13: _table_a_odd_odd,
+    WitnessCase.A_ODD_ODD_PAIR5: _table_a_odd_odd,
+}
 
 
 def emit(p: WitnessPlan) -> CoeffVec16:
-    """Emit the coefficient vector for a plan."""
-    case = p.case
-    if case is WitnessCase.ODD_16M_PLUS_1:
-        entries = _tuple_16m_plus_1(p["m"])
-    elif case is WitnessCase.POW2_16_4M_PLUS_1:
-        entries = _tuple_pow2_16_4m_plus_1(p["m"])
-    elif case is WitnessCase.POW2_16_4M_MINUS_1:
-        entries = _tuple_pow2_16_4m_minus_1(p["m"])
-    elif case is WitnessCase.POW2_16_EVEN:
-        entries = _tuple_pow2_16_even(p["m"])
-    elif case is WitnessCase.POW2_15_4M_PLUS_1:
-        entries = _tuple_pow2_15_plus(p["m"], p["r"], p["s"])
-    elif case is WitnessCase.POW2_15_4M_MINUS_1:
-        entries = _tuple_pow2_15_minus(p["m"], p["r"], p["s"])
-    elif case in (WitnessCase.A_EVEN_EVEN_PAIR13, WitnessCase.A_EVEN_EVEN_PAIR5):
-        entries = _table_a_even_even(*_a_table_args(p))
-    elif case in (WitnessCase.A_EVEN_ODD_PAIR13, WitnessCase.A_EVEN_ODD_PAIR5):
-        entries = _table_a_even_odd(*_a_table_args(p))
-    elif case in (WitnessCase.A_ODD_EVEN_PAIR13, WitnessCase.A_ODD_EVEN_PAIR5):
-        entries = _table_a_odd_even(*_a_table_args(p))
-    elif case in (WitnessCase.A_ODD_ODD_PAIR13, WitnessCase.A_ODD_ODD_PAIR5):
-        entries = _table_a_odd_odd(*_a_table_args(p))
-    else:
-        raise PreconditionError(f"unrecognized case {case!r}")
-    return CoeffVec16(entries)
+    """Emit the coefficient vector for a plan: its case's table on its parameters."""
+    table = _TABLES.get(p.case)
+    if table is None:
+        raise PreconditionError(f"unrecognized case {p.case!r}")
+    return CoeffVec16(table(**p.params))
 
 
 def witness(n: int, envelope: Optional[int] = ENVELOPE):

@@ -27,6 +27,17 @@ def positive_divisors(n: int) -> list:
     return small + large[::-1]
 
 
+def two_squares_all(n: int) -> list:
+    """All (u, v) with u, v >= 0 and u^2 + v^2 == n, by walking v up to isqrt(n)."""
+    out = []
+    for v in range(isqrt(n) + 1):
+        rest = n - v * v
+        u = isqrt(rest)
+        if u * u == rest:
+            out.append((u, v))
+    return out
+
+
 def is_prime_trial(n: int) -> bool:
     if n < 2:
         return False

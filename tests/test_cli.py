@@ -118,12 +118,13 @@ class TestWitness:
         assert code == 1
         assert out.strip() == "not_in_S odd_bad_residue"
 
-    def test_no_verify_flag(self, capsys):
-        code, out, _ = run_cli(capsys, "witness", "--json", "--no-verify", "17")
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["witness"] == [2] + [1] * 15
-        assert doc["verified"] is False
+    def test_no_verify_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["witness", "--json", "--no-verify", "17"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "--no-verify" in out.err
 
     def test_text_output_shape(self, capsys):
         code, out, _ = run_cli(capsys, "witness", "163840")
@@ -167,6 +168,12 @@ class TestScan:
         assert out == ""
         assert len(err.splitlines()) == 1 and argv[-2] in err
 
+    def test_support_with_random_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "scan", "--support", "0,1", "--random", "3")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["scan: --support and --random cannot be combined"]
+
     def test_malformed_support_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["scan", "--support", "0,x,1"])
@@ -183,6 +190,13 @@ class TestSelfcheck:
     def test_single_sample(self, capsys):
         code, _, _ = run_cli(capsys, "selfcheck", "--samples", "1", "--seed", "0")
         assert code == 0
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_too_few_samples_exits_2(self, capsys, samples):
+        code, out, err = run_cli(capsys, "selfcheck", "--samples", samples)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"selfcheck: --samples must be at least 1, got {samples}"]
 
     def test_corrupted_build_exits_1(self, capsys, monkeypatch):
         # negative control: break one norm formula and watch selfcheck fail

@@ -83,7 +83,7 @@ class TestDerive:
 
     @given(coeffs)
     def test_congruences(self, a):
-        b, c, d, _ = derive(a)
+        b, c, d = derive(a)
         for i in range(4):
             assert (b[i] - c[i]) % 2 == 0
             assert (b[i] - d[i] - d[i + 4]) % 2 == 0

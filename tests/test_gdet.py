@@ -158,7 +158,8 @@ class TestDet16:
 
     def test_spectral_block_structure(self):
         a = tuple(range(16))
-        b, c, d, alpha = derive(a)
+        spectra = derive(a)
+        b, c, alpha = spectra.b, spectra.c, spectra.alpha
         f0, f1, f2, f3 = spectral_factors(a)
         assert f0 == det4_gauss(*b)
         assert f2 == det4_gauss(*c)
@@ -212,7 +213,7 @@ class TestDet16:
     @given(coeffs)
     @settings(max_examples=100)
     def test_parity_alignment(self, a):
-        b, c, d, _ = derive(a)
+        b, c, d = derive(a)
         bn, gn = beta_gamma_norms(d)
         parities = {det16_factored(a) % 2, det4(*b) % 2, det4(*c) % 2, bn % 2, gn % 2}
         assert len(parities) == 1

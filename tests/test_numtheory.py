@@ -14,9 +14,9 @@ from c4x4det.numtheory import (
     is_prime,
     signed_divisors_1mod8,
     two_squares_2p,
-    two_squares_all,
     two_squares_prime_5mod8,
 )
+from oracles import two_squares_all
 
 
 def primes_in_P_below(limit):
@@ -146,8 +146,19 @@ class TestTwoSquares:
             assert x2 * x2 + y2 * y2 == target2 == 2 * p
             assert x2 % 8 == 3 and y2 % 8 == 1
 
+    def test_agrees_with_brute_force_below_200k(self):
+        # the descent picks the pair the brute-force walk finds first, and
+        # both constrained representations are among the walk's pairs
+        for p in primes_in_P_below(200_000):
+            reps = two_squares_all(p)
+            assert numtheory._rep_for_prime(p) == next((u, v) for u, v in reps if u % 2)
+            x, y, _ = two_squares_prime_5mod8(p)
+            assert (abs(x), abs(y)) in reps
+            x2, y2, _ = two_squares_2p(p)
+            assert (abs(x2), abs(y2)) in two_squares_all(2 * p)
+
     def test_fast_path_agrees_with_brute_force(self):
-        # primes large enough to take the descent path instead of brute force
+        # random primes in P between 10^6 and 10^8, above the exhaustive check
         rng = random.Random(5)
         checked = 0
         while checked < 20:
@@ -183,7 +194,7 @@ class TestRepresentationChecks:
     def test_descent_rejects_bad_root(self, monkeypatch):
         monkeypatch.setattr(numtheory, "_sqrt_minus_one_mod", lambda p: 1)
         with pytest.raises(InternalMismatchError):
-            numtheory._two_squares_prime(13)
+            numtheory._rep_for_prime(13)
 
     def test_prime_rep_rejects_bad_pair(self, monkeypatch):
         monkeypatch.setattr(numtheory, "_rep_for_prime", lambda p: (5, 2))

@@ -7,7 +7,7 @@ from c4x4det.classifier import Even15, Even16, NotInS, OddA, OddOne, Reason, cla
 from c4x4det.errors import InternalMismatchError, NotAttainableError, PreconditionError
 from c4x4det.gdet import det16_direct
 from c4x4det.numtheory import TwoSquaresRep, is_in_P, two_squares_prime_5mod8
-from c4x4det.witness import WitnessCase, emit, plan, witness
+from c4x4det.witness import WitnessCase, WitnessPlan, emit, plan, witness
 
 # the package re-exports the function witness under the submodule's name
 witness_module = importlib.import_module("c4x4det.witness")
@@ -76,6 +76,10 @@ class TestEmit:
     def test_set_a_minimal_table(self):
         vec = emit(plan(OddA(0, 0, 5, 5, 5)))
         assert det16_direct(vec) == -375
+
+    def test_unknown_case_rejected(self):
+        with pytest.raises(PreconditionError, match="unrecognized case"):
+            emit(WitnessPlan("odd_16m_plus_1", {"m": 1}))
 
 
 def window_values():
