@@ -6,6 +6,8 @@ ways, decides exactly which integers are attainable as such a determinant
 coefficient vectors realizing every attainable value.
 """
 
+import importlib
+
 from .classifier import (
     Even15,
     Even16,
@@ -46,17 +48,34 @@ from .numtheory import (
     two_squares_2p,
     two_squares_prime_5mod8,
 )
-from .verification import (
-    ScanReport,
-    SuiteReport,
-    lemma_suites,
-    scan_exhaustive,
-    scan_random,
-    window_roundtrip,
-)
 from .witness import WitnessCase, WitnessPlan, emit, plan, witness
 
 __version__ = "0.1.0"
+
+# The scan harness (and its names below) is loaded on first use (PEP 562), so
+# that ``import c4x4det`` and the one-shot CLI commands do not pay for it.
+_VERIFICATION_NAMES = frozenset(
+    {
+        "ScanReport",
+        "SuiteReport",
+        "lemma_suites",
+        "scan_exhaustive",
+        "scan_random",
+        "window_roundtrip",
+    }
+)
+
+
+def __getattr__(name):
+    if name == "verification" or name in _VERIFICATION_NAMES:
+        verification = importlib.import_module(".verification", __name__)
+        return verification if name == "verification" else getattr(verification, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_VERIFICATION_NAMES, "verification"})
+
 
 __all__ = [
     "BetaGammaNorms",

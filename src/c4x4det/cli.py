@@ -21,7 +21,6 @@ from .core import derive
 from .errors import EnvelopeExceededError, NotAttainableError
 from .gdet import beta_gamma_norms, det4, det16_factored, spectral_factors
 from .numtheory import check_envelope
-from .verification import lemma_suites, scan_exhaustive, scan_random
 from .witness import witness
 
 EXIT_OK = 0
@@ -134,6 +133,8 @@ def _within_floors(command: str, floors) -> bool:
 
 
 def _cmd_scan(args) -> int:
+    from .verification import scan_exhaustive, scan_random
+
     floors = (
         ("--random", args.random, 1),
         ("--bound", args.bound, 0),
@@ -146,12 +147,22 @@ def _cmd_scan(args) -> int:
         print("scan: --support and --random cannot be combined", file=sys.stderr)
         return EXIT_USAGE
     if args.random is not None:
-        report = scan_random(args.random, args.bound, args.seed, jobs=args.jobs)
+        mode, foreign = "--random", (("--limit", args.limit),)
     elif args.support is not None:
-        report = scan_exhaustive(args.support, limit=args.limit, jobs=args.jobs)
+        mode, foreign = "--support", (("--bound", args.bound), ("--seed", args.seed))
     else:
         print("scan: one of --support or --random is required", file=sys.stderr)
         return EXIT_USAGE
+    for flag, value in foreign:
+        if value is not None:
+            print(f"scan: {flag} cannot be used with {mode}", file=sys.stderr)
+            return EXIT_USAGE
+    if args.random is not None:
+        bound = 9 if args.bound is None else args.bound
+        seed = 0 if args.seed is None else args.seed
+        report = scan_random(args.random, bound, seed, jobs=args.jobs)
+    else:
+        report = scan_exhaustive(args.support, limit=args.limit, jobs=args.jobs)
     print(report.summary())
     for line in report.json_lines():
         print(line)
@@ -159,6 +170,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
+    from .verification import lemma_suites, scan_random
+
     if not _within_floors("selfcheck", (("--samples", args.samples, 1),)):
         return EXIT_USAGE
     suites = lemma_suites(args.samples, args.seed)
@@ -204,8 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="cap on the number of tuples for --support scans")
     p_scan.add_argument("--random", type=int, default=None, metavar="N",
                         help="number of seeded random tuples")
-    p_scan.add_argument("--bound", type=int, default=9)
-    p_scan.add_argument("--seed", type=int, default=0)
+    p_scan.add_argument("--bound", type=int, default=None,
+                        help="entry bound for --random scans (default 9)")
+    p_scan.add_argument("--seed", type=int, default=None,
+                        help="seed for --random scans (default 0)")
     p_scan.add_argument("--jobs", type=int, default=1,
                         help="worker processes, capped at the CPU count")
     p_scan.set_defaults(fn=_cmd_scan)

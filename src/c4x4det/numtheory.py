@@ -34,9 +34,11 @@ def _sieve(limit: int) -> tuple:
 _TRIAL_PRIMES = _sieve(_TRIAL_BOUND)
 
 # Deterministic Miller-Rabin witness sets, keyed by the bound below which
-# they are exhaustive.  The last set is proven up to ~3.3e24; beyond that we
-# append a few more primes as a pragmatic margin (no counterexample to the
-# extended set is known anywhere near the sizes this package can produce).
+# they are exhaustive (the last one is proven up to ~3.3e24, Sorenson and
+# Webster 2017).  At and above the last bound is_prime runs BPSW instead: a
+# base-2 strong test plus a strong Lucas test (Baillie and Wagstaff 1980),
+# which has no known counterexample, where a fixed base list has constructible
+# ones (Arnault 1995).
 _MR_TIERS = (
     (2_047, (2,)),
     (1_373_653, (2, 3)),
@@ -49,11 +51,67 @@ _MR_TIERS = (
     (318_665_857_834_031_151_167_461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
     (3_317_044_064_679_887_385_961_981, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
 )
-_MR_EXTENDED = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with Selfridge's parameters, for odd n > 2.
+
+    D is the first of 5, -7, 9, -11, ... with Jacobi symbol (D/n) = -1,
+    P = 1 and Q = (1 - D)/4.  Writing n + 1 = d * 2**s with d odd, n passes
+    when U_d = 0 or V_{d*2**r} = 0 (mod n) for some 0 <= r < s.
+    """
+    if isqrt(n) ** 2 == n:  # no D with (D/n) = -1 exists
+        return False
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d = n + 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    u, v, qk = 1, 1, Q  # U_k, V_k, Q**k at k = 1 (P = 1)
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n  # k -> 2k
+        if bit == "1":  # k -> k + 1: U = (U + V)/2, V = (D*U + V)/2
+            u, v = (u + v) % n, (D * u + v) % n
+            u = (u + n) // 2 if u % 2 else u // 2
+            v = (v + n) // 2 if v % 2 else v // 2
+            qk = qk * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for nonnegative n (negatives are not prime)."""
+    """Primality of n (negatives are not prime).
+
+    Proven Miller-Rabin base sets below ~3.3e24; BPSW at and above.
+    """
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -67,7 +125,7 @@ def is_prime(n: int) -> bool:
             witnesses = bases
             break
     else:
-        witnesses = _MR_EXTENDED
+        witnesses = (2,)  # the base-2 half of BPSW; the Lucas half follows
     for a in witnesses:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -78,7 +136,7 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_TIERS[-1][0] or _strong_lucas_probable_prime(n)
 
 
 def _brent_rho(n: int) -> int:

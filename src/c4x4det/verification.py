@@ -21,7 +21,6 @@ import os
 import random
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -164,6 +163,9 @@ def _run_blocks(block_fn, blocks: Iterable, jobs: int) -> ScanReport:
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
         return _merge(map(block_fn, blocks), start)
+    # imported here: it loads multiprocessing, which a serial scan never needs
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return _merge(_bounded_map(pool, block_fn, blocks, 2 * jobs), start)
 

@@ -174,6 +174,27 @@ class TestScan:
         assert out == ""
         assert err.splitlines() == ["scan: --support and --random cannot be combined"]
 
+    @pytest.mark.parametrize("argv, line", [
+        (("--random", "3", "--limit", "1"), "scan: --limit cannot be used with --random"),
+        (("--support", "0,1", "--limit", "5", "--bound", "2"),
+         "scan: --bound cannot be used with --support"),
+        (("--support", "0,1", "--seed", "7"), "scan: --seed cannot be used with --support"),
+        (("--support", "0,1", "--bound", "9", "--seed", "0"),
+         "scan: --bound cannot be used with --support"),
+    ])
+    def test_option_of_the_other_mode_exits_2(self, capsys, argv, line):
+        code, out, err = run_cli(capsys, "scan", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [line]
+
+    def test_random_defaults_are_bound_9_seed_0(self, capsys):
+        implicit = run_cli(capsys, "scan", "--random", "40")
+        explicit = run_cli(capsys, "scan", "--random", "40", "--bound", "9", "--seed", "0")
+        assert implicit[0] == explicit[0] == 0
+        # the summary ends in the elapsed time
+        assert implicit[1].rsplit(",", 1)[0] == explicit[1].rsplit(",", 1)[0]
+
     def test_malformed_support_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["scan", "--support", "0,x,1"])

@@ -16,7 +16,15 @@ from c4x4det.numtheory import (
     two_squares_2p,
     two_squares_prime_5mod8,
 )
-from oracles import two_squares_all
+from oracles import (
+    is_prime_extended_bases,
+    is_prime_trial,
+    strong_probable_prime,
+    two_squares_all,
+)
+
+# the least n that no proven Miller-Rabin base set covers; is_prime runs BPSW from here
+BPSW_FROM = 3_317_044_064_679_887_385_961_981
 
 
 def primes_in_P_below(limit):
@@ -41,6 +49,76 @@ class TestPrimality:
         # 10^12 +- a twin prime pair around the envelope
         assert is_prime(999999999989)
         assert not is_prime(999999999989 * 999999999989)
+
+
+class TestBPSW:
+    def test_strong_lucas_passes_exactly_its_pseudoprimes(self):
+        # OEIS A217255: the odd composites below 20000 that pass the strong
+        # Lucas test with Selfridge's parameters
+        pseudoprimes = [5459, 5777, 10877, 16109, 18971]
+        passing = [n for n in range(3, 20000, 2) if numtheory._strong_lucas_probable_prime(n)]
+        assert [n for n in passing if not is_prime_trial(n)] == pseudoprimes
+        assert [n for n in passing if is_prime_trial(n)] == [
+            n for n in range(3, 20000, 2) if is_prime_trial(n)
+        ]
+        # BPSW calls each of them composite: none is a base-2 strong probable prime
+        for n in pseudoprimes:
+            assert not strong_probable_prime(n, 2)
+
+    @pytest.mark.parametrize("p", [61, 89, 107, 127, 521])
+    def test_strong_lucas_on_mersenne_primes(self, p):
+        assert numtheory._strong_lucas_probable_prime(2**p - 1)
+
+    @pytest.mark.parametrize("p", [83, 97, 101, 103, 109, 113, 131])
+    def test_composite_mersenne_fools_base_2_only(self, p):
+        # every composite 2^p - 1 (p prime) is a base-2 strong pseudoprime
+        n = 2**p - 1
+        assert n >= BPSW_FROM
+        assert strong_probable_prime(n, 2)
+        assert not numtheory._strong_lucas_probable_prime(n)
+        assert not is_prime(n)
+
+    def test_lucas_runs_only_from_the_last_proven_bound(self, monkeypatch):
+        calls = []
+        real = numtheory._strong_lucas_probable_prime
+
+        def counted(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(numtheory, "_strong_lucas_probable_prime", counted)
+        below = next(n for n in range(BPSW_FROM - 2, 0, -2) if is_prime(n))
+        assert calls == [] and below < BPSW_FROM
+        above = next(n for n in range(BPSW_FROM, 2 * BPSW_FROM, 2) if is_prime(n))
+        assert calls[-1] == above
+
+    def test_agrees_with_extended_bases_above_the_bound(self):
+        rng = random.Random(20221)
+
+        def random_prime(lo, hi):
+            while True:
+                n = rng.randrange(lo, hi) | 1
+                if is_prime_extended_bases(n):
+                    return n
+
+        primes = [random_prime(BPSW_FROM, 4 * BPSW_FROM) for _ in range(20)]
+        primes += [random_prime(2**120, 2**121) for _ in range(5)]
+        semiprimes = [
+            random_prime(2**41, 2**42) * random_prime(2**41, 2**42) for _ in range(20)
+        ]
+        spsp2 = [
+            n for n in range(3, 100_000, 2)
+            if strong_probable_prime(n, 2) and not is_prime_trial(n)
+        ]
+        assert spsp2[:4] == [2047, 3277, 4033, 4681]
+        spsp_times_prime = [
+            n * random_prime(BPSW_FROM // n + 1, 2 * BPSW_FROM // n) for n in spsp2
+        ]
+        for n in primes + semiprimes + spsp_times_prime:
+            assert n >= BPSW_FROM
+            assert is_prime(n) == is_prime_extended_bases(n), n
+        assert all(is_prime(n) for n in primes)
+        assert not any(is_prime(n) for n in semiprimes + spsp_times_prime)
 
 
 class TestFactorize:

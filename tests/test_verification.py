@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 
@@ -93,7 +94,8 @@ class FakeExecutor:
 @pytest.fixture
 def fake_pool(monkeypatch):
     FakeExecutor.instances = []
-    monkeypatch.setattr(verification, "ProcessPoolExecutor", FakeExecutor)
+    # _run_blocks imports the executor when it makes a pool, so patch its home
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     return FakeExecutor.instances
 
