@@ -12,7 +12,14 @@ from math import isqrt
 
 from c4x4det.classifier import OddA
 from c4x4det.core import GaussInt
-from c4x4det.numtheory import factorize, signed_divisors_1mod8
+from c4x4det.numtheory import (
+    _TRIAL_BOUND,
+    _TRIAL_PRIMES,
+    _brent_rho,
+    factorize,
+    is_prime,
+    signed_divisors_1mod8,
+)
 
 
 def positive_divisors(n: int) -> list:
@@ -60,6 +67,40 @@ def strong_probable_prime(n: int, a: int) -> bool:
         if x == n - 1:
             return True
     return False
+
+
+def factor_unsigned_loop(n: int) -> dict:
+    """Reference for ``numtheory._factor_unsigned``: trial division by every table prime.
+
+    This is the loop the gcd screen replaced, with the same early break and
+    the same primality test and rho for the survivor, so it fixes the dict,
+    insertion order included, that the screened version must return.
+    """
+    out: dict = {}
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out[p] = e
+    if n == 1:
+        return out
+    if n < _TRIAL_BOUND * _TRIAL_BOUND or is_prime(n):
+        out[n] = out.get(n, 0) + 1
+        return out
+    stack = [n]
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        d = _brent_rho(m)
+        stack.append(d)
+        stack.append(m // d)
+    return out
 
 
 def is_prime_extended_bases(n: int) -> bool:

@@ -5,6 +5,7 @@ them.  The two scans are session fixtures shared by the criteria that need
 them, so the heavy work runs once.
 """
 
+import os
 import time
 
 import pytest
@@ -37,7 +38,8 @@ def report(capsys):
 
 @pytest.fixture(scope="session")
 def random_scan():
-    return scan_random(100_000, 9, seed=RANDOM_SEED)
+    # the tuples depend only on the seed, so every job count checks the same 1e5
+    return scan_random(100_000, 9, seed=RANDOM_SEED, jobs=os.cpu_count() or 1)
 
 
 @pytest.fixture(scope="session")

@@ -20,6 +20,7 @@ from c4x4det.gdet import (
     group_matrix,
     spectral_factors,
 )
+from c4x4det.witness import WitnessCase, plan, witness
 from oracles import spectral_factors_gauss
 
 coeffs = st.tuples(*[st.integers(-9, 9)] * 16)
@@ -30,8 +31,8 @@ big_coeffs = st.tuples(*[st.integers(-10**12, 10**12)] * 16)
 
 @st.composite
 def degenerate_matrices(draw):
-    """n x n integer matrices, n = 1..8, often with repeated rows or zero columns."""
-    n = draw(st.integers(1, 8))
+    """n x n integer matrices, n = 1..9, often with repeated rows or zero columns."""
+    n = draw(st.integers(1, 9))
     rows = draw(st.lists(st.lists(st.integers(-20, 20), min_size=n, max_size=n),
                          min_size=n, max_size=n))
     if n > 1 and draw(st.booleans()):
@@ -223,3 +224,108 @@ class TestDet16:
             det16_direct((1, 2, 3))
         with pytest.raises(ValueError):
             det16_spectral((1, 2, 3))
+
+
+# One value near the envelope per witness case, so the re-checked vectors
+# have large entries.
+CASE_VALUES = (
+    -999999999999, -999999999719, -999999999687, 999999999625, -999999999575,
+    -999999999271, -999999998855, -999999997399, 999999996905, 999999995904,
+    -999999995904, 999999930368, 999999897600, -999999897600,
+)
+
+
+def zero_diagonal_matrix(n, rng):
+    """A random n x n matrix L * B whose eliminations meet a_kk == 0 at every even k.
+
+    B is block upper triangular with 2x2 diagonal blocks [[0, x], [y, z]]
+    (x, y nonzero; a trailing 1x1 block is nonzero) and L is block lower
+    unitriangular.  Every leading minor of even order is then a product of
+    block determinants, so nonzero, and every one of odd order below n is
+    zero.
+    """
+    b = [[rng.randint(-9, 9) if j // 2 > i // 2 else 0 for j in range(n)]
+         for i in range(n)]
+    for k in range(0, n - 1, 2):
+        b[k][k + 1] = rng.choice((-1, 1)) * rng.randint(1, 9)
+        b[k + 1][k] = rng.choice((-1, 1)) * rng.randint(1, 9)
+        b[k + 1][k + 1] = rng.randint(-9, 9)
+    if n % 2:
+        b[n - 1][n - 1] = rng.randint(1, 9)
+    low = [[1 if i == j else rng.randint(-9, 9) if i // 2 > j // 2 else 0
+            for j in range(n)] for i in range(n)]
+    return [[sum(low[i][t] * b[t][j] for t in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+def leading_minor(mat, size):
+    return det_gauss_slow([row[:size] for row in mat[:size]])
+
+
+@pytest.fixture
+def hand_offs(monkeypatch):
+    """The start step of every call into the one-step loop."""
+    starts = []
+    one_step = gdet._det_bareiss_one_step
+
+    def recording(m, start, prev):
+        starts.append(start)
+        return one_step(m, start, prev)
+
+    monkeypatch.setattr(gdet, "_det_bareiss_one_step", recording)
+    return starts
+
+
+class TestTwoStepBareiss:
+    def test_zero_diagonal_needs_no_one_by_one_pivot(self, hand_offs):
+        rng = random.Random(2024)
+        for n in range(2, 10):
+            for _ in range(20):
+                mat = zero_diagonal_matrix(n, rng)
+                assert mat[0][0] == 0
+                assert all(leading_minor(mat, k + 1) == 0 for k in range(0, n - 1, 2))
+                assert gdet._det_bareiss([list(r) for r in mat]) == det_gauss_slow(mat)
+        assert hand_offs == []
+
+    def test_group_matrices_with_nonzero_pivot_minors_stay_two_step(self, hand_offs):
+        rng = random.Random(77)
+        checked = 0
+        while checked < 30:
+            a = tuple(rng.randint(-9, 9) for _ in range(16))
+            mat = group_matrix(a)
+            if all(leading_minor(mat, k + 2) for k in range(0, 16, 2)):
+                assert det16_direct(a) == det_gauss_slow(mat)
+                checked += 1
+        assert hand_offs == []
+
+    @pytest.mark.parametrize("k", range(0, 16, 2))
+    @pytest.mark.parametrize("shape", ["repeated", "zero"])
+    def test_hand_off_at_each_pair(self, k, shape, hand_offs):
+        # "repeated": rows k and k+1 agree on columns 0..k+1, so the 2x2
+        # pivot minor at k is zero; "zero": both rows vanish there, so the
+        # one-step loop must also swap a lower row into place.
+        rng = random.Random(1000 + k)
+        for _ in range(5):
+            mat = [[rng.randint(-9, 9) for _ in range(16)] for _ in range(16)]
+            if shape == "repeated":
+                mat[k + 1][:k + 2] = mat[k][:k + 2]
+            else:
+                mat[k][:k + 2] = mat[k + 1][:k + 2] = [0] * (k + 2)
+            hand_offs.clear()
+            assert gdet._det_bareiss([list(r) for r in mat]) == det_gauss_slow(mat)
+            assert hand_offs == [k]
+
+    @pytest.mark.parametrize("low, high", [(-9, 9), (0, 1), (-1, 1), (-10**9, 10**9)])
+    def test_three_routes_agree_on_seeded_tuples(self, low, high):
+        rng = random.Random(f"routes {low} {high}")
+        for _ in range(3000):
+            a = tuple(rng.randint(low, high) for _ in range(16))
+            assert det16_direct(a) == det16_factored(a) == det16_spectral(a), a
+
+    def test_three_routes_agree_on_every_witness_case(self):
+        cases = set()
+        for n in CASE_VALUES:
+            vec, cls = witness(n)
+            cases.add(plan(cls).case)
+            assert det16_direct(vec) == det16_factored(vec) == det16_spectral(vec) == n
+        assert cases == set(WitnessCase)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from c4x4det import numtheory
+from c4x4det.classifier import _classify_unbounded
 from c4x4det.errors import EnvelopeExceededError, InternalMismatchError, PreconditionError
 from c4x4det.numtheory import (
     ENVELOPE,
@@ -16,7 +17,9 @@ from c4x4det.numtheory import (
     two_squares_2p,
     two_squares_prime_5mod8,
 )
+from c4x4det.verification import scan_random
 from oracles import (
+    factor_unsigned_loop,
     is_prime_extended_bases,
     is_prime_trial,
     strong_probable_prime,
@@ -158,6 +161,49 @@ class TestFactorize:
         for _ in range(100_000):
             n = rng.randint(-(10**12), 10**12)
             assert factorize(n).value() == n
+
+
+class TestTrialScreen:
+    """The gcd-screened trial division returns what the plain loop returns."""
+
+    @staticmethod
+    def assert_same(n):
+        got = numtheory._factor_unsigned(n)
+        assert list(got.items()) == list(factor_unsigned_loop(n).items()), n
+
+    def test_seeded_values_below_1e12(self):
+        rng = random.Random(31337)
+        for _ in range(20_000):
+            self.assert_same(rng.randint(1, 10**12))
+
+    def test_constructed_values(self):
+        primes = numtheory._TRIAL_PRIMES
+        screen_from = numtheory._SCREEN_FROM
+        values = list(range(screen_from - 300, screen_from + 300))
+        values += [p * p for p in primes] + [p**3 for p in primes[-40:]]
+        values += [primes[i] * primes[-1 - i] for i in range(0, len(primes), 7)]
+        values += [p * 1000003 for p in primes[::11]] + [p * 999999000001 for p in primes[::97]]
+        values += [2**40, 3**25, 2**20 * 10007, 10007 * 10009, 10007 * 10009 * 10037]
+        values += [1000003 * 999999000001, 1, 2, 997, 10**12]
+        for n in values:
+            self.assert_same(n)
+
+    def test_values_the_scans_factorize(self, monkeypatch):
+        seen = []
+        screened = numtheory._factor_unsigned
+
+        def recording(n):
+            seen.append(n)
+            return screened(n)
+
+        monkeypatch.setattr(numtheory, "_factor_unsigned", recording)
+        _classify_unbounded.cache_clear()
+        for seed in range(10):
+            scan_random(32, 9, seed=seed)
+        assert len(seen) > 50
+        monkeypatch.undo()
+        for n in seen:
+            self.assert_same(n)
 
 
 class TestMembershipInP:
