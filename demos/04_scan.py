@@ -1,12 +1,12 @@
-"""Membership scans and the identity suites, at demo scale.
+"""Membership scans and a witness round-trip, at demo scale.
 
 A scan computes the determinant of many coefficient vectors and insists
 the classifier accepts every value (no scanned determinant may ever be
-rejected).  The identity suites sample the congruence and valuation facts
-the factorization relies on.
+rejected).  The round-trip goes the other way: every accepted value in a
+window gets a witness, re-checked by the direct determinant.
 """
 
-from c4x4det import lemma_suites, scan_exhaustive, scan_random, window_roundtrip
+from c4x4det import scan_exhaustive, scan_random, window_roundtrip
 
 print("exhaustive over {0,1}^16:")
 report = scan_exhaustive((0, 1))
@@ -23,7 +23,3 @@ print()
 print("witness round-trip over the odd window |n| <= 1601:")
 report = window_roundtrip(range(-1601, 1602, 2))
 print(" ", report.summary())
-print()
-
-print("identity suites, 2000 samples each:")
-print(lemma_suites(2000, seed=0).summary())

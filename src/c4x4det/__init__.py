@@ -29,7 +29,6 @@ from .errors import (
 from .gdet import (
     BetaGammaNorms,
     beta_gamma_norms,
-    beta_gamma_norms_alt,
     det2,
     det4,
     det4_gauss,
@@ -57,8 +56,6 @@ __version__ = "0.1.0"
 _VERIFICATION_NAMES = frozenset(
     {
         "ScanReport",
-        "SuiteReport",
-        "lemma_suites",
         "scan_exhaustive",
         "scan_random",
         "window_roundtrip",
@@ -96,13 +93,11 @@ __all__ = [
     "Reason",
     "SClassification",
     "ScanReport",
-    "SuiteReport",
     "TwoSquaresRep",
     "WitnessCase",
     "WitnessPlan",
     "a_decompose",
     "beta_gamma_norms",
-    "beta_gamma_norms_alt",
     "classify",
     "derive",
     "det2",
@@ -115,7 +110,6 @@ __all__ = [
     "factorize",
     "is_in_P",
     "is_prime",
-    "lemma_suites",
     "plan",
     "scan_exhaustive",
     "scan_random",

@@ -170,20 +170,19 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
-    from .verification import lemma_suites, scan_random
+    from .verification import scan_random, window_roundtrip
 
     if not _within_floors("selfcheck", (("--samples", args.samples, 1),)):
         return EXIT_USAGE
-    suites = lemma_suites(args.samples, args.seed)
-    print(suites.summary())
     scan = scan_random(args.samples, 9, args.seed)
     print("oracle agreement:", scan.summary())
-    clean = suites.ok and scan.ok
-    for line in suites.json_lines():
-        print(line)
+    window = window_roundtrip(range(-args.samples, args.samples + 1))
+    print("witness round-trip:", window.summary())
     for line in scan.json_lines():
         print(line)
-    return EXIT_OK if clean else EXIT_NEGATIVE
+    for line in window.json_lines():
+        print(line)
+    return EXIT_OK if scan.ok and window.ok else EXIT_NEGATIVE
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes, capped at the CPU count")
     p_scan.set_defaults(fn=_cmd_scan)
 
-    p_self = sub.add_parser("selfcheck", help="identity suites + oracle agreement")
+    p_self = sub.add_parser("selfcheck", help="oracle agreement + witness round-trip")
     p_self.add_argument("--samples", type=int, default=1000)
     p_self.add_argument("--seed", type=int, default=0)
     p_self.set_defaults(fn=_cmd_selfcheck)

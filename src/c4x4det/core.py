@@ -22,10 +22,11 @@ from typing import NamedTuple
 
 
 class GaussInt:
-    """An exact Gaussian integer ``re + im*i``.
+    """An exact Gaussian integer ``re + im*i``: a value, not an arithmetic type.
 
-    Supports +, -, * (with other GaussInt or plain int), conjugation and the
-    norm ``re**2 + im**2``.  Instances are immutable and hashable.
+    Instances are immutable and hashable, and two are equal exactly when both
+    components are.  Gaussian arithmetic runs on plain ``(re, im)`` integer
+    pairs where it is needed (see :mod:`c4x4det.gdet`).
     """
 
     __slots__ = ("re", "im")
@@ -39,82 +40,16 @@ class GaussInt:
     def __setattr__(self, name, value):
         raise AttributeError("GaussInt is immutable")
 
-    @staticmethod
-    def _coerce(other) -> "GaussInt | None":
-        if isinstance(other, GaussInt):
-            return other
-        if isinstance(other, int):
-            return GaussInt(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussInt(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussInt(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussInt(o.re - self.re, o.im - self.im)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussInt(self.re * o.re - self.im * o.im,
-                        self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return GaussInt(-self.re, -self.im)
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            return NotImplemented
-        out = GaussInt(1)
-        base = self
-        while exponent:
-            if exponent & 1:
-                out = out * base
-            base = base * base
-            exponent >>= 1
-        return out
-
-    def conjugate(self) -> "GaussInt":
-        return GaussInt(self.re, -self.im)
-
-    def norm(self) -> int:
-        """|z|^2 = re^2 + im^2, always a nonnegative integer."""
-        return self.re * self.re + self.im * self.im
-
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, GaussInt):
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self.re == other.re and self.im == other.im
 
     def __hash__(self):
         return hash((self.re, self.im))
 
     def __repr__(self):
         return f"GaussInt({self.re}, {self.im})"
-
-    def __bool__(self):
-        return bool(self.re or self.im)
-
-
-I = GaussInt(0, 1)
 
 
 class CoeffVec16(tuple):

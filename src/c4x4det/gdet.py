@@ -16,7 +16,8 @@
   boundary.
 
 All three agree exactly on every input; the test suite enforces this both on
-fixed examples and on randomized sweeps.
+fixed examples and on randomized sweeps, and checks :func:`beta_gamma_norms`
+against an independent square-difference form of the two norms.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
     "det16_spectral",
     "spectral_factors",
     "beta_gamma_norms",
-    "beta_gamma_norms_alt",
 ]
 
 
@@ -91,22 +91,6 @@ def beta_gamma_norms(d) -> BetaGammaNorms:
     gamma = ((d0 - d2 - d5 + d7) ** 2 + (d4 - d6 + d1 - d3) ** 2) * (
         (d0 - d2 + d5 - d7) ** 2 + (d4 - d6 - d1 + d3) ** 2
     )
-    return BetaGammaNorms(beta, gamma)
-
-
-def beta_gamma_norms_alt(d) -> BetaGammaNorms:
-    """The same norms via the square-difference form.
-
-    Exists solely as an independent cross-check of :func:`beta_gamma_norms`;
-    the two must agree on every input.
-    """
-    d0, d1, d2, d3, d4, d5, d6, d7 = d
-    beta = ((d0 + d2) ** 2 + (d4 + d6) ** 2 + (d1 + d3) ** 2 + (d5 + d7) ** 2) ** 2 - 4 * (
-        (d0 + d2) * (d1 + d3) + (d4 + d6) * (d5 + d7)
-    ) ** 2
-    gamma = ((d0 - d2) ** 2 + (d4 - d6) ** 2 + (d1 - d3) ** 2 + (d5 - d7) ** 2) ** 2 - 4 * (
-        (d0 - d2) * (d5 - d7) - (d4 - d6) * (d1 - d3)
-    ) ** 2
     return BetaGammaNorms(beta, gamma)
 
 

@@ -34,7 +34,12 @@ from .classifier import (
 from .core import CoeffVec16
 from .errors import InternalMismatchError, NotAttainableError, PreconditionError
 from .gdet import det16_direct
-from .numtheory import ENVELOPE, two_squares_2p, two_squares_prime_5mod8
+from .numtheory import (
+    ENVELOPE,
+    check_envelope,
+    two_squares_2p,
+    two_squares_prime_5mod8,
+)
 
 
 class WitnessCase(enum.Enum):
@@ -304,10 +309,13 @@ def witness(n: int, envelope: Optional[int] = ENVELOPE):
     """A coefficient vector whose group determinant is exactly n.
 
     Returns ``(coefficients, certificate)``.  Raises
-    :class:`NotAttainableError` when n is not an attainable value, and
-    :class:`InternalMismatchError` if the emitted vector fails the direct
-    determinant re-check (which would be a defect, not bad input).
+    :class:`EnvelopeExceededError` when |n| exceeds ``envelope`` (pass
+    ``envelope=None`` to lift the cap), :class:`NotAttainableError` when n is
+    not an attainable value, and :class:`InternalMismatchError` if the
+    emitted vector fails the direct determinant re-check (which would be a
+    defect, not bad input).
     """
+    check_envelope(n, envelope)
     cls = classify(n, envelope=envelope)
     if isinstance(cls, NotInS):
         raise NotAttainableError(cls.reason)

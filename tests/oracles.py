@@ -3,15 +3,15 @@
 The brute-force oracles call nothing in the library; their divisor walks are
 plain trial division, so disagreements point at the library, never at a
 shared bug.  ``a_decompose_walk`` is the one reference built on library
-parts (see its docstring); ``spectral_factors_gauss`` uses only the
-``GaussInt`` arithmetic class.
+parts (see its docstring).  ``spectral_factors_gauss`` and
+``beta_gamma_norms_alt`` are library-free too: Gaussian integers here are
+plain ``(re, im)`` pairs, combined by ``gauss_add`` and ``gauss_mul``.
 """
 
 from itertools import combinations_with_replacement
 from math import isqrt
 
 from c4x4det.classifier import OddA
-from c4x4det.core import GaussInt
 from c4x4det.numtheory import (
     _TRIAL_BOUND,
     _TRIAL_PRIMES,
@@ -180,12 +180,23 @@ def a_decompose_walk(n: int):
     return None
 
 
+def gauss_add(x, y, sign=1) -> tuple:
+    """x + sign*y for Gaussian integers held as (re, im) pairs."""
+    return (x[0] + sign * y[0], x[1] + sign * y[1])
+
+
+def gauss_mul(x, y) -> tuple:
+    """x * y for Gaussian integers held as (re, im) pairs."""
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
 def spectral_factors_gauss(a) -> tuple:
-    """Reference character blocks, computed with ``GaussInt`` objects.
+    """Reference character blocks, as (re, im) pairs.
 
     Block k is the det4 closed form on ``z_j = sum_s i^{k s} a[j + 4 s]``,
-    summed one term at a time by the power ``i^{k s}``.  The library's
-    ``spectral_factors`` computes the same blocks on plain (re, im) pairs.
+    summed one term at a time by the power ``i^{k s}`` and multiplied out
+    with ``gauss_add`` / ``gauss_mul``.  The library's ``spectral_factors``
+    computes the same blocks in its own fused closed form.
     """
     factors = []
     for k in range(4):
@@ -203,7 +214,28 @@ def spectral_factors_gauss(a) -> tuple:
                     re -= v
                 else:
                     im -= v
-            z.append(GaussInt(re, im))
+            z.append((re, im))
         z0, z1, z2, z3 = z
-        factors.append(((z0 + z2) ** 2 - (z1 + z3) ** 2) * ((z0 - z2) ** 2 + (z1 - z3) ** 2))
+        s, t = gauss_add(z0, z2), gauss_add(z1, z3)
+        u, v = gauss_add(z0, z2, -1), gauss_add(z1, z3, -1)
+        first = gauss_add(gauss_mul(s, s), gauss_mul(t, t), -1)
+        second = gauss_add(gauss_mul(u, u), gauss_mul(v, v))
+        factors.append(gauss_mul(first, second))
     return tuple(factors)
+
+
+def beta_gamma_norms_alt(d) -> tuple:
+    """Reference ``(beta_norm, gamma_norm)`` via the square-difference form.
+
+    ``gdet.beta_gamma_norms`` writes each norm as a product of two sums of
+    two squares; this writes it as a difference of two squares, so the two
+    must agree on every input.
+    """
+    d0, d1, d2, d3, d4, d5, d6, d7 = d
+    beta = ((d0 + d2) ** 2 + (d4 + d6) ** 2 + (d1 + d3) ** 2 + (d5 + d7) ** 2) ** 2 - 4 * (
+        (d0 + d2) * (d1 + d3) + (d4 + d6) * (d5 + d7)
+    ) ** 2
+    gamma = ((d0 - d2) ** 2 + (d4 - d6) ** 2 + (d1 - d3) ** 2 + (d5 - d7) ** 2) ** 2 - 4 * (
+        (d0 - d2) * (d5 - d7) - (d4 - d6) * (d1 - d3)
+    ) ** 2
+    return beta, gamma

@@ -206,6 +206,7 @@ class TestSelfcheck:
         code, out, _ = run_cli(capsys, "selfcheck", "--samples", "50", "--seed", "1")
         assert code == 0
         assert "oracle agreement: PASS" in out
+        assert "witness round-trip: PASS" in out
         assert "FAIL" not in out
 
     def test_single_sample(self, capsys):
@@ -220,16 +221,26 @@ class TestSelfcheck:
         assert err.splitlines() == [f"selfcheck: --samples must be at least 1, got {samples}"]
 
     def test_corrupted_build_exits_1(self, capsys, monkeypatch):
-        # negative control: break one norm formula and watch selfcheck fail
+        # negative control: break one determinant route and watch selfcheck fail
         import c4x4det.verification as verification
 
-        real = verification.beta_gamma_norms_alt
-
-        def broken(d):
-            bn, gn = real(d)
-            return type(real(d))(bn + 4, gn)
-
-        monkeypatch.setattr(verification, "beta_gamma_norms_alt", broken)
+        real = verification.det16_spectral
+        monkeypatch.setattr(verification, "det16_spectral", lambda a: real(a) + 1)
         code, out, _ = run_cli(capsys, "selfcheck", "--samples", "25", "--seed", "1")
         assert code == 1
         assert "FAIL" in out
+
+    def test_broken_witness_exits_1(self, capsys, monkeypatch):
+        # the round-trip direction: a witness that fails its re-check
+        import c4x4det.verification as verification
+        from c4x4det.errors import InternalMismatchError
+
+        def broken(n, envelope=None):
+            raise InternalMismatchError(f"witness for {n} is wrong")
+
+        monkeypatch.setattr(verification, "witness", broken)
+        code, out, _ = run_cli(capsys, "selfcheck", "--samples", "5", "--seed", "1")
+        assert code == 1
+        assert "oracle agreement: PASS" in out
+        assert "witness round-trip: FAIL" in out
+        assert '"detail": "witness failed: witness for 1 is wrong"' in out

@@ -2,8 +2,8 @@
 
 Every case runs in this process (the CLI through ``cli.main``, the demos
 through ``runpy``), so a ``python -O`` test run checks the same outputs
-without ``assert`` statements.  Only the elapsed-seconds fields of scan and
-suite summaries are masked; everything else must match byte for byte.
+without ``assert`` statements.  Only the elapsed-seconds fields of scan
+summaries are masked; everything else must match byte for byte.
 
 The goldens live in ``tests/golden.json``.  Re-record them only when a change
 is meant to alter these outputs, and say so in the change:
@@ -89,8 +89,8 @@ def _cases() -> dict:
 
 CASES = _cases()
 
-# ScanReport.summary ends in ", 1.23s"; SuiteReport.summary in "elapsed 1.23s".
-_ELAPSED = re.compile(r"(, |^elapsed )\d+\.\d\ds$", re.MULTILINE)
+# ScanReport.summary ends in ", 1.23s".
+_ELAPSED = re.compile(r", \d+\.\d\ds$", re.MULTILINE)
 
 
 def run_case(kind: str, argv: list) -> dict:
@@ -104,7 +104,7 @@ def run_case(kind: str, argv: list) -> dict:
         else:
             runpy.run_path(str(DEMOS / argv[0]), run_name="__main__")
             code = 0
-    return {"code": code, "stdout": _ELAPSED.sub(r"\1<elapsed>s", out.getvalue())}
+    return {"code": code, "stdout": _ELAPSED.sub(", <elapsed>s", out.getvalue())}
 
 
 @pytest.fixture(scope="module")

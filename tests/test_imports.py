@@ -68,8 +68,7 @@ class TestLazyExports:
 
     def test_harness_names_are_the_verification_objects(self):
         assert c4x4det.scan_random is verification.scan_random
-        for name in ("ScanReport", "SuiteReport", "lemma_suites", "scan_exhaustive",
-                     "window_roundtrip"):
+        for name in ("ScanReport", "scan_exhaustive", "window_roundtrip"):
             assert getattr(c4x4det, name) is getattr(verification, name)
 
     def test_submodule_loads_on_attribute_access(self, monkeypatch):

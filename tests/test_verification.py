@@ -2,16 +2,12 @@ import concurrent.futures
 import json
 import os
 
+import identities
 import pytest
 
 from c4x4det import verification
 from c4x4det.classifier import NotInS, classify
-from c4x4det.verification import (
-    lemma_suites,
-    scan_exhaustive,
-    scan_random,
-    window_roundtrip,
-)
+from c4x4det.verification import scan_exhaustive, scan_random, window_roundtrip
 
 
 class TestScanExhaustive:
@@ -197,19 +193,37 @@ class TestWindowRoundtrip:
         assert window_roundtrip([7], observed={9}).ok
 
 
-class TestLemmaSuites:
-    def test_all_pass(self):
-        report = lemma_suites(400, seed=11)
-        assert report.ok
-        assert all(samples == 400 for _, samples, _ in report.results)
-        assert "PASS" in report.summary()
-        assert list(report.json_lines()) == []
+@pytest.fixture
+def broken_norms(monkeypatch):
+    """Corrupt the beta norm the identities read: bn + 4."""
+    real = identities.beta_gamma_norms
 
-    def test_deterministic(self):
-        assert lemma_suites(50, seed=3).results == lemma_suites(50, seed=3).results
+    def broken(d):
+        bn, gn = real(d)
+        return bn + 4, gn
+
+    monkeypatch.setattr(identities, "beta_gamma_norms", broken)
+
+
+NORM_AGREEMENT = identities.IDENTITIES.index(identities.norm_formula_agreement)
+
+
+class TestLemmaSuites:
+    """The sampled lemma identities of ``tests/identities.py``."""
+
+    def test_all_pass(self):
+        for index, identity in enumerate(identities.IDENTITIES):
+            assert identities.failures(index, 400, seed=11) == [], identity.__name__
+
+    def test_deterministic(self, broken_norms):
+        # a failure replays from (identity, seed): same messages, same inputs
+        first = identities.failures(NORM_AGREEMENT, 50, seed=3)
+        assert first and first == identities.failures(NORM_AGREEMENT, 50, seed=3)
+        assert first != identities.failures(NORM_AGREEMENT, 50, seed=4)
 
     def test_covers_every_suite(self):
-        names = {name for name, _, _ in lemma_suites(1, seed=0).results}
+        names = {identity.__name__ for identity in identities.IDENTITIES}
+        assert len(names) == len(identities.IDENTITIES) == 12
         assert names == {
             "rotation_antisymmetry",
             "derived_congruences",
@@ -224,6 +238,26 @@ class TestLemmaSuites:
             "norm_difference_mod16",
             "constrained_norm_product",
         }
+
+    def test_broken_norms_fail_norm_agreement(self, broken_norms):
+        # negative control: the identity must catch a corrupted norm formula
+        found = identities.failures(NORM_AGREEMENT, 100, seed=0)
+        assert len(found) == 100
+        assert all(msg.startswith("norm formulas disagree") for msg in found)
+
+
+class TestInvalidSizes:
+    @pytest.mark.parametrize("call", [
+        lambda: scan_random(0, 9, 0),
+        lambda: scan_random(-5, 1, 0),
+        lambda: scan_random(5, -1, 0),
+        lambda: scan_exhaustive((0, 1), limit=0),
+        lambda: scan_exhaustive((0, 1), limit=-3),
+        lambda: scan_exhaustive(()),
+    ], ids=["count-0", "count-neg", "bound-neg", "limit-0", "limit-neg", "empty-support"])
+    def test_raises_value_error(self, call):
+        with pytest.raises(ValueError, match="must be"):
+            call()
 
 
 class TestScanFindsClassifierRegressions:

@@ -4,7 +4,12 @@ import random
 import pytest
 
 from c4x4det.classifier import Even15, Even16, NotInS, OddA, OddOne, Reason, classify
-from c4x4det.errors import InternalMismatchError, NotAttainableError, PreconditionError
+from c4x4det.errors import (
+    EnvelopeExceededError,
+    InternalMismatchError,
+    NotAttainableError,
+    PreconditionError,
+)
 from c4x4det.gdet import det16_direct
 from c4x4det.numtheory import TwoSquaresRep, is_in_P, two_squares_prime_5mod8
 from c4x4det.witness import WitnessCase, WitnessPlan, emit, plan, witness
@@ -103,6 +108,16 @@ class TestWitnessRoundTrip:
             witness(7)
         with pytest.raises(NotAttainableError):
             witness(2**14)
+
+    def test_beyond_envelope_is_not_called_unattainable(self):
+        n = 2**16 * 10**8  # attainable, but |n| > 10**12
+        with pytest.raises(EnvelopeExceededError):
+            witness(n)
+        with pytest.raises(EnvelopeExceededError):
+            witness(-n)
+        vec, cert = witness(n, envelope=None)
+        assert cert == Even16(10**8)
+        assert det16_direct(vec) == n
 
     def test_zero(self):
         vec, cert = witness(0)
