@@ -22,19 +22,18 @@ from math import prod
 from typing import Optional, Union
 
 from .errors import InternalMismatchError, PreconditionError
-from .numtheory import ENVELOPE, factorize, is_in_P
+from .numtheory import ENVELOPE, check_envelope, factorize, is_in_P
 # Not used here: the benchmark's trace wraps classifier.signed_divisors_1mod8 by name.
 from .numtheory import signed_divisors_1mod8  # noqa: F401
 
 
 class Reason(enum.Enum):
-    """Why a value is not attainable (or not classifiable)."""
+    """Why a value is not attainable."""
 
     ODD_BAD_RESIDUE = "odd_bad_residue"
     ODD_A_NO_DECOMPOSITION = "odd_a_no_decomposition"
     EVEN_BAD_VALUATION = "even_bad_valuation"
     EVEN15_NO_PRIME_IN_P = "even15_no_prime_in_p"
-    ENVELOPE_EXCEEDED = "envelope_exceeded"
 
     def __str__(self):
         return self.value
@@ -235,12 +234,11 @@ def classify(n: int, envelope: Optional[int] = ENVELOPE) -> SClassification:
     """Classify n against the attainable-value families.
 
     Returns a certificate whose invariants have been re-checked, or a
-    :class:`NotInS` carrying the rejection reason.  Values beyond the
-    envelope are reported as ``NotInS(ENVELOPE_EXCEEDED)``; pass
+    :class:`NotInS` carrying the rejection reason.  Raises
+    :class:`EnvelopeExceededError` when |n| exceeds ``envelope``; pass
     ``envelope=None`` to classify arbitrarily large integers.
     """
-    if envelope is not None and abs(n) > envelope:
-        return NotInS(Reason.ENVELOPE_EXCEEDED)
+    check_envelope(n, envelope)
     cls = _classify_unbounded(n)
     if not isinstance(cls, NotInS):
         validate_certificate(cls, n)

@@ -20,7 +20,6 @@ from .classifier import Even15, Even16, NotInS, OddA, OddOne, classify
 from .core import derive
 from .errors import EnvelopeExceededError, NotAttainableError
 from .gdet import beta_gamma_norms, det4, det16_factored, spectral_factors
-from .numtheory import check_envelope
 from .witness import witness
 
 EXIT_OK = 0
@@ -99,19 +98,17 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    check_envelope(args.value)
     cls = classify(args.value)
     _emit_document(_document(args.value, cls), args.json)
     return EXIT_OK if not isinstance(cls, NotInS) else EXIT_NEGATIVE
 
 
 def _cmd_witness(args) -> int:
-    check_envelope(args.value)
-    cls = classify(args.value)
-    if isinstance(cls, NotInS):
-        _emit_document(_document(args.value, cls), args.json)
+    try:
+        vec, cls = witness(args.value)
+    except NotAttainableError as exc:
+        _emit_document(_document(args.value, NotInS(exc.reason)), args.json)
         return EXIT_NEGATIVE
-    vec, cls = witness(args.value)
     _emit_document(_document(args.value, cls, witness_vec=vec), args.json)
     return EXIT_OK
 
@@ -240,9 +237,6 @@ def main(argv=None) -> int:
     except EnvelopeExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except NotAttainableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
     except ArithmeticError as exc:  # e.g. rho or the non-residue search gave up
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -21,14 +21,18 @@ import random
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from itertools import islice, product
+from typing import Iterable, Iterator, Optional
 
 from .classifier import NotInS, classify
-from .errors import InternalMismatchError
+from .errors import InternalMismatchError, NotAttainableError
 from .gdet import det16_direct, det16_factored, det16_spectral
 from .witness import witness
 
-_RANDOM_BLOCK = 4096  # fixed sampling block; keeps tuples independent of --jobs
+# Tuples per block (an exhaustive block over a wider support runs its last
+# entry over the whole support).  It also fixes the random sample stream (one
+# seeded generator per block), so changing it changes what scan_random draws.
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -84,16 +88,6 @@ def _check_tuple(a, require_oracle: bool):
     return value, None
 
 
-def _index_tuple(index: int, support: Sequence[int]) -> tuple:
-    # big-endian base-|support| digits: matches itertools.product order
-    base = len(support)
-    out = [support[0]] * 16
-    for pos in range(15, -1, -1):
-        index, digit = divmod(index, base)
-        out[pos] = support[digit]
-    return tuple(out)
-
-
 def _scan_block(tuples: Iterable, require_oracle: bool):
     """(checked, violations, seen values) over one block of tuples."""
     checked = 0
@@ -109,8 +103,9 @@ def _scan_block(tuples: Iterable, require_oracle: bool):
 
 
 def _exhaustive_block(args):
-    support, start, stop = args
-    return _scan_block((_index_tuple(i, support) for i in range(start, stop)), False)
+    support, prefix, count = args
+    tails = islice(product(support, repeat=16 - len(prefix)), count)
+    return _scan_block((prefix + tail for tail in tails), False)
 
 
 def _random_block(args):
@@ -180,8 +175,18 @@ def scan_exhaustive(
     total = len(supp) ** 16
     if limit is not None:
         total = min(total, limit)
-    block = min(1 << 14, total)
-    blocks = ((supp, lo, min(lo + block, total)) for lo in range(0, total, block))
+    # A block fixes the first 16 - k entries and runs the last k over the
+    # support, for the largest k >= 1 with |support|**k <= _BLOCK.  k = 0
+    # would ship the whole support to a worker once per tuple.
+    k = 1
+    while k < 16 and len(supp) ** (k + 1) <= _BLOCK:
+        k += 1
+    size = len(supp) ** k
+    prefixes = product(supp, repeat=16 - k)
+    blocks = (
+        (supp, prefix, min(size, total - lo))
+        for lo, prefix in zip(range(0, total, size), prefixes)
+    )
     return _run_blocks(_exhaustive_block, blocks, jobs)
 
 
@@ -198,41 +203,31 @@ def scan_random(count: int, coeff_bound: int, seed: int, jobs: int = 1) -> ScanR
     if coeff_bound < 0:
         raise ValueError(f"coeff_bound must be at least 0, got {coeff_bound}")
     blocks = (
-        (seed, b, min(_RANDOM_BLOCK, count - lo), coeff_bound)
-        for b, lo in enumerate(range(0, count, _RANDOM_BLOCK))
+        (seed, b, min(_BLOCK, count - lo), coeff_bound)
+        for b, lo in enumerate(range(0, count, _BLOCK))
     )
     return _run_blocks(_random_block, blocks, jobs)
 
 
-def window_roundtrip(values: Iterable[int], observed=None) -> ScanReport:
-    """Witness every accepted value in a window and re-verify it exactly.
+def window_roundtrip(values: Iterable[int]) -> ScanReport:
+    """Witness every attainable value in a window and re-verify it exactly.
 
-    For rejected values, optionally cross-check one-sidedly against
-    ``observed`` (a set of values seen in scans): a rejected value that some
-    scan produced is a violation.
+    Each value is classified once, inside :func:`witness`; a rejected value
+    is not a violation.  ``tuples_checked`` counts the witness vectors that
+    passed their re-check, and ``seen_values`` holds the values they realize.
     """
     start = time.perf_counter()
     checked = 0
-    witnessed = 0
     violations = []
+    seen = set()
     for n in values:
-        checked += 1
-        cls = classify(n, envelope=None)
-        if isinstance(cls, NotInS):
-            if observed is not None and n in observed:
-                violations.append((None, n, f"rejected value appeared in a scan: {cls}"))
-            continue
         try:
-            vec, _ = witness(n, envelope=None)
+            witness(n, envelope=None)
+        except NotAttainableError:
+            continue
         except InternalMismatchError as exc:
             violations.append((None, n, f"witness failed: {exc}"))
             continue
-        witnessed += 1
-    return ScanReport(
-        tuples_checked=checked,
-        distinct_values=witnessed,
-        violations=tuple(violations),
-        elapsed=time.perf_counter() - start,
-        seen_values=frozenset(),
-    )
-
+        checked += 1
+        seen.add(n)
+    return _merge([(checked, violations, seen)], start)

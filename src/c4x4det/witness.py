@@ -34,12 +34,7 @@ from .classifier import (
 from .core import CoeffVec16
 from .errors import InternalMismatchError, NotAttainableError, PreconditionError
 from .gdet import det16_direct
-from .numtheory import (
-    ENVELOPE,
-    check_envelope,
-    two_squares_2p,
-    two_squares_prime_5mod8,
-)
+from .numtheory import ENVELOPE, two_squares_2p, two_squares_prime_5mod8
 
 
 class WitnessCase(enum.Enum):
@@ -315,7 +310,6 @@ def witness(n: int, envelope: Optional[int] = ENVELOPE):
     emitted vector fails the direct determinant re-check (which would be a
     defect, not bad input).
     """
-    check_envelope(n, envelope)
     cls = classify(n, envelope=envelope)
     if isinstance(cls, NotInS):
         raise NotAttainableError(cls.reason)

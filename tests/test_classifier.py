@@ -17,7 +17,7 @@ from c4x4det.classifier import (
     v2,
     validate_certificate,
 )
-from c4x4det.errors import InternalMismatchError, PreconditionError
+from c4x4det.errors import EnvelopeExceededError, InternalMismatchError, PreconditionError
 from c4x4det.gdet import det16_direct
 from c4x4det.numtheory import is_in_P, signed_divisors_1mod8
 from c4x4det.verification import scan_random
@@ -67,9 +67,19 @@ class TestClassify:
         assert classify(2**15 * 13 * 5) == Even15(5, 13)
 
     def test_envelope(self):
-        big = 10**12 + 1
-        assert classify(big) == NotInS(Reason.ENVELOPE_EXCEEDED)
-        assert classify(big, envelope=None) != NotInS(Reason.ENVELOPE_EXCEEDED)
+        big = 10**12 + 1  # 1 mod 16: attainable, one past the envelope
+        with pytest.raises(EnvelopeExceededError):
+            classify(big)
+        assert classify(big, envelope=None) == OddOne(62500000000)
+        with pytest.raises(EnvelopeExceededError):
+            classify(10**13)
+
+    def test_attainable_beyond_envelope_raises(self):
+        n = 2**16 * 10**8  # attainable, but |n| > 10**12: not a rejection
+        for value in (n, -n):
+            with pytest.raises(EnvelopeExceededError):
+                classify(value)
+        assert classify(n, envelope=None) == Even16(10**8)
 
     def test_all_bad_odd_residues_below_1000(self):
         for n in range(-999, 1000, 2):

@@ -118,6 +118,23 @@ class TestWitness:
         assert code == 1
         assert out.strip() == "not_in_S odd_bad_residue"
 
+    def test_classifies_each_request_once(self, capsys, monkeypatch):
+        import importlib
+
+        witness_module = importlib.import_module("c4x4det.witness")
+        real = witness_module.classify
+        calls = []
+
+        def counted(n, envelope=None):
+            calls.append(n)
+            return real(n, envelope=envelope)
+
+        monkeypatch.setattr(cli, "classify", counted)
+        monkeypatch.setattr(witness_module, "classify", counted)
+        assert run_cli(capsys, "witness", "17")[0] == 0
+        assert run_cli(capsys, "witness", "7")[0] == 1
+        assert calls == [17, 7]
+
     def test_no_verify_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["witness", "--json", "--no-verify", "17"])

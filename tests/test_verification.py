@@ -1,6 +1,8 @@
 import concurrent.futures
+import importlib
 import json
 import os
+from itertools import islice, product
 
 import identities
 import pytest
@@ -8,6 +10,8 @@ import pytest
 from c4x4det import verification
 from c4x4det.classifier import NotInS, classify
 from c4x4det.verification import scan_exhaustive, scan_random, window_roundtrip
+
+witness_module = importlib.import_module("c4x4det.witness")
 
 
 class TestScanExhaustive:
@@ -43,6 +47,24 @@ class TestScanExhaustive:
         report = scan_exhaustive((0, 1), limit=100)
         assert "PASS" in report.summary()
         assert list(report.json_lines()) == []
+
+    def test_support_wider_than_a_block(self, monkeypatch):
+        # 5000 > 4096 entries: a block still runs the last entry over the support
+        report = scan_exhaustive(range(5000), limit=3)
+        assert report.tuples_checked == 3
+        assert report.seen_values == {0, 1, 2**16}  # last entry 0, 1, 2
+        assert report.ok
+        blocks = []
+        monkeypatch.setattr(verification, "_run_blocks", lambda fn, bl, jobs: blocks.extend(bl))
+        scan_exhaustive(range(5000), limit=7000)
+        wide = tuple(range(5000))
+        assert blocks == [(wide, (0,) * 15, 5000), (wide, (0,) * 14 + (1,), 2000)]
+
+    def test_single_entry_support_is_one_block(self, monkeypatch):
+        blocks = []
+        monkeypatch.setattr(verification, "_run_blocks", lambda fn, bl, jobs: blocks.extend(bl))
+        scan_exhaustive({5})
+        assert blocks == [((5,), (), 1)]
 
 
 class _Future:
@@ -98,8 +120,8 @@ def fake_pool(monkeypatch):
 
 def _count_block(args):
     # stands in for _exhaustive_block: counts the block without scanning it
-    _, lo, hi = args
-    return hi - lo, [], {lo}
+    _, prefix, count = args
+    return count, [], {prefix}
 
 
 class TestPool:
@@ -122,14 +144,17 @@ class TestPool:
 
     @pytest.mark.parametrize("blocks", [3, 40])
     def test_pending_blocks_bounded(self, fake_pool, monkeypatch, blocks):
+        # ten entries: each block fixes 13 entries and runs the last 3 (1000 tuples)
         monkeypatch.setattr(verification, "_exhaustive_block", _count_block)
-        report = scan_exhaustive(range(10), limit=blocks * 16384, jobs=2)
+        report = scan_exhaustive(range(10), limit=blocks * 1000 - 1, jobs=2)
         pool = fake_pool[0]
         assert pool.peak_pending <= 2 * 2
         # every block submitted once, in order, and merged in that order
-        assert [lo for _, lo, _ in pool.submitted] == [16384 * i for i in range(blocks)]
-        assert report.tuples_checked == blocks * 16384
-        assert report.seen_values == {16384 * i for i in range(blocks)}
+        prefixes = list(islice(product(range(10), repeat=13), blocks))
+        assert [prefix for _, prefix, _ in pool.submitted] == prefixes
+        assert [count for _, _, count in pool.submitted] == [1000] * (blocks - 1) + [999]
+        assert report.tuples_checked == blocks * 1000 - 1
+        assert report.seen_values == set(prefixes)
 
     def test_unlimited_scan_yields_blocks_lazily(self, monkeypatch):
         # 10**16 tuples: a list of block descriptors would never fit in memory
@@ -141,7 +166,7 @@ class TestPool:
 
         monkeypatch.setattr(verification, "_run_blocks", take_first)
         scan_exhaustive(range(10))
-        assert first == [(tuple(range(10)), 0, 16384)]
+        assert first == [(tuple(range(10)), (0,) * 13, 1000)]
 
 
 class TestScanRandom:
@@ -183,14 +208,27 @@ class TestWindowRoundtrip:
         report = window_roundtrip(values)
         assert report.ok and report.distinct_values == len(values)
 
-    def test_observed_cross_check_flags_rejected_values(self):
-        report = window_roundtrip([7], observed={7})
-        assert not report.ok
-        line = json.loads(next(report.json_lines()))
-        assert line["value"] == "7"
+    def test_counts_witnessed_values(self):
+        window = range(-50, 51)
+        report = window_roundtrip(window)
+        accepted = {n for n in window if not isinstance(classify(n), NotInS)}
+        assert len(accepted) == 8
+        assert report.seen_values == accepted
+        assert report.tuples_checked == report.distinct_values == 8
+        assert report.summary().startswith("PASS: 8 tuples, 8 distinct values,")
 
-    def test_observed_cross_check_passes_when_disjoint(self):
-        assert window_roundtrip([7], observed={9}).ok
+    def test_classifies_each_value_once(self, monkeypatch):
+        calls = []
+
+        def counted(n, envelope=None):
+            calls.append(n)
+            return classify(n, envelope=envelope)
+
+        monkeypatch.setattr(verification, "classify", counted)
+        monkeypatch.setattr(witness_module, "classify", counted)
+        report = window_roundtrip(range(-20, 21))
+        assert report.ok
+        assert sorted(calls) == list(range(-20, 21))
 
 
 @pytest.fixture
