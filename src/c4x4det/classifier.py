@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from math import prod
 from typing import Optional, Union
 
@@ -165,39 +164,35 @@ def a_decompose(n: int, envelope: Optional[int] = ENVELOPE) -> Optional[OddA]:
 
     Set A holds n = (8j+1)(8k-3) p1 p2 p3 with p1 <= p2 <= p3 primes 5 mod 8
     and j != k + l + m + n (mod 2), where l, m, n = (p1+3)/8, (p2+3)/8,
-    (p3+3)/8.  Nondecreasing triples of 5-mod-8 prime factors of n are tried
-    lexicographically, each at most as often as it divides n; the cofactor
-    c = n/(p1 p2 p3) is then 5 mod 8, and every 1-mod-8 divisor d of c gives
+    (p3+3)/8.  For any triple of 5-mod-8 prime factors of n the cofactor
+    c = n/(p1 p2 p3) is 5 mod 8, and every 1-mod-8 divisor d of c gives
     j = (d-1)/8 and k = (c/d+3)/8.
 
-    Parity lemma: whether a triple passes does not depend on d.  Moving d
-    between 1 and 9 mod 16 flips the parity of j; and since c/d == c+8
-    (mod 16) when d == 9 (mod 16), it flips the parity of k too.  So each
-    triple costs one test at d = 1 (j = 0, k = (c+3)/8).
+    Every triple passes, at every d.  For x == 5 (mod 8), (x+3)/8 is odd
+    exactly when x == 5 (mod 16).  Each of c, p1, p2, p3 is 5 or 13 mod 16,
+    and 5*5 == 13*13 == 9, 5*13 == 1 (mod 16), so at d = 1 (j = 0) the test
+    holds exactly when c p1 p2 p3 == n == 9 (mod 16).  Moving d between 1
+    and 9 mod 16 flips the parities of both j and k (c/d == c+8 mod 16).
+    Hence n is in set A iff it has at least three prime factors 5 mod 8,
+    counted with multiplicity.
 
-    The certificate takes the first passing triple and the smallest signed
-    1-mod-8 divisor d of c.  That is d = -|c|/e for the smallest positive
-    divisor e of |c| with e == 7|c| (mod 8), or d = 1 when |c| has no such
-    divisor.  The fixed order makes the certificate reproducible.
+    The certificate takes the three smallest such primes and the smallest
+    signed 1-mod-8 divisor d of c.  That is d = -|c|/e for the smallest
+    positive divisor e of |c| with e == 7|c| (mod 8), or d = 1 when |c| has
+    no such divisor.  The fixed order makes the certificate reproducible.
     """
-    if n % 2 == 0 or n % 16 != 9:
+    if n % 16 != 9:
         raise PreconditionError(f"{n} is not an odd value congruent to 9 mod 16")
     fac = factorize(n, envelope=envelope)
-    mult = {p: e for p, e in fac.factors if p % 8 == 5}
-    if sum(mult.values()) < 3:
+    triple = [p for p, e in fac.factors if p % 8 == 5 for _ in range(e)][:3]
+    if len(triple) < 3:
         return None
-    for triple in combinations_with_replacement(sorted(mult), 3):
-        if any(triple.count(p) > mult[p] for p in set(triple)):
-            continue
-        p1, p2, p3 = triple
-        c = n // (p1 * p2 * p3)
-        if ((c + 3) // 8 + (p1 + 3) // 8 + (p2 + 3) // 8 + (p3 + 3) // 8) % 2 == 0:
-            continue
-        rest = [(p, a - triple.count(p)) for p, a in fac.factors if a > triple.count(p)]
-        e = _least_divisor_mod8(rest, 7 * abs(c) % 8)
-        d = 1 if e is None else -(abs(c) // e)
-        return OddA((d - 1) // 8, (c // d + 3) // 8, p1, p2, p3)
-    return None
+    p1, p2, p3 = triple
+    c = n // (p1 * p2 * p3)
+    rest = [(p, a - triple.count(p)) for p, a in fac.factors if a > triple.count(p)]
+    e = _least_divisor_mod8(rest, 7 * abs(c) % 8)
+    d = 1 if e is None else -(abs(c) // e)
+    return OddA((d - 1) // 8, (c // d + 3) // 8, p1, p2, p3)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -220,14 +215,10 @@ def _classify_unbounded(n: int) -> SClassification:
     if v >= 16:
         return Even16(n // 2**16)
     odd = n >> 15
-    best = None
-    for p, _e in factorize(abs(odd), envelope=None).factors:
-        if p % 8 == 5:
-            best = p
-            break
-    if best is None:
+    p = next((q for q, _e in factorize(abs(odd), envelope=None).factors if q % 8 == 5), None)
+    if p is None:
         return NotInS(Reason.EVEN15_NO_PRIME_IN_P)
-    return Even15(best, odd // best)
+    return Even15(p, odd // p)
 
 
 def classify(n: int, envelope: Optional[int] = ENVELOPE) -> SClassification:

@@ -237,7 +237,7 @@ def main(argv=None) -> int:
     except EnvelopeExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ArithmeticError as exc:  # e.g. rho or the non-residue search gave up
+    except ArithmeticError as exc:  # Pollard rho gave up
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,9 +1,9 @@
 """Integer factorization, primality, and constrained two-square representations.
 
 Everything here is deterministic: repeated calls on the same input give the
-same output, byte for byte.  The supported envelope for the public
-factorization entry points is |n| <= 10**12; internal callers (the scan
-harness) may lift the cap, and the algorithms keep working well beyond it.
+same output, byte for byte.  The public factorization entry points support
+|n| <= 10**12; ``envelope=None`` lifts the cap (scans lift it through
+``classify``), and the algorithms keep working well beyond it.
 """
 
 from __future__ import annotations
@@ -238,7 +238,10 @@ def _factor_unsigned(n: int) -> dict:
 
 
 def check_envelope(n: int, envelope: Optional[int] = ENVELOPE) -> None:
-    """Raise :class:`EnvelopeExceededError` when |n| exceeds ``envelope`` (None: no cap)."""
+    """Raise TypeError unless n is an int (not a bool), and
+    :class:`EnvelopeExceededError` when |n| exceeds ``envelope`` (None: no cap)."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError(f"expected an exact integer, got {n!r}")
     if envelope is not None and abs(n) > envelope:
         raise EnvelopeExceededError(f"|{n}| exceeds the supported envelope {envelope}")
 
@@ -277,9 +280,9 @@ def signed_divisors_1mod8(c: int, envelope: Optional[int] = ENVELOPE) -> list:
 
     c must be nonzero.
     """
+    check_envelope(c, envelope)
     if c == 0:
         raise PreconditionError("zero has no divisor set here")
-    check_envelope(c, envelope)
     fac = factorize(abs(c), envelope=None)
     out = []
     for d in divisors(fac):
@@ -300,15 +303,12 @@ class TwoSquaresRep(NamedTuple):
 
 
 def _sqrt_minus_one_mod(p: int) -> int:
-    # p prime, p % 4 == 1: a^((p-1)/4) for the least quadratic non-residue a.
-    for a in range(2, p):
-        if pow(a, (p - 1) // 2, p) == p - 1:
-            return pow(a, (p - 1) // 4, p)
-    raise ArithmeticError(f"no quadratic non-residue found for {p}")
+    # p prime, p % 8 == 5: 2 is a non-residue (second supplement), so 2^((p-1)/4).
+    return pow(2, (p - 1) // 4, p)
 
 
 def _rep_for_prime(p: int) -> tuple:
-    """The unique (u, v), u odd > 0, v even >= 0, with u^2 + v^2 = p prime = 1 mod 4.
+    """The unique (u, v), u odd > 0, v even >= 0, with u^2 + v^2 = p prime = 5 mod 8.
 
     Cornacchia via Euclidean descent from a square root of -1 mod p; both
     constrained representations below start from this pair.

@@ -40,10 +40,13 @@ class ScanReport:
     """Outcome of one scan: passed iff ``violations`` is empty."""
 
     tuples_checked: int
-    distinct_values: int
     violations: tuple
     elapsed: float
     seen_values: frozenset
+
+    @property
+    def distinct_values(self) -> int:
+        return len(self.seen_values)
 
     @property
     def ok(self) -> bool:
@@ -136,7 +139,6 @@ def _merge(results, start: float) -> ScanReport:
         seen |= s
     return ScanReport(
         tuples_checked=checked,
-        distinct_values=len(seen),
         violations=tuple(violations),
         elapsed=time.perf_counter() - start,
         seen_values=frozenset(seen),

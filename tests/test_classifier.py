@@ -88,6 +88,14 @@ class TestClassify:
                 continue
             assert cls == NotInS(Reason.ODD_BAD_RESIDUE), n
 
+    @pytest.mark.parametrize("value", [17.0, -375.0, True, False])
+    def test_rejects_non_integers(self, value):
+        # a float or a bool used to get a certificate (17.0 -> OddOne(m=1.0))
+        with pytest.raises(TypeError):
+            classify(value)
+        with pytest.raises(TypeError):
+            classify(value, envelope=None)
+
     def test_envelope_scale_members(self):
         # near the top of the supported range in each family
         assert isinstance(classify(16 * (10**10) + 1), OddOne)
@@ -112,6 +120,11 @@ class TestADecompose:
             a_decompose(17)
         with pytest.raises(PreconditionError):
             a_decompose(8)
+
+    def test_float_rejected(self):
+        # -375.0 passes the residue check; factorize then refuses it
+        with pytest.raises(TypeError):
+            a_decompose(-375.0)
 
     def test_deterministic(self):
         for n in (1625, 5625, 15625):
@@ -158,6 +171,19 @@ class TestADecompose:
             for d in signed_divisors_1mod8(c, envelope=None)
         }
         assert len(verdicts) == 1, (triple, c)
+
+    @given(
+        st.lists(st.sampled_from([p for p in range(5, 400, 8) if is_in_P(p)]),
+                 min_size=3, max_size=3),
+        st.integers(-(10**9), 10**9).map(lambda x: 8 * x + 5),
+    )
+    @settings(max_examples=300)
+    def test_triple_passes_iff_9_mod_16(self, triple, c):
+        # the lemma behind a_decompose: at d = 1 (j = 0, k = (c+3)/8) the
+        # parity test passes exactly when c*p1*p2*p3 == 9 (mod 16)
+        l, m, nn = ((p + 3) // 8 for p in triple)
+        passes = (0 - (c + 3) // 8 - l - m - nn) % 2 != 0
+        assert passes == (c * triple[0] * triple[1] * triple[2] % 16 == 9), (triple, c)
 
 
 class TestValidator:

@@ -140,6 +140,16 @@ class TestFactorize:
             factorize(ENVELOPE + 1)
         factorize(ENVELOPE + 1, envelope=None)  # lifted cap succeeds
 
+    @pytest.mark.parametrize("value", [12.0, 0.0, True])
+    def test_rejects_non_integers(self, value):
+        # 12.0 used to factor as ((2, 2), (3.0, 1))
+        with pytest.raises(TypeError):
+            factorize(value)
+        with pytest.raises(TypeError):
+            factorize(value, envelope=None)
+        with pytest.raises(TypeError):
+            signed_divisors_1mod8(value)
+
     def test_semiprime_beyond_trial_bound(self):
         p, q = 1000003, 999999000001
         assert q == factorize(q).factors[0][0]  # q is prime
