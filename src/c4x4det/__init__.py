@@ -22,6 +22,7 @@ from .classifier import (
 from .core import CoeffVec16, DerivedSpectra, GaussInt, derive
 from .errors import (
     EnvelopeExceededError,
+    FactorizationError,
     InternalMismatchError,
     NotAttainableError,
     PreconditionError,
@@ -83,6 +84,7 @@ __all__ = [
     "Even15",
     "Even16",
     "Factorization",
+    "FactorizationError",
     "GaussInt",
     "InternalMismatchError",
     "NotAttainableError",

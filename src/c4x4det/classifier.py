@@ -15,11 +15,11 @@ are deterministic: the same input always yields the same certificate.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 from typing import Optional, Union
 
+from .core import _Record
 from .errors import InternalMismatchError, PreconditionError
 from .numtheory import ENVELOPE, check_envelope, factorize, is_in_P
 # Not used here: the benchmark's trace wraps classifier.signed_divisors_1mod8 by name.
@@ -38,21 +38,21 @@ class Reason(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class OddOne:
+class OddOne(_Record):
     """value == 16*m + 1"""
 
+    __slots__ = ("m",)
     m: int
 
 
-@dataclass(frozen=True)
-class OddA:
+class OddA(_Record):
     """value == (8j+1) * (8k-3) * p1 * p2 * p3 with p1 <= p2 <= p3 primes 5 mod 8.
 
     The parities satisfy j != k + l + m + n (mod 2) for l = (p1+3)/8,
     m = (p2+3)/8, n = (p3+3)/8.
     """
 
+    __slots__ = ("j", "k", "p1", "p2", "p3")
     j: int
     k: int
     p1: int
@@ -60,23 +60,23 @@ class OddA:
     p3: int
 
 
-@dataclass(frozen=True)
-class Even15:
+class Even15(_Record):
     """value == 2**15 * p * odd_cofactor with p the smallest 5-mod-8 prime factor."""
 
+    __slots__ = ("p", "odd_cofactor")
     p: int
     odd_cofactor: int
 
 
-@dataclass(frozen=True)
-class Even16:
+class Even16(_Record):
     """value == 2**16 * m (m may be 0 or negative)."""
 
+    __slots__ = ("m",)
     m: int
 
 
-@dataclass(frozen=True)
-class NotInS:
+class NotInS(_Record):
+    __slots__ = ("reason",)
     reason: Reason
 
 

@@ -18,7 +18,7 @@ import sys
 
 from .classifier import Even15, Even16, NotInS, OddA, OddOne, classify
 from .core import derive
-from .errors import EnvelopeExceededError, NotAttainableError
+from .errors import EnvelopeExceededError, FactorizationError, NotAttainableError
 from .gdet import beta_gamma_norms, det4, det16_factored, spectral_factors
 from .witness import witness
 
@@ -237,7 +237,7 @@ def main(argv=None) -> int:
     except EnvelopeExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ArithmeticError as exc:  # Pollard rho gave up
+    except FactorizationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -21,7 +21,69 @@ from __future__ import annotations
 from typing import NamedTuple
 
 
-class GaussInt:
+class _Record:
+    """Base of the package's immutable records; a subclass names its fields in ``__slots__``.
+
+    Construction takes the fields positionally or by keyword.  Two records
+    are equal only when they are of the same class and their field tuples
+    are equal, and a record hashes as its field tuple.  Fields cannot be
+    assigned or deleted; pickling and copying rebuild through the
+    constructor.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # slot descriptors write past the __setattr__ that freezes instances
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def __init__(self, *args, **kwargs):
+        setters = self._setters
+        if kwargs or len(args) != len(setters):
+            args = self._bind(args, kwargs)
+        for set_field, value in zip(setters, args):
+            set_field(self, value)
+
+    @classmethod
+    def _bind(cls, args, kwargs) -> tuple:
+        fields = cls.__slots__
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__name__}() takes {len(fields)} fields, got {len(args)}")
+        values = list(args)
+        for name in fields[len(args):]:
+            if name not in kwargs:
+                raise TypeError(f"{cls.__name__}() missing field {name!r}")
+            values.append(kwargs.pop(name))
+        if kwargs:
+            raise TypeError(f"{cls.__name__}() got unexpected or repeated fields {sorted(kwargs)}")
+        return tuple(values)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__qualname__}({fields})"
+
+
+class GaussInt(_Record):
     """An exact Gaussian integer ``re + im*i``: a value, not an arithmetic type.
 
     Instances are immutable and hashable, and two are equal exactly when both
@@ -34,19 +96,7 @@ class GaussInt:
     def __init__(self, re: int, im: int = 0):
         if not isinstance(re, int) or not isinstance(im, int):
             raise TypeError("GaussInt components must be exact integers")
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussInt is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, GaussInt):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
+        super().__init__(re, im)
 
     def __repr__(self):
         return f"GaussInt({self.re}, {self.im})"

@@ -5,6 +5,10 @@ class EnvelopeExceededError(ValueError):
     """Input magnitude is outside the supported working range."""
 
 
+class FactorizationError(ArithmeticError):
+    """Pollard rho found no factor of a composite (never seen in practice)."""
+
+
 class PreconditionError(ValueError):
     """An operation was called with arguments violating its contract."""
 

@@ -8,11 +8,16 @@ same output, byte for byte.  The public factorization entry points support
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt, prod
 from typing import NamedTuple, Optional
 
-from .errors import EnvelopeExceededError, InternalMismatchError, PreconditionError
+from .core import _Record
+from .errors import (
+    EnvelopeExceededError,
+    FactorizationError,
+    InternalMismatchError,
+    PreconditionError,
+)
 
 ENVELOPE = 10**12
 
@@ -182,13 +187,13 @@ def _brent_rho(n: int) -> int:
                 g = gcd(x - ys, n)
         if g != n:
             return g
-    raise ArithmeticError(f"rho failed to split {n}")  # unreachable in practice
+    raise FactorizationError(f"rho failed to split {n}")  # unreachable in practice
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(_Record):
     """sign * prod(p**e) == the factored integer, with primes strictly increasing."""
 
+    __slots__ = ("sign", "factors")
     sign: int
     factors: tuple  # ordered tuple of (prime, exponent)
 

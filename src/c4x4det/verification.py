@@ -20,11 +20,11 @@ import os
 import random
 import time
 from collections import deque
-from dataclasses import dataclass
 from itertools import islice, product
 from typing import Iterable, Iterator, Optional
 
 from .classifier import NotInS, classify
+from .core import _Record
 from .errors import InternalMismatchError, NotAttainableError
 from .gdet import det16_direct, det16_factored, det16_spectral
 from .witness import witness
@@ -35,10 +35,10 @@ from .witness import witness
 _BLOCK = 4096
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(_Record):
     """Outcome of one scan: passed iff ``violations`` is empty."""
 
+    __slots__ = ("tuples_checked", "violations", "elapsed", "seen_values")
     tuples_checked: int
     violations: tuple
     elapsed: float
@@ -217,12 +217,15 @@ def window_roundtrip(values: Iterable[int]) -> ScanReport:
     Each value is classified once, inside :func:`witness`; a rejected value
     is not a violation.  ``tuples_checked`` counts the witness vectors that
     passed their re-check, and ``seen_values`` holds the values they realize.
+    A window that yields no value raises :class:`ValueError`; one whose
+    values are all rejected passes.
     """
     start = time.perf_counter()
     checked = 0
     violations = []
     seen = set()
-    for n in values:
+    examined = 0
+    for examined, n in enumerate(values, 1):
         try:
             witness(n, envelope=None)
         except NotAttainableError:
@@ -232,4 +235,6 @@ def window_roundtrip(values: Iterable[int]) -> ScanReport:
             continue
         checked += 1
         seen.add(n)
+    if not examined:
+        raise ValueError("values must be nonempty")
     return _merge([(checked, violations, seen)], start)

@@ -18,7 +18,6 @@ wrong witness.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Optional, Tuple
 
@@ -31,7 +30,7 @@ from .classifier import (
     SClassification,
     classify,
 )
-from .core import CoeffVec16
+from .core import CoeffVec16, _Record
 from .errors import InternalMismatchError, NotAttainableError, PreconditionError
 from .gdet import det16_direct
 from .numtheory import ENVELOPE, two_squares_2p, two_squares_prime_5mod8
@@ -69,10 +68,10 @@ _A_CASES = {
 }
 
 
-@dataclass(frozen=True)
-class WitnessPlan:
+class WitnessPlan(_Record):
     """A construction case plus every parameter its coefficient table needs."""
 
+    __slots__ = ("case", "params")
     case: WitnessCase
     params: Mapping
 

@@ -47,6 +47,15 @@ class TestEval:
         code, out, _ = run_cli(capsys, "eval", "-1", *["0"] * 15)
         assert code == 0 and out.strip() == "1"
 
+    def test_route_defect_propagates(self, monkeypatch):
+        # only a factorization failure is turned into exit 2; a defect is not
+        def broken(a):
+            raise ZeroDivisionError("integer division or modulo by zero")
+
+        monkeypatch.setattr(cli, "det16_factored", broken)
+        with pytest.raises(ZeroDivisionError):
+            cli.main(["eval", *["1"] * 16])
+
 
 class TestClassify:
     def test_member(self, capsys):
@@ -74,9 +83,10 @@ class TestClassify:
 
     def test_factorization_failure_exits_2(self, capsys, monkeypatch):
         from c4x4det import classifier
+        from c4x4det.errors import FactorizationError
 
         def gave_up(n, envelope=None):
-            raise ArithmeticError(f"rho failed to split {n}")
+            raise FactorizationError(f"rho failed to split {n}")
 
         monkeypatch.setattr(classifier, "factorize", gave_up)
         classifier._classify_unbounded.cache_clear()

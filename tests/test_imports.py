@@ -2,7 +2,9 @@
 
 The package re-exports the scan harness lazily (PEP 562), so ``import
 c4x4det`` and the one-shot ``classify`` / ``witness`` commands never load
-``c4x4det.verification`` or the process pool behind ``scan --jobs``.
+``c4x4det.verification`` or the process pool behind ``scan --jobs``.  The
+records are not dataclasses, so no command loads ``dataclasses`` or the
+``inspect`` module it imports.
 """
 
 from __future__ import annotations
@@ -19,7 +21,13 @@ import c4x4det
 from c4x4det import verification
 
 SRC = Path(c4x4det.__file__).resolve().parent.parent
-WATCHED = ("c4x4det.verification", "concurrent.futures.process", "multiprocessing")
+WATCHED = (
+    "c4x4det.verification",
+    "concurrent.futures.process",
+    "multiprocessing",
+    "dataclasses",
+    "inspect",
+)
 
 # Each case is one fresh interpreter: a statement, then the watched modules it loaded.
 FOOTPRINTS = [

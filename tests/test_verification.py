@@ -217,6 +217,10 @@ class TestWindowRoundtrip:
         assert report.tuples_checked == report.distinct_values == 8
         assert report.summary().startswith("PASS: 8 tuples, 8 distinct values,")
 
+    def test_all_rejected_window_passes(self):
+        report = window_roundtrip(n for n in (3, 5, 7, -3))
+        assert report.ok and report.tuples_checked == 0 and not report.seen_values
+
     def test_classifies_each_value_once(self, monkeypatch):
         calls = []
 
@@ -292,7 +296,10 @@ class TestInvalidSizes:
         lambda: scan_exhaustive((0, 1), limit=0),
         lambda: scan_exhaustive((0, 1), limit=-3),
         lambda: scan_exhaustive(()),
-    ], ids=["count-0", "count-neg", "bound-neg", "limit-0", "limit-neg", "empty-support"])
+        lambda: window_roundtrip([]),
+        lambda: window_roundtrip(n for n in ()),
+    ], ids=["count-0", "count-neg", "bound-neg", "limit-0", "limit-neg", "empty-support",
+            "empty-window", "empty-window-generator"])
     def test_raises_value_error(self, call):
         with pytest.raises(ValueError, match="must be"):
             call()
