@@ -93,8 +93,9 @@ def v2(n: int) -> int:
 def validate_certificate(cls: SClassification, n: int) -> None:
     """Check that a certificate reconstructs n and satisfies its invariants.
 
-    Raises :class:`InternalMismatchError` on any violation; runs on every
-    classifier output, so a bad certificate can never escape silently.
+    Raises :class:`InternalMismatchError` on any violation.  The classifier
+    runs it once per distinct value, before the certificate is cached, so a
+    bad certificate can never escape silently.
     """
     if isinstance(cls, OddOne):
         if 16 * cls.m + 1 != n:
@@ -195,8 +196,8 @@ def a_decompose(n: int, envelope: Optional[int] = ENVELOPE) -> Optional[OddA]:
     return OddA((d - 1) // 8, (c // d + 3) // 8, p1, p2, p3)
 
 
-@lru_cache(maxsize=1 << 16)
-def _classify_unbounded(n: int) -> SClassification:
+def _decide(n: int) -> SClassification:
+    # The cold decision: a certificate or a rejection, not yet validated.
     if n % 2 == 1:
         r = n % 16
         if r == 1:
@@ -221,6 +222,17 @@ def _classify_unbounded(n: int) -> SClassification:
     return Even15(p, odd // p)
 
 
+@lru_cache(maxsize=1 << 16)
+def _classify_unbounded(n: int) -> SClassification:
+    # Validation runs before the result is cached, so each distinct value is
+    # validated once; lru_cache keeps no exception, so a certificate that
+    # fails raises again on every call.
+    cls = _decide(n)
+    if not isinstance(cls, NotInS):
+        validate_certificate(cls, n)
+    return cls
+
+
 def classify(n: int, envelope: Optional[int] = ENVELOPE) -> SClassification:
     """Classify n against the attainable-value families.
 
@@ -230,7 +242,4 @@ def classify(n: int, envelope: Optional[int] = ENVELOPE) -> SClassification:
     ``envelope=None`` to classify arbitrarily large integers.
     """
     check_envelope(n, envelope)
-    cls = _classify_unbounded(n)
-    if not isinstance(cls, NotInS):
-        validate_certificate(cls, n)
-    return cls
+    return _classify_unbounded(n)

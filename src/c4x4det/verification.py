@@ -72,36 +72,33 @@ class ScanReport(_Record):
             )
 
 
-def _check_tuple(a, require_oracle: bool):
-    """(value, violation-or-None) for one coefficient tuple."""
-    value = det16_factored(a)
-    if require_oracle:
-        direct = det16_direct(a)
-        spectral = det16_spectral(a)
-        if not (direct == value == spectral):
-            return value, (
-                a,
-                value,
-                f"determinant routes disagree: direct={direct} "
-                f"factored={value} spectral={spectral}",
-            )
-    cls = classify(value, envelope=None)
-    if isinstance(cls, NotInS):
-        return value, (a, value, cls)
-    return value, None
-
-
 def _scan_block(tuples: Iterable, require_oracle: bool):
-    """(checked, violations, seen values) over one block of tuples."""
+    """(checked, violations, seen values) over one block of tuples.
+
+    Each value comes from the factored route.  With ``require_oracle`` the
+    direct and spectral routes must agree with it before it is classified.
+    """
     checked = 0
     violations = []
     seen = set()
     for a in tuples:
-        value, bad = _check_tuple(a, require_oracle)
-        seen.add(value)
         checked += 1
-        if bad is not None:
-            violations.append(bad)
+        value = det16_factored(a)
+        seen.add(value)
+        if require_oracle:
+            direct = det16_direct(a)
+            spectral = det16_spectral(a)
+            if not (direct == value == spectral):
+                violations.append((
+                    a,
+                    value,
+                    f"determinant routes disagree: direct={direct} "
+                    f"factored={value} spectral={spectral}",
+                ))
+                continue
+        cls = classify(value, envelope=None)
+        if isinstance(cls, NotInS):
+            violations.append((a, value, cls))
     return checked, violations, seen
 
 

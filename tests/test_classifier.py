@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import a_decompose_walk, brute_set_a_member
 
+from c4x4det import classifier
 from c4x4det.classifier import (
     Even15,
     Even16,
@@ -203,6 +204,33 @@ class TestValidator:
     def test_rejects_wrong_valuation(self):
         with pytest.raises(InternalMismatchError):
             validate_certificate(Even15(5, 1), 2**16 * 5)
+
+
+class TestValidateOnce:
+    def test_failing_certificate_raises_on_every_call_and_is_not_cached(self, monkeypatch):
+        # 33 == 16*2 + 1, but the cold decision claims m == 1
+        monkeypatch.setattr(classifier, "_decide", lambda n: OddOne(1))
+        classifier._classify_unbounded.cache_clear()
+        for _ in range(2):
+            with pytest.raises(InternalMismatchError):
+                classify(33)
+            assert classifier._classify_unbounded.cache_info().currsize == 0
+
+    def test_each_distinct_value_is_validated_once(self, monkeypatch):
+        calls = []
+        real = classifier.validate_certificate
+
+        def counted(cls, n):
+            calls.append(n)
+            return real(cls, n)
+
+        monkeypatch.setattr(classifier, "validate_certificate", counted)
+        classifier._classify_unbounded.cache_clear()
+        first = classify(-375)
+        assert first == OddA(0, 0, 5, 5, 5)
+        assert all(classify(-375) is first for _ in range(50))
+        assert all(classify(-375, envelope=None) is first for _ in range(50))
+        assert calls == [-375]
 
 
 class TestConsistencyWithDeterminants:

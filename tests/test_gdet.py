@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from c4x4det.gdet import (
     group_matrix,
     spectral_factors,
 )
+from c4x4det.verification import scan_exhaustive
 from c4x4det.witness import WitnessCase, plan, witness
 from oracles import beta_gamma_norms_alt, gauss_add, gauss_mul, spectral_factors_gauss
 
@@ -221,6 +223,34 @@ class TestDet16:
             det16_direct((1, 2, 3))
         with pytest.raises(ValueError):
             det16_spectral((1, 2, 3))
+        with pytest.raises(ValueError, match="^expected 16 coefficients, got 3$"):
+            det16_factored((1, 2, 3))
+
+
+def factored_reference(a):
+    """det4(b) * det4(c) * beta * gamma through derive and beta_gamma_norms."""
+    b, c, d = derive(a)
+    beta, gamma = beta_gamma_norms(d)
+    return det4(*b) * det4(*c) * beta * gamma
+
+
+class TestFactoredKernel:
+    @pytest.mark.parametrize("bound", [9, 10**9])
+    def test_matches_reference_on_seeded_tuples(self, bound):
+        rng = random.Random(f"factored {bound}")
+        for _ in range(3000):
+            a = tuple(rng.randint(-bound, bound) for _ in range(16))
+            assert det16_factored(a) == factored_reference(a), a
+
+    def test_matches_reference_on_the_unit_prefix(self):
+        for a in islice(product((-1, 0, 1), repeat=16), 4096):
+            assert det16_factored(a) == factored_reference(a), a
+
+    def test_scan_sees_the_reference_values(self):
+        tuples = islice(product((-1, 0, 1), repeat=16), 20000)
+        report = scan_exhaustive((-1, 0, 1), limit=20000)
+        assert report.ok and report.tuples_checked == 20000
+        assert report.seen_values == {factored_reference(a) for a in tuples}
 
 
 # One value near the envelope per witness case, so the re-checked vectors

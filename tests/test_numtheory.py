@@ -29,6 +29,20 @@ from oracles import (
 # the least n that no proven Miller-Rabin base set covers; is_prime runs BPSW from here
 BPSW_FROM = 3_317_044_064_679_887_385_961_981
 
+# psi_1..psi_13 of OEIS A014233, with psi_7 == psi_8 and psi_9 == psi_10 == psi_11
+PSI = [
+    2_047,
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461,
+    BPSW_FROM,
+]
+
 
 def primes_in_P_below(limit):
     return [p for p in range(5, limit, 8) if is_prime(p)]
@@ -47,6 +61,15 @@ class TestPrimality:
     def test_carmichael_numbers(self):
         for n in (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265):
             assert not is_prime(n)
+
+    def test_rejects_the_pseudoprimes_behind_each_base_tier(self):
+        # psi_k of OEIS A014233 (Jaeschke 1993): the least odd composite that
+        # is a strong pseudoprime to each of the first k prime bases.  Each
+        # tier bound is one of them, and each lands in the next tier, so a
+        # tier that drops a base it needs lets its psi_k through.
+        assert [bound for bound, _bases in numtheory._MR_TIERS] == PSI
+        for n in PSI:
+            assert not is_prime(n), n
 
     def test_large_prime_pair(self):
         # 10^12 +- a twin prime pair around the envelope
