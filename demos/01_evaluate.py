@@ -19,13 +19,12 @@ print("factored (closed-form product):    ", det16_factored(a))
 print("spectral (character blocks):       ", det16_spectral(a))
 print()
 
-spectra = derive(a)
-b, c, d = spectra
+b, c, d = derive(a)
 norms = beta_gamma_norms(d)
 print("derived spectra:")
 print("  b =", b, " c =", c)
 print("  d =", d)
-print("  alpha =", spectra.alpha)
+print("  alpha =", tuple((d[i], d[i + 4]) for i in range(4)))
 print()
 print("factored pieces:")
 print(f"  det4(b) = {det4(*b)}")

@@ -19,7 +19,7 @@ from .classifier import (
     a_decompose,
     classify,
 )
-from .core import CoeffVec16, DerivedSpectra, GaussInt, derive
+from .core import CoeffVec16, DerivedSpectra, derive
 from .errors import (
     EnvelopeExceededError,
     FactorizationError,
@@ -30,9 +30,7 @@ from .errors import (
 from .gdet import (
     BetaGammaNorms,
     beta_gamma_norms,
-    det2,
     det4,
-    det4_gauss,
     det16_direct,
     det16_factored,
     det16_spectral,
@@ -85,7 +83,6 @@ __all__ = [
     "Even16",
     "Factorization",
     "FactorizationError",
-    "GaussInt",
     "InternalMismatchError",
     "NotAttainableError",
     "NotInS",
@@ -102,9 +99,7 @@ __all__ = [
     "beta_gamma_norms",
     "classify",
     "derive",
-    "det2",
     "det4",
-    "det4_gauss",
     "det16_direct",
     "det16_factored",
     "det16_spectral",

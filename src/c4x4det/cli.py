@@ -92,8 +92,8 @@ def _cmd_eval(args) -> int:
         print(f"det4(c) = {det4(*c)}  with c = {c}")
         print(f"beta_norm = {norms.beta_norm}")
         print(f"gamma_norm = {norms.gamma_norm}")
-        for k, factor in enumerate(spectral_factors(a)):
-            print(f"spectral factor {k}: {factor.re}{factor.im:+d}i")
+        for k, (re, im) in enumerate(spectral_factors(a)):
+            print(f"spectral factor {k}: {re}{im:+d}i")
     return EXIT_OK
 
 

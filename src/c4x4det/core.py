@@ -4,13 +4,15 @@ A group element is a pair (r, s) with r, s taken mod 4, stored at flat index
 j = r + 4*s.  A :class:`CoeffVec16` assigns one integer to each of the 16
 elements.  :func:`derive` splits such a vector into the half-sum / half-difference
 vectors ``b``, ``c`` and ``d`` that drive the determinant factorization in
-:mod:`c4x4det.gdet`; the Gaussian-integer vector ``alpha`` is computed from
-``d`` when it is read:
+:mod:`c4x4det.gdet`:
 
     b[i] = (a[i] + a[i+8]) + (a[i+4] + a[i+12])      0 <= i <= 3
     c[i] = (a[i] + a[i+8]) - (a[i+4] + a[i+12])      0 <= i <= 3
     d[i] = a[i] - a[i+8]                             0 <= i <= 7
-    alpha[i] = d[i] + i*d[i+4]                       0 <= i <= 3
+
+The paper's Gaussian vector alpha[i] = d[i] + i*d[i+4] is the pair
+``(d[i], d[i+4])``: Gaussian integers are plain ``(re, im)`` integer pairs
+throughout the package.
 
 All arithmetic is exact: entries are plain Python integers, so there is no
 width to overflow and no rounding anywhere.
@@ -83,25 +85,6 @@ class _Record:
         return f"{type(self).__qualname__}({fields})"
 
 
-class GaussInt(_Record):
-    """An exact Gaussian integer ``re + im*i``: a value, not an arithmetic type.
-
-    Instances are immutable and hashable, and two are equal exactly when both
-    components are.  Gaussian arithmetic runs on plain ``(re, im)`` integer
-    pairs where it is needed (see :mod:`c4x4det.gdet`).
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: int, im: int = 0):
-        if not isinstance(re, int) or not isinstance(im, int):
-            raise TypeError("GaussInt components must be exact integers")
-        super().__init__(re, im)
-
-    def __repr__(self):
-        return f"GaussInt({self.re}, {self.im})"
-
-
 class CoeffVec16(tuple):
     """Sixteen integer coefficients a_0..a_15, one per group element.
 
@@ -123,17 +106,11 @@ class CoeffVec16(tuple):
 
 
 class DerivedSpectra(NamedTuple):
-    """The vectors b, c (length 4) and d (length 8); alpha is computed from d."""
+    """The vectors b, c (length 4) and d (length 8)."""
 
     b: tuple
     c: tuple
     d: tuple
-
-    @property
-    def alpha(self) -> tuple:
-        """The Gaussian vector alpha[i] = d[i] + i*d[i+4], 0 <= i <= 3."""
-        d = self.d
-        return tuple(GaussInt(d[i], d[i + 4]) for i in range(4))
 
 
 def derive(a) -> DerivedSpectra:
@@ -145,9 +122,10 @@ def derive(a) -> DerivedSpectra:
     * ``b[i] == c[i] == d[i] + d[i+4]  (mod 2)``
     * ``b[i] + c[i] == 2*d[i]          (mod 4)``
     * ``b[i] - c[i] == 2*d[i+4]        (mod 4)``
-    * ``alpha[i] == GaussInt(d[i], d[i+4])`` (``alpha`` is built when read)
 
-    and derive is linear in ``a`` componentwise.
+    and derive is linear in ``a`` componentwise.  The pairs
+    ``(d[i], d[i+4])`` are the arguments of spectral block 1 (see
+    :func:`c4x4det.gdet.spectral_factors`).
     """
     if len(a) != 16:
         raise ValueError(f"expected 16 coefficients, got {len(a)}")

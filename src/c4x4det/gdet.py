@@ -11,11 +11,11 @@
   evaluated in one frame: the spectra of :func:`derive`, :func:`det4` and
   :func:`beta_gamma_norms` are inlined on the unpacked integers.
 * :func:`det16_spectral` multiplies the four character-block determinants
-  ``det4_gauss(sum_s i^{k s} a[j+4s], ...)`` for k = 0..3 and checks that the
-  product has no imaginary part.  It computes on plain ``(re, im)`` integer
-  pairs and calls neither :func:`derive` nor :func:`det4`; ``GaussInt``
-  appears only at the :func:`spectral_factors` and :func:`det4_gauss`
-  boundary.
+  of :func:`spectral_factors` (the det4 closed form on the Gaussian
+  arguments ``sum_s i^{k s} a[j+4s]``, k = 0..3) and checks that the
+  product has no imaginary part.  Gaussian integers are plain ``(re, im)``
+  integer pairs throughout; the route calls neither :func:`derive` nor
+  :func:`det4`.
 
 All three agree exactly on every input; the test suite enforces this both on
 fixed examples and on randomized sweeps, and checks :func:`beta_gamma_norms`
@@ -26,27 +26,19 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import GaussInt
 # Not used here: the benchmark's trace wraps gdet.derive by name.
 from .core import derive  # noqa: F401
 from .errors import InternalMismatchError
 
 __all__ = [
     "BetaGammaNorms",
-    "det2",
     "det4",
-    "det4_gauss",
     "det16_direct",
     "det16_factored",
     "det16_spectral",
     "spectral_factors",
     "beta_gamma_norms",
 ]
-
-
-def det2(x0, x1):
-    """Determinant of the 2x2 circulant: x0**2 - x1**2."""
-    return x0 * x0 - x1 * x1
 
 
 def det4(x0, x1, x2, x3):
@@ -66,14 +58,6 @@ def _det4_pairs(x0r, x0i, x1r, x1i, x2r, x2i, x3r, x3i):
     pr, pi = sr * sr - si * si - tr * tr + ti * ti, 2 * (sr * si - tr * ti)
     qr, qi = ur * ur - ui * ui + vr * vr - vi * vi, 2 * (ur * ui + vr * vi)
     return pr * qr - pi * qi, pr * qi + pi * qr
-
-
-def det4_gauss(x0, x1, x2, x3) -> GaussInt:
-    """Same closed form as :func:`det4`, evaluated in exact Gaussian integers."""
-    x0, x1, x2, x3 = (z if isinstance(z, GaussInt) else GaussInt(z)
-                      for z in (x0, x1, x2, x3))
-    return GaussInt(*_det4_pairs(x0.re, x0.im, x1.re, x1.im,
-                                 x2.re, x2.im, x3.re, x3.im))
 
 
 class BetaGammaNorms(NamedTuple):
@@ -215,11 +199,18 @@ def det16_factored(a) -> int:
     return det_b * det_c * beta * gamma
 
 
-def _spectral_pairs(a) -> tuple:
-    # Block k evaluates the det4 closed form on z_j = sum_s i^{k s} a[j + 4 s]
-    # as (re, im) int pairs.  With e_j/o_j the sums and r_j/w_j the
-    # differences of the s-even and s-odd coefficients, z_j is (e+o, 0),
-    # (r, w), (e-o, 0) and (r, -w) for k = 0..3.
+def spectral_factors(a) -> tuple:
+    """The four Gaussian character-block determinants, k = 0..3, as (re, im) pairs.
+
+    Block k evaluates the :func:`det4` closed form, in Gaussian integers, on
+    the arguments ``z_j = sum_s i^{k s} * a[j + 4 s]``.  Block 0 sees the b
+    vector and block 2 the c vector of :func:`derive`; block 1 sees the
+    pairs ``(d[j], d[j+4])``, and blocks 1 and 3 are complex conjugates of
+    one another.
+    """
+    # With e_j/o_j the sums and r_j/w_j the differences of the s-even and
+    # s-odd coefficients, z_j is (e+o, 0), (r, w), (e-o, 0) and (r, -w) for
+    # k = 0..3.
     if len(a) != 16:
         raise ValueError(f"expected 16 coefficients, got {len(a)}")
     a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 = a
@@ -235,16 +226,6 @@ def _spectral_pairs(a) -> tuple:
     )
 
 
-def spectral_factors(a) -> tuple:
-    """The four Gaussian character-block determinants, k = 0..3.
-
-    Block k evaluates det4_gauss on the arguments
-    ``z_j = sum_s i^{k s} * a[j + 4 s]``.  Block 0 sees the b vector, block 2
-    the c vector, and blocks 1 and 3 are complex conjugates of one another.
-    """
-    return tuple(GaussInt(re, im) for re, im in _spectral_pairs(a))
-
-
 def det16_spectral(a) -> int:
     """Product of the four character-block determinants.
 
@@ -252,12 +233,12 @@ def det16_spectral(a) -> int:
     imaginary part can only come from an index-convention bug, so it is a
     hard failure rather than something to discard.
     """
-    (re, im), (r1, i1), (r2, i2), (r3, i3) = _spectral_pairs(a)
+    (re, im), (r1, i1), (r2, i2), (r3, i3) = spectral_factors(a)
     re, im = re * r1 - im * i1, re * i1 + im * r1
     re, im = re * r2 - im * i2, re * i2 + im * r2
     re, im = re * r3 - im * i3, re * i3 + im * r3
     if im != 0:
         raise InternalMismatchError(
-            f"spectral product has nonzero imaginary part: {GaussInt(re, im)!r}"
+            f"spectral product has nonzero imaginary part: {re}{im:+d}i"
         )
     return re

@@ -197,12 +197,6 @@ class Factorization(_Record):
     sign: int
     factors: tuple  # ordered tuple of (prime, exponent)
 
-    def value(self) -> int:
-        out = self.sign
-        for p, e in self.factors:
-            out *= p**e
-        return out
-
 
 def _factor_unsigned(n: int) -> dict:
     """Complete factorization of n >= 1 as a prime -> exponent dict."""

@@ -3,9 +3,10 @@
 The brute-force oracles call nothing in the library; their divisor walks are
 plain trial division, so disagreements point at the library, never at a
 shared bug.  ``a_decompose_walk`` is the one reference built on library
-parts (see its docstring).  ``spectral_factors_gauss`` and
-``beta_gamma_norms_alt`` are library-free too: Gaussian integers here are
-plain ``(re, im)`` pairs, combined by ``gauss_add`` and ``gauss_mul``.
+parts (see its docstring).  ``spectral_factors_gauss``, ``det4_gauss``,
+``det2`` and ``beta_gamma_norms_alt`` are library-free too: Gaussian
+integers here are plain ``(re, im)`` pairs, combined by ``gauss_add`` and
+``gauss_mul``.
 """
 
 from itertools import combinations_with_replacement
@@ -190,38 +191,55 @@ def gauss_mul(x, y) -> tuple:
     return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
 
 
+def det2(x0, x1):
+    """Determinant of the 2x2 circulant: x0**2 - x1**2."""
+    return x0 * x0 - x1 * x1
+
+
+def det4_gauss(z0, z1, z2, z3) -> tuple:
+    """The det4 closed form on Gaussian (re, im) pairs, by ``gauss_add`` / ``gauss_mul``.
+
+    {(z0+z2)^2 - (z1+z3)^2} * {(z0-z2)^2 + (z1-z3)^2}, the same form as
+    ``gdet.det4`` on integers.
+    """
+    s, t = gauss_add(z0, z2), gauss_add(z1, z3)
+    u, v = gauss_add(z0, z2, -1), gauss_add(z1, z3, -1)
+    first = gauss_add(gauss_mul(s, s), gauss_mul(t, t), -1)
+    second = gauss_add(gauss_mul(u, u), gauss_mul(v, v))
+    return gauss_mul(first, second)
+
+
+def character_sums(a, k) -> tuple:
+    """The arguments ``z_j = sum_s i^{k s} a[j + 4 s]`` of block k, j = 0..3, as pairs.
+
+    Summed one term at a time by the power ``i^{k s}``.
+    """
+    z = []
+    for j in range(4):
+        re = im = 0
+        for s in range(4):
+            v = a[j + 4 * s]
+            ks = (k * s) & 3
+            if ks == 0:
+                re += v
+            elif ks == 1:
+                im += v
+            elif ks == 2:
+                re -= v
+            else:
+                im -= v
+        z.append((re, im))
+    return tuple(z)
+
+
 def spectral_factors_gauss(a) -> tuple:
     """Reference character blocks, as (re, im) pairs.
 
-    Block k is the det4 closed form on ``z_j = sum_s i^{k s} a[j + 4 s]``,
-    summed one term at a time by the power ``i^{k s}`` and multiplied out
-    with ``gauss_add`` / ``gauss_mul``.  The library's ``spectral_factors``
-    computes the same blocks in its own fused closed form.
+    Block k is ``det4_gauss`` on ``character_sums(a, k)``.  The library's
+    ``spectral_factors`` computes the same blocks in its own fused closed
+    form.
     """
-    factors = []
-    for k in range(4):
-        z = []
-        for j in range(4):
-            re = im = 0
-            for s in range(4):
-                v = a[j + 4 * s]
-                ks = (k * s) & 3
-                if ks == 0:
-                    re += v
-                elif ks == 1:
-                    im += v
-                elif ks == 2:
-                    re -= v
-                else:
-                    im -= v
-            z.append((re, im))
-        z0, z1, z2, z3 = z
-        s, t = gauss_add(z0, z2), gauss_add(z1, z3)
-        u, v = gauss_add(z0, z2, -1), gauss_add(z1, z3, -1)
-        first = gauss_add(gauss_mul(s, s), gauss_mul(t, t), -1)
-        second = gauss_add(gauss_mul(u, u), gauss_mul(v, v))
-        factors.append(gauss_mul(first, second))
-    return tuple(factors)
+    return tuple(det4_gauss(*character_sums(a, k)) for k in range(4))
 
 
 def beta_gamma_norms_alt(d) -> tuple:

@@ -189,21 +189,39 @@ class TestADecompose:
 
 class TestValidator:
     def test_rejects_wrong_value(self):
-        with pytest.raises(InternalMismatchError):
+        with pytest.raises(InternalMismatchError, match=r"^16\*1\+1 != 18$"):
             validate_certificate(OddOne(1), 18)
 
     def test_rejects_bad_parity(self):
         # (8*1+1)*(8*0-3)*5*5*5 = -3375, but 1 == 0+1+1+1 (mod 2)
-        with pytest.raises(InternalMismatchError):
+        with pytest.raises(InternalMismatchError, match="^parity constraint fails in "):
             validate_certificate(OddA(1, 0, 5, 5, 5), -3375)
 
     def test_rejects_non_p_prime(self):
-        with pytest.raises(InternalMismatchError):
+        with pytest.raises(InternalMismatchError, match="^3 is not a prime 5 mod 8$"):
             validate_certificate(OddA(0, 0, 3, 5, 5), (1) * (-3) * 75)
 
     def test_rejects_wrong_valuation(self):
-        with pytest.raises(InternalMismatchError):
+        with pytest.raises(InternalMismatchError, match="^327680 does not have 2-adic valuation 15$"):
             validate_certificate(Even15(5, 1), 2**16 * 5)
+
+    @pytest.mark.parametrize(
+        "cert, n, message",
+        [
+            # the certificate of 10985 = 5 * 13**3 is OddA(0, 2, 5, 13, 13)
+            (OddA(0, 2, 13, 5, 13), 10985, "^primes out of order in "),
+            (OddA(0, 0, 5, 5, 5), 375, " reconstructs -375, not 375$"),
+            (Even15(3, 5), 2**15 * 15, "^3 is not a prime 5 mod 8$"),
+            (Even15(5, 5), 2**15 * 15, " does not reconstruct 491520$"),
+            (Even16(2), 2**16 * 3, r"^2\*\*16\*2 != 196608$"),
+            (NotInS(Reason.ODD_BAD_RESIDUE), 3, "^cannot validate NotInS"),
+        ],
+        ids=["odd-a-order", "odd-a-value", "even15-prime", "even15-value", "even16-value",
+             "not-in-s"],
+    )
+    def test_rejects_each_bad_certificate(self, cert, n, message):
+        with pytest.raises(InternalMismatchError, match=message):
+            validate_certificate(cert, n)
 
 
 class TestValidateOnce:

@@ -1,7 +1,7 @@
 """Value semantics of the package's immutable records.
 
-The certificates, ``Factorization``, ``WitnessPlan``, ``ScanReport`` and
-``GaussInt`` share one base class; these tests pin what callers rely on:
+The certificates, ``Factorization``, ``WitnessPlan`` and ``ScanReport``
+share one base class; these tests pin what callers rely on:
 equality within a class only, hash of the field tuple, the exact repr,
 immutability, pickle and copy round trips, and keyword construction.
 """
@@ -17,7 +17,6 @@ from c4x4det import (
     Even15,
     Even16,
     Factorization,
-    GaussInt,
     NotInS,
     OddA,
     OddOne,
@@ -60,7 +59,6 @@ RECORDS = [
         (2, (), 0.5, frozenset({1})),
         "ScanReport(tuples_checked=2, violations=(), elapsed=0.5, seen_values=frozenset({1}))",
     ),
-    (GaussInt, ("re", "im"), (3, -4), "GaussInt(3, -4)"),
 ]
 IDS = [cls.__name__ for cls, *_ in RECORDS]
 
@@ -139,9 +137,8 @@ def test_bad_fields_raise_type_error(record):
         cls(*values, unknown=0)
     with pytest.raises(TypeError):
         cls(*values, **{names[0]: values[0]})
-    if cls is not GaussInt:  # its imaginary part defaults to 0
-        with pytest.raises(TypeError):
-            cls(*values[:-1])
+    with pytest.raises(TypeError):
+        cls(*values[:-1])
     with pytest.raises(TypeError):
         cls()
 

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from c4x4det.classifier import Even15, Even16, NotInS, OddA, OddOne, Reason, classify
+from c4x4det.core import CoeffVec16
 from c4x4det.errors import (
     EnvelopeExceededError,
     InternalMismatchError,
@@ -207,3 +208,31 @@ class TestConstructionTables:
                             lambda p: TwoSquaresRep(3, 2, p))
         with pytest.raises(InternalMismatchError):
             witness_module._constrained_params(13, 1)
+
+
+# One value per WitnessCase: the first fourteen values of the golden suite.
+CASE_VALUES = (
+    17, 65536, 196608, 131072, 163840, 491520,
+    -375, 10985, 12025, 81289, 6825, 46137, 9625, 65065,
+)
+
+
+class TestRecheck:
+    def test_case_values_cover_every_case_once(self):
+        cases = {plan(classify(n)).case for n in CASE_VALUES}
+        assert len(cases) == len(CASE_VALUES) == len(WitnessCase)
+
+    @pytest.mark.parametrize("n", CASE_VALUES)
+    def test_every_unit_perturbation_is_rejected(self, n, monkeypatch):
+        # holds under ``python -O`` too: the re-check is not an assert
+        real_emit = witness_module.emit
+        for index in range(16):
+            for step in (1, -1):
+                def perturbed(p):
+                    vec = list(real_emit(p))
+                    vec[index] += step
+                    return CoeffVec16(vec)
+
+                monkeypatch.setattr(witness_module, "emit", perturbed)
+                with pytest.raises(InternalMismatchError, match=f"^witness for {n} evaluates to "):
+                    witness(n)
