@@ -7,6 +7,8 @@ coefficient vectors realizing every attainable value.
 """
 
 import importlib
+import sys
+import types
 
 from .classifier import (
     Even15,
@@ -27,14 +29,6 @@ from .errors import (
     NotAttainableError,
     PreconditionError,
 )
-from .gdet import (
-    BetaGammaNorms,
-    beta_gamma_norms,
-    det4,
-    det16_direct,
-    det16_factored,
-    det16_spectral,
-)
 from .numtheory import (
     ENVELOPE,
     Factorization,
@@ -46,31 +40,55 @@ from .numtheory import (
     two_squares_2p,
     two_squares_prime_5mod8,
 )
-from .witness import WitnessCase, WitnessPlan, emit, plan, witness
 
 __version__ = "0.1.0"
 
-# The scan harness (and its names below) is loaded on first use (PEP 562), so
-# that ``import c4x4det`` and the one-shot CLI commands do not pay for it.
-_VERIFICATION_NAMES = frozenset(
-    {
-        "ScanReport",
-        "scan_exhaustive",
-        "scan_random",
-        "window_roundtrip",
-    }
-)
+# The determinant routes, the witness synthesizer and the scan harness are
+# loaded on first use (PEP 562): each name below maps to the submodule that
+# defines it, so that ``import c4x4det`` compiles only ``core``, ``errors``,
+# ``numtheory`` and ``classifier``, and the ``classify`` command adds only
+# ``cli``.  The submodules ``gdet`` and ``verification`` define no attribute
+# of their own name, so their entries return the module itself; ``witness``
+# is always the function (see ``_Package``).
+_LAZY = {
+    **dict.fromkeys(
+        ("gdet", "BetaGammaNorms", "beta_gamma_norms", "det4", "det16_direct",
+         "det16_factored", "det16_spectral"),
+        "gdet",
+    ),
+    **dict.fromkeys(("witness", "WitnessCase", "WitnessPlan", "emit", "plan"), "witness"),
+    **dict.fromkeys(
+        ("verification", "ScanReport", "scan_exhaustive", "scan_random", "window_roundtrip"),
+        "verification",
+    ),
+}
 
 
 def __getattr__(name):
-    if name == "verification" or name in _VERIFICATION_NAMES:
-        verification = importlib.import_module(".verification", __name__)
-        return verification if name == "verification" else getattr(verification, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_LAZY[name]}", __name__)
+    return getattr(module, name, module)
 
 
 def __dir__():
-    return sorted({*globals(), *_VERIFICATION_NAMES, "verification"})
+    return sorted({*globals(), *_LAZY})
+
+
+class _Package(types.ModuleType):
+    """The package module, keeping ``c4x4det.witness`` the function in every import order.
+
+    Importing the submodule ``c4x4det.witness`` binds it on the package under
+    the function's name; this binds the submodule's function instead.
+    """
+
+    def __setattr__(self, name, value):
+        if name == "witness" and isinstance(value, types.ModuleType):
+            value = value.witness
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package
 
 
 __all__ = [

@@ -120,7 +120,8 @@ def validate_certificate(cls: SClassification, n: int) -> None:
             raise InternalMismatchError(f"{n} does not have 2-adic valuation 15")
         if not is_in_P(cls.p):
             raise InternalMismatchError(f"{cls.p} is not a prime 5 mod 8")
-        if 2**15 * cls.p * cls.odd_cofactor != n or cls.odd_cofactor % 2 == 0:
+        # v2(n) == 15 and p odd, so a product equal to n has an odd cofactor
+        if 2**15 * cls.p * cls.odd_cofactor != n:
             raise InternalMismatchError(f"{cls} does not reconstruct {n}")
     elif isinstance(cls, Even16):
         if 2**16 * cls.m != n:

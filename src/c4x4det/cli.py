@@ -13,18 +13,22 @@ never squeeze them through a float.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .classifier import Even15, Even16, NotInS, OddA, OddOne, classify
 from .core import derive
 from .errors import EnvelopeExceededError, FactorizationError, NotAttainableError
-from .gdet import beta_gamma_norms, det4, det16_factored, spectral_factors
-from .witness import witness
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
+
+
+def witness(n):
+    """``c4x4det.witness.witness``, imported on the first call so ``classify`` never loads it."""
+    from .witness import witness as synthesize
+
+    return synthesize(n)
 
 
 def _certificate_fields(cls):
@@ -69,6 +73,8 @@ def _document(n, cls, witness_vec=None) -> dict:
 
 def _emit_document(doc: dict, as_json: bool) -> None:
     if as_json:
+        import json
+
         print(json.dumps(doc, sort_keys=True))
         return
     if doc["status"] == "in_S":
@@ -82,6 +88,8 @@ def _emit_document(doc: dict, as_json: bool) -> None:
 
 
 def _cmd_eval(args) -> int:
+    from .gdet import beta_gamma_norms, det4, det16_factored, spectral_factors
+
     a = tuple(args.coefficients)
     value = det16_factored(a)
     print(value)

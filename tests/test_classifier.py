@@ -213,11 +213,13 @@ class TestValidator:
             (OddA(0, 0, 5, 5, 5), 375, " reconstructs -375, not 375$"),
             (Even15(3, 5), 2**15 * 15, "^3 is not a prime 5 mod 8$"),
             (Even15(5, 5), 2**15 * 15, " does not reconstruct 491520$"),
+            # an even cofactor puts a 16th factor 2 into the product
+            (Even15(5, 2), 2**15 * 5, " does not reconstruct 163840$"),
             (Even16(2), 2**16 * 3, r"^2\*\*16\*2 != 196608$"),
             (NotInS(Reason.ODD_BAD_RESIDUE), 3, "^cannot validate NotInS"),
         ],
-        ids=["odd-a-order", "odd-a-value", "even15-prime", "even15-value", "even16-value",
-             "not-in-s"],
+        ids=["odd-a-order", "odd-a-value", "even15-prime", "even15-value",
+             "even15-even-cofactor", "even16-value", "not-in-s"],
     )
     def test_rejects_each_bad_certificate(self, cert, n, message):
         with pytest.raises(InternalMismatchError, match=message):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from c4x4det import cli
+from c4x4det import cli, gdet
 
 
 def run_cli(capsys, *argv):
@@ -52,7 +52,7 @@ class TestEval:
         def broken(a):
             raise ZeroDivisionError("integer division or modulo by zero")
 
-        monkeypatch.setattr(cli, "det16_factored", broken)
+        monkeypatch.setattr(gdet, "det16_factored", broken)
         with pytest.raises(ZeroDivisionError):
             cli.main(["eval", *["1"] * 16])
 

@@ -1,15 +1,18 @@
 """Start-up footprint: each command imports only the code it runs.
 
-The package re-exports the scan harness lazily (PEP 562), so ``import
-c4x4det`` and the one-shot ``classify`` / ``witness`` commands never load
-``c4x4det.verification`` or the process pool behind ``scan --jobs``.  The
-records are not dataclasses, so no command loads ``dataclasses`` or the
-``inspect`` module it imports.
+The package re-exports the determinant routes, the witness synthesizer and
+the scan harness lazily (PEP 562), so ``import c4x4det`` and ``classify``
+load none of ``c4x4det.gdet``, ``c4x4det.witness``, ``c4x4det.verification``
+or ``json``; ``eval`` adds ``gdet``, ``witness --json`` adds ``gdet``,
+``witness`` and ``json``, and only ``scan`` loads the harness.  The process
+pool behind ``scan --jobs`` is loaded only by a scan on more than one
+process.  The records are not dataclasses, so no command loads
+``dataclasses`` or the ``inspect`` module it imports.
 """
 
 from __future__ import annotations
 
-import json
+import ast
 import os
 import subprocess
 import sys
@@ -22,48 +25,77 @@ from c4x4det import verification
 
 SRC = Path(c4x4det.__file__).resolve().parent.parent
 WATCHED = (
+    "c4x4det.gdet",
+    "c4x4det.witness",
     "c4x4det.verification",
+    "json",
     "concurrent.futures.process",
     "multiprocessing",
     "dataclasses",
     "inspect",
 )
 
-# Each case is one fresh interpreter: a statement, then the watched modules it loaded.
-FOOTPRINTS = [
-    ("import c4x4det", set()),
-    (
-        "import contextlib, io\n"
-        "from c4x4det import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert cli.main(['classify', '17']) == 0\n"
-        "    assert cli.main(['witness', '17', '--json']) == 0\n",
-        set(),
-    ),
-    (
-        "import contextlib, io\n"
-        "from c4x4det import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert cli.main(['scan', '--random', '5']) == 0\n",
-        {"c4x4det.verification"},
-    ),
-]
 
-
-@pytest.mark.parametrize("statement, loaded", FOOTPRINTS, ids=["import", "classify+witness", "scan"])
-def test_command_footprint(statement, loaded):
-    script = (
-        statement
-        + "\nimport json, sys\n"
-        + f"print(json.dumps([m for m in {WATCHED!r} if m in sys.modules]))\n"
-    )
+def run_fresh(statement: str, result: str) -> str:
+    """Last stdout line of a fresh interpreter that runs ``statement``, then prints ``result``."""
     path = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    script = f"{statement}\nprint(repr({result}))\n"
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert set(json.loads(done.stdout.splitlines()[-1])) == loaded
+    return done.stdout.splitlines()[-1]
+
+
+def cli_run(*argv) -> str:
+    return (
+        "import contextlib, io\n"
+        "from c4x4det import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({list(argv)!r}) == 0\n"
+    )
+
+
+# Each case is one fresh interpreter: a statement, then the watched modules it
+# loaded beyond those the bare interpreter had (a ``site`` hook may import json).
+FOOTPRINTS = {
+    "import": ("import c4x4det", set()),
+    "classify": (cli_run("classify", "17"), set()),
+    "witness": (cli_run("witness", "17", "--json"), {"c4x4det.gdet", "c4x4det.witness", "json"}),
+    "eval": (cli_run("eval", *"2 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1".split()), {"c4x4det.gdet"}),
+    "scan": (
+        cli_run("scan", "--random", "5"),
+        {"c4x4det.gdet", "c4x4det.witness", "c4x4det.verification", "json"},
+    ),
+}
+
+
+@pytest.mark.parametrize("statement, loaded", FOOTPRINTS.values(), ids=FOOTPRINTS)
+def test_command_footprint(statement, loaded):
+    statement = f"import sys\nbare = set(sys.modules)\n{statement}"
+    result = f"sorted(m for m in {WATCHED!r} if m in sys.modules and m not in bare)"
+    assert set(ast.literal_eval(run_fresh(statement, result))) == loaded
+
+
+# Importing the submodule ``c4x4det.witness`` binds it on the package under the
+# name of the function it defines; the package must keep the function.
+FIRST_IMPORTS = [
+    "import c4x4det.witness",
+    "from c4x4det.witness import plan",
+    "import c4x4det.witness as w",
+    "from c4x4det import witness",
+]
+
+
+@pytest.mark.parametrize("first", FIRST_IMPORTS)
+def test_witness_stays_the_function_in_any_import_order(first):
+    statement = f"{first}\nimport sys, c4x4det"
+    result = (
+        '(c4x4det.witness is sys.modules["c4x4det.witness"].witness, '
+        "c4x4det.witness(17)[1])"
+    )
+    assert run_fresh(statement, result) == "(True, OddOne(m=1))"
 
 
 class TestLazyExports:
@@ -80,11 +112,14 @@ class TestLazyExports:
             assert getattr(c4x4det, name) is getattr(verification, name)
 
     def test_submodule_loads_on_attribute_access(self, monkeypatch):
-        # as after a bare ``import c4x4det``: the harness not yet imported
-        monkeypatch.delattr(c4x4det, "verification")
-        monkeypatch.delitem(sys.modules, "c4x4det.verification")
-        assert c4x4det.verification is sys.modules["c4x4det.verification"]
-        assert c4x4det.scan_random is c4x4det.verification.scan_random
+        for module, name in (("verification", "scan_random"), ("gdet", "det16_direct"),
+                             ("witness", "plan")):
+            # as after a bare ``import c4x4det``: the submodule not yet imported
+            monkeypatch.delattr(c4x4det, module)
+            monkeypatch.delitem(sys.modules, f"c4x4det.{module}")
+            assert getattr(c4x4det, name) is getattr(sys.modules[f"c4x4det.{module}"], name)
+            loaded = sys.modules[f"c4x4det.{module}"]
+            assert getattr(c4x4det, module) is (loaded.witness if module == "witness" else loaded)
 
     def test_dir_lists_the_lazy_names(self):
         assert set(c4x4det.__all__) | {"verification"} <= set(dir(c4x4det))
