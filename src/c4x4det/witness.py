@@ -1,25 +1,27 @@
 """Synthesize coefficient vectors realizing a classified determinant value.
 
-Each certificate family has an explicit construction:
+Each certificate family has one linear form in its plan parameters, and each
+construction case adds its own constant correction row to that form:
 
-* ``16m+1``              one tuple family (all entries m except a_0 = m+1);
-* ``2**16 * m``          three tuple families, split by m mod 4;
-* ``2**15 * p * odd``    two tuple families driven by 2p = x^2 + y^2, split
-                         by the odd cofactor mod 4;
-* set A                  four parameterized coefficient tables, keyed by the
-                         parities of j and k, with a shared flag e telling
-                         whether the paired primes are 13 or 5 mod 16.
+* ``16m+1``, ``2**16 * m``   m in every entry; one case, and three split by
+                             m mod 4;
+* ``2**15 * p * odd``        m+r, m+s, m-r, m-s, each four times, with
+                             2p = x^2 + y^2; two cases split by the odd
+                             cofactor mod 4;
+* set A                      one form in J, K, r, s, t, u, v, w, e (r and s
+                             negated when j and k share a parity); four rows
+                             keyed by the parities of j and k, where e tells
+                             whether the paired primes are 13 or 5 mod 16.
 
 Every emitted vector is re-checked against the direct determinant before it
-is returned, so a transcription slip in any table is a loud failure, never a
-wrong witness.
+is returned, so a slip in a form or a row is a loud failure, never a wrong
+witness.
 """
 
 from __future__ import annotations
 
 import enum
-from types import MappingProxyType
-from typing import Mapping, Optional, Tuple
+from typing import Optional, Tuple
 
 from .classifier import (
     Even15,
@@ -69,18 +71,18 @@ _A_CASES = {
 
 
 class WitnessPlan(_Record):
-    """A construction case plus every parameter its coefficient table needs."""
+    """A construction case plus every parameter its linear form needs.
+
+    ``params`` is a tuple of ``(name, value)`` pairs in the form's argument
+    order; ``plan["m"]`` reads one value by name.
+    """
 
     __slots__ = ("case", "params")
     case: WitnessCase
-    params: Mapping
+    params: Tuple[Tuple[str, int], ...]
 
     def __getitem__(self, name: str) -> int:
-        return self.params[name]
-
-
-def _make_plan(case: WitnessCase, **params: int) -> WitnessPlan:
-    return WitnessPlan(case, MappingProxyType(dict(params)))
+        return dict(self.params)[name]
 
 
 def _pair_split(primes: Tuple[int, int, int], slot_residue: int):
@@ -119,24 +121,22 @@ def plan(cls: SClassification) -> WitnessPlan:
     if isinstance(cls, NotInS):
         raise PreconditionError(f"cannot plan a witness for {cls}")
     if isinstance(cls, OddOne):
-        return _make_plan(WitnessCase.ODD_16M_PLUS_1, m=cls.m)
+        return WitnessPlan(WitnessCase.ODD_16M_PLUS_1, (("m", cls.m),))
     if isinstance(cls, Even16):
         m = cls.m
         if m % 4 == 1:
-            return _make_plan(WitnessCase.POW2_16_4M_PLUS_1, m=(m - 1) // 4)
+            return WitnessPlan(WitnessCase.POW2_16_4M_PLUS_1, (("m", (m - 1) // 4),))
         if m % 4 == 3:
-            return _make_plan(WitnessCase.POW2_16_4M_MINUS_1, m=(m + 1) // 4)
-        return _make_plan(WitnessCase.POW2_16_EVEN, m=m // 2)
+            return WitnessPlan(WitnessCase.POW2_16_4M_MINUS_1, (("m", (m + 1) // 4),))
+        return WitnessPlan(WitnessCase.POW2_16_EVEN, (("m", m // 2),))
     if isinstance(cls, Even15):
         rep = two_squares_2p(cls.p)
         r, s = (rep.x - 3) // 8, (rep.y - 1) // 8
         if cls.odd_cofactor % 4 == 1:
-            return _make_plan(
-                WitnessCase.POW2_15_4M_PLUS_1, m=(cls.odd_cofactor - 1) // 4, r=r, s=s
-            )
-        return _make_plan(
-            WitnessCase.POW2_15_4M_MINUS_1, m=(cls.odd_cofactor + 1) // 4, r=r, s=s
-        )
+            case, m = WitnessCase.POW2_15_4M_PLUS_1, (cls.odd_cofactor - 1) // 4
+        else:
+            case, m = WitnessCase.POW2_15_4M_MINUS_1, (cls.odd_cofactor + 1) // 4
+        return WitnessPlan(case, (("m", m), ("r", r), ("s", s)))
     if isinstance(cls, OddA):
         jp, kp = cls.j % 2, cls.k % 2
         big_j = cls.j // 2 if jp == 0 else (cls.j + 1) // 2
@@ -147,156 +147,86 @@ def plan(cls: SClassification) -> WitnessPlan:
         r, s = _constrained_params(slot_prime, 1 if slot_residue == 5 else 3)
         t, u = _constrained_params(pair[0], 2 * e + 1)
         v, w = _constrained_params(pair[1], 2 * e + 1)
-        case = _A_CASES[(jp, kp, e)]
-        return _make_plan(case, J=big_j, K=big_k, r=r, s=s, t=t, u=u, v=v, w=w, e=e)
+        params = (("J", big_j), ("K", big_k), ("r", r), ("s", s), ("t", t), ("u", u),
+                  ("v", v), ("w", w), ("e", e))
+        return WitnessPlan(_A_CASES[(jp, kp, e)], params)
     raise PreconditionError(f"unrecognized certificate {cls!r}")
 
 
-# --- coefficient tables -----------------------------------------------------
+# --- linear forms and correction rows ---------------------------------------
 
 
-def _tuple_16m_plus_1(m):
-    return (m + 1,) + (m,) * 15
-
-
-def _tuple_pow2_16_4m_plus_1(m):
-    return (m + 2, m, m, m, m, m, m + 1, m, m + 1, m, m, m, m, m, m, m)
-
-
-def _tuple_pow2_16_4m_minus_1(m):
-    return (m + 1, m, m, m - 1, m, m - 1, m, m, m, m, m, m - 1, m, m - 1, m - 1, m)
-
-
-def _tuple_pow2_16_even(m):
-    return (m + 1, m, m, m, m, m, m, m, m + 1, m - 1, m, m, m, m - 1, m, m)
-
-
-def _tuple_pow2_15_plus(m, r, s):
+def _form_m(c, sign, m):
     return (
-        m + r + 1, m + r + 1, m + r + 1, m + r,
-        m + s, m + s, m + s + 1, m + s,
-        m - r + 1, m - r, m - r, m - r - 1,
-        m - s, m - s, m - s, m - s,
+        m + c[0], m + c[1], m + c[2], m + c[3], m + c[4], m + c[5], m + c[6], m + c[7],
+        m + c[8], m + c[9], m + c[10], m + c[11], m + c[12], m + c[13], m + c[14], m + c[15],
     )
 
 
-def _tuple_pow2_15_minus(m, r, s):
+def _form_pow2_15(c, sign, m, r, s):
+    a, b, x, y = m + r, m + s, m - r, m - s
     return (
-        m + r, m + r, m + r + 1, m + r,
-        m + s, m + s, m + s, m + s - 1,
-        m - r, m - r - 1, m - r, m - r - 1,
-        m - s, m - s, m - s - 1, m - s - 1,
+        a + c[0], a + c[1], a + c[2], a + c[3], b + c[4], b + c[5], b + c[6], b + c[7],
+        x + c[8], x + c[9], x + c[10], x + c[11], y + c[12], y + c[13], y + c[14], y + c[15],
     )
 
 
-def _table_a_even_even(J, K, r, s, t, u, v, w, e):
+def _form_a(c, sign, J, K, r, s, t, u, v, w, e):
+    # sign is -1 when j and k share a parity, which negates r and s
+    p, q, r, s = J + K, J - K, sign * r, sign * s
     return (
-        J + K - r + t - v,
-        J + K - s + t + w,
-        J + K + r + t + v + e,
-        J + K + s + t - w,
-        J - K + r + u + w + 1,
-        J - K + s + u + v + 1,
-        J - K - r + u - w,
-        J - K - s + u - v,
-        J + K - r - t + v,
-        J + K - s - t - w - 1,
-        J + K + r - t - v - e,
-        J + K + s - t + w,
-        J - K + r - u - w,
-        J - K + s - u - v,
-        J - K - r - u + w,
-        J - K - s - u + v,
+        p + r + t - v + c[0], p + s + t + w + c[1],
+        p - r + t + v + e + c[2], p - s + t - w + c[3],
+        q - r + u + w + c[4], q - s + u + v + c[5],
+        q + r + u - w + c[6], q + s + u - v + c[7],
+        p + r - t + v + c[8], p + s - t - w + c[9],
+        p - r - t - v - e + c[10], p - s - t + w + c[11],
+        q - r - u - w + c[12], q - s - u - v + c[13],
+        q + r - u + w + c[14], q + s - u + v + c[15],
     )
 
 
-def _table_a_even_odd(J, K, r, s, t, u, v, w, e):
-    return (
-        J + K + r + t - v + 1,
-        J + K + s + t + w + 1,
-        J + K - r + t + v + e,
-        J + K - s + t - w,
-        J - K - r + u + w,
-        J - K - s + u + v,
-        J - K + r + u - w,
-        J - K + s + u - v,
-        J + K + r - t + v + 1,
-        J + K + s - t - w,
-        J + K - r - t - v - e,
-        J + K - s - t + w,
-        J - K - r - u - w - 1,
-        J - K - s - u - v - 1,
-        J - K + r - u + w,
-        J - K + s - u + v,
-    )
+# (j parity, k parity) -> set-A correction row; e is a parameter, so the
+# PAIR13 and PAIR5 cases of one parity pair share a row
+_A_ROWS = {
+    (0, 0): (0, 0, 0, 0, 1, 1, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0),
+    (0, 1): (1, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, -1, -1, 0, 0),
+    (1, 0): (0, 0, -1, -1, 0, 0, 0, 0, 0, -1, -1, -1, -1, -1, 0, 0),
+    (1, 1): (0, 0, 0, 0, 0, 0, -1, -1, 0, -1, 0, 0, -1, -1, -1, -1),
+}
 
-
-def _table_a_odd_even(J, K, r, s, t, u, v, w, e):
-    return (
-        J + K + r + t - v,
-        J + K + s + t + w,
-        J + K - r + t + v + e - 1,
-        J + K - s + t - w - 1,
-        J - K - r + u + w,
-        J - K - s + u + v,
-        J - K + r + u - w,
-        J - K + s + u - v,
-        J + K + r - t + v,
-        J + K + s - t - w - 1,
-        J + K - r - t - v - e - 1,
-        J + K - s - t + w - 1,
-        J - K - r - u - w - 1,
-        J - K - s - u - v - 1,
-        J - K + r - u + w,
-        J - K + s - u + v,
-    )
-
-
-def _table_a_odd_odd(J, K, r, s, t, u, v, w, e):
-    return (
-        J + K - r + t - v,
-        J + K - s + t + w,
-        J + K + r + t + v + e,
-        J + K + s + t - w,
-        J - K + r + u + w,
-        J - K + s + u + v,
-        J - K - r + u - w - 1,
-        J - K - s + u - v - 1,
-        J + K - r - t + v,
-        J + K - s - t - w - 1,
-        J + K + r - t - v - e,
-        J + K + s - t + w,
-        J - K + r - u - w - 1,
-        J - K + s - u - v - 1,
-        J - K - r - u + w - 1,
-        J - K - s - u + v - 1,
-    )
-
-
+# case -> (form, sign, correction row)
 _TABLES = {
-    WitnessCase.ODD_16M_PLUS_1: _tuple_16m_plus_1,
-    WitnessCase.POW2_16_4M_PLUS_1: _tuple_pow2_16_4m_plus_1,
-    WitnessCase.POW2_16_4M_MINUS_1: _tuple_pow2_16_4m_minus_1,
-    WitnessCase.POW2_16_EVEN: _tuple_pow2_16_even,
-    WitnessCase.POW2_15_4M_PLUS_1: _tuple_pow2_15_plus,
-    WitnessCase.POW2_15_4M_MINUS_1: _tuple_pow2_15_minus,
-    WitnessCase.A_EVEN_EVEN_PAIR13: _table_a_even_even,
-    WitnessCase.A_EVEN_EVEN_PAIR5: _table_a_even_even,
-    WitnessCase.A_EVEN_ODD_PAIR13: _table_a_even_odd,
-    WitnessCase.A_EVEN_ODD_PAIR5: _table_a_even_odd,
-    WitnessCase.A_ODD_EVEN_PAIR13: _table_a_odd_even,
-    WitnessCase.A_ODD_EVEN_PAIR5: _table_a_odd_even,
-    WitnessCase.A_ODD_ODD_PAIR13: _table_a_odd_odd,
-    WitnessCase.A_ODD_ODD_PAIR5: _table_a_odd_odd,
+    WitnessCase.ODD_16M_PLUS_1: (_form_m, 1, (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)),
+    WitnessCase.POW2_16_4M_PLUS_1: (
+        _form_m, 1, (2, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0)),
+    WitnessCase.POW2_16_4M_MINUS_1: (
+        _form_m, 1, (1, 0, 0, -1, 0, -1, 0, 0, 0, 0, 0, -1, 0, -1, -1, 0)),
+    WitnessCase.POW2_16_EVEN: (_form_m, 1, (1, 0, 0, 0, 0, 0, 0, 0, 1, -1, 0, 0, 0, -1, 0, 0)),
+    WitnessCase.POW2_15_4M_PLUS_1: (
+        _form_pow2_15, 1, (1, 1, 1, 0, 0, 0, 1, 0, 1, 0, 0, -1, 0, 0, 0, 0)),
+    WitnessCase.POW2_15_4M_MINUS_1: (
+        _form_pow2_15, 1, (0, 0, 1, 0, 0, 0, 0, -1, 0, -1, 0, -1, 0, 0, -1, -1)),
+    **{
+        case: (_form_a, -1 if jp == kp else 1, _A_ROWS[jp, kp])
+        for (jp, kp, _), case in _A_CASES.items()
+    },
 }
 
 
 def emit(p: WitnessPlan) -> CoeffVec16:
-    """Emit the coefficient vector for a plan: its case's table on its parameters."""
-    table = _TABLES.get(p.case)
-    if table is None:
+    """Emit the coefficient vector for a plan.
+
+    The vector is the linear form of the plan's family (``16m+1`` and
+    ``2**16 * m``; ``2**15 * p * odd``; set A) evaluated on the plan's
+    parameters, plus the constant correction row of the plan's case.  The
+    parameter values are passed in order; their names only label them.
+    """
+    entry = _TABLES.get(p.case)
+    if entry is None:
         raise PreconditionError(f"unrecognized case {p.case!r}")
-    return CoeffVec16(table(**p.params))
+    form, sign, row = entry
+    return CoeffVec16(form(row, sign, *[value for _, value in p.params]))
 
 
 def witness(n: int, envelope: Optional[int] = ENVELOPE):

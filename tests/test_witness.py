@@ -210,6 +210,62 @@ class TestConstructionTables:
             witness_module._constrained_params(13, 1)
 
 
+# One certificate per WitnessCase whose plan parameters are nonzero and
+# pairwise distinct (e aside: 1 for PAIR13, 0 for PAIR5), with the vector the
+# construction emitted when these were recorded.  A change that permutes or
+# re-signs entries can keep every determinant and still fail here; the set-A
+# vectors have sixteen distinct entries, so any permutation of them shows.
+PINNED = [
+    (OddOne(-123457), WitnessCase.ODD_16M_PLUS_1, (-123456,) + (-123457,) * 15),
+    (Even16(12005), WitnessCase.POW2_16_4M_PLUS_1,
+     (3003, 3001, 3001, 3001, 3001, 3001, 3002, 3001, 3002, 3001, 3001, 3001, 3001, 3001, 3001,
+      3001)),
+    (Even16(-11997), WitnessCase.POW2_16_4M_MINUS_1,
+     (-2998, -2999, -2999, -3000, -2999, -3000, -2999, -2999, -2999, -2999, -2999, -3000, -2999,
+      -3000, -3000, -2999)),
+    (Even16(-8642), WitnessCase.POW2_16_EVEN,
+     (-4320, -4321, -4321, -4321, -4321, -4321, -4321, -4321, -4320, -4322, -4321, -4321, -4321,
+      -4322, -4321, -4321)),
+    (Even15(1021, 309), WitnessCase.POW2_15_4M_PLUS_1,
+     (80, 80, 80, 79, 82, 82, 83, 82, 76, 75, 75, 74, 72, 72, 72, 72)),
+    (Even15(1021, -221), WitnessCase.POW2_15_4M_MINUS_1,
+     (-53, -53, -52, -53, -50, -50, -50, -51, -57, -58, -57, -58, -60, -60, -61, -61)),
+    (OddA(6, -10, 1061, 1549, 5981), WitnessCase.A_EVEN_EVEN_PAIR13,
+     (-1, 7, 6, -3, 13, 19, 8, 2, 5, -14, -18, 1, -4, 0, 16, 12)),
+    (OddA(6, -10, 1061, 1381, 4597), WitnessCase.A_EVEN_EVEN_PAIR5,
+     (-5, -12, -3, 4, 2, 19, 23, 6, 9, 5, -9, -6, 7, 0, 1, 8)),
+    (OddA(-8, 7, 1181, 1693, 5821), WitnessCase.A_EVEN_ODD_PAIR13,
+     (-15, -3, 5, -8, -6, 0, -4, -10, 13, 10, -5, -2, -7, -23, -12, 4)),
+    (OddA(-8, 7, 1181, 1621, 5653), WitnessCase.A_EVEN_ODD_PAIR5,
+     (-15, 1, 4, -12, -3, -1, -9, -11, 13, 6, -4, 2, -10, -22, -7, 5)),
+    (OddA(9, -14, 1021, 1117, 3389), WitnessCase.A_ODD_EVEN_PAIR13,
+     (-3, -2, -7, -9, 21, 18, 9, 12, 1, -11, -1, 11, 0, 13, 17, 4)),
+    (OddA(9, -14, 1021, 1109, 5381), WitnessCase.A_ODD_EVEN_PAIR5,
+     (-6, 1, 7, 0, 12, 21, 6, -3, 4, -14, -15, 2, 9, 10, 20, 19)),
+    (OddA(-11, 13, 1061, 1117, 5501), WitnessCase.A_ODD_ODD_PAIR13,
+     (3, 6, -6, -10, -3, -8, -14, -9, 7, -7, 0, 14, -28, -13, -2, -17)),
+    (OddA(-11, 13, 1061, 1109, 3061), WitnessCase.A_ODD_ODD_PAIR5,
+     (15, 2, -7, 6, -19, -20, -10, -9, -5, -3, 1, -2, -12, -1, -6, -17)),
+]
+
+
+class TestPinnedVectors:
+    def test_one_pin_per_case(self):
+        assert sorted(c.name for _, c, _ in PINNED) == sorted(c.name for c in WitnessCase)
+
+    @pytest.mark.parametrize("cert, case, expected", PINNED, ids=[c.name for _, c, _ in PINNED])
+    def test_emitted_vector_at_generic_parameters(self, cert, case, expected):
+        p = plan(cert)
+        assert p.case is case
+        params = dict(p.params)
+        if case.name.startswith("A_"):
+            assert params.pop("e") == case.name.endswith("PAIR13")
+            assert len(set(expected)) == 16
+        values = list(params.values())
+        assert 0 not in values and len(set(values)) == len(values)
+        assert tuple(emit(p)) == expected
+
+
 # One value per WitnessCase: the first fourteen values of the golden suite.
 CASE_VALUES = (
     17, 65536, 196608, 131072, 163840, 491520,
