@@ -3,9 +3,10 @@
 * :func:`det16_direct` builds the literal 16x16 matrix ``M[g][h] = a[g*h^-1]``
   from a group index table and eliminates it fraction-free, two steps per
   pass (two-step Bareiss), staying in exact integers.  Where a 2x2 pivot
-  minor vanishes it hands the trailing block to one-step elimination with
-  row swaps.  The elimination is generic: it uses nothing of the group
-  structure.  This is the oracle every other route is checked against.
+  minor vanishes, a pivot search swaps in two rows that are independent in
+  those columns, and the same pass goes on.  The elimination is generic: it
+  uses nothing of the group structure.  This is the oracle every other
+  route is checked against.
 * :func:`det16_factored` uses the closed form
   ``det4(b) * det4(c) * beta_norm * gamma_norm`` over the derived spectra,
   evaluated in one frame: the spectra of :func:`derive`, :func:`det4` and
@@ -100,49 +101,41 @@ def group_matrix(a):
     return [[a[t] for t in row] for row in _GROUP_INDEX]
 
 
-def _det_bareiss_one_step(m, start: int, prev: int) -> int:
-    # Fraction-free elimination from step start on, with running divisor prev;
-    # every interior division is exact.  Rows with a zero in the pivot
-    # column still pick up the pivot scaling, which is the same update with
-    # f == 0.  This is the one place that swaps rows.
-    n = len(m)
-    sign = 1
-    for k in range(start, n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pk = m[k]
-        piv = pk[k]
-        cols = range(k + 1, n)
-        for ri in m[k + 1:]:
-            f = ri[k]
-            for j in cols:
-                ri[j] = (ri[j] * piv - f * pk[j]) // prev
-        prev = piv
-    return sign * m[n - 1][n - 1]
-
-
 def _det_bareiss(m) -> int:
-    # Two-step fraction-free elimination (Bareiss 1968).  Steps k and k+1
-    # run as one pass whose pivot is the 2x2 minor c0 of rows and columns
-    # k, k+1; each lower row gets the two cofactors c1, c2 of its entries in
-    # those columns.  Every division by prev is exact by Sylvester's
-    # identity, and a_kk alone is never a divisor, so only c0 must be
-    # nonzero.  When c0 == 0 the trailing block and the running divisor go
-    # to the one-step loop, which resumes the same elimination there.
+    # Two-step fraction-free elimination (Bareiss 1968); reorders the rows
+    # of m in place.  Each pass eliminates columns k, k+1 with the 2x2 pivot
+    # minor c0 of rows k, k+1, and each lower row gets the two cofactors
+    # c1, c2 of its entries there.  Every division by prev is exact by
+    # Sylvester's identity, in any row order.  When c0 == 0, the first row
+    # i >= k with a nonzero pair in columns k, k+1 and the first row j > i
+    # with a pair independent of it are swapped into k and k+1 (so j > k + 1);
+    # without both, those columns are dependent and the determinant is 0.
     n = len(m)
-    prev = 1
+    prev = sign = 1
     for k in range(0, n - 1, 2):
         pk, pk1 = m[k], m[k + 1]
         a, b, c, d = pk[k], pk[k + 1], pk1[k], pk1[k + 1]
         c0 = (a * d - b * c) // prev
         if c0 == 0:
-            return _det_bareiss_one_step(m, k, prev)
+            for i in range(k, n):
+                a, b = m[i][k], m[i][k + 1]
+                if a or b:
+                    break
+            else:
+                return 0
+            for j in range(i + 1, n):
+                c, d = m[j][k], m[j][k + 1]
+                if a * d - b * c:
+                    break
+            else:
+                return 0
+            if i != k:
+                m[k], m[i] = m[i], m[k]
+                sign = -sign
+            m[k + 1], m[j] = m[j], m[k + 1]
+            sign = -sign
+            pk, pk1 = m[k], m[k + 1]
+            c0 = (a * d - b * c) // prev
         cols = range(k + 2, n)
         for ri in m[k + 2:]:
             x0, x1 = ri[k], ri[k + 1]
@@ -153,16 +146,17 @@ def _det_bareiss(m) -> int:
         prev = c0
     # n even: the last pivot c0 is the whole determinant; n odd: the last
     # row holds it.
-    return prev if n % 2 == 0 else m[n - 1][n - 1]
+    return sign * (prev if n % 2 == 0 else m[n - 1][n - 1])
 
 
 def det16_direct(a) -> int:
     """Exact determinant of the full 16x16 group matrix.
 
     The reference oracle: independent of the factored and spectral routes.
-    It eliminates two steps per pass (two-step Bareiss), handing off to
-    one-step elimination with row swaps where a 2x2 pivot minor vanishes.
-    The elimination is generic: it reads the matrix, not the group.
+    It eliminates two steps per pass (two-step Bareiss) in one loop; where a
+    2x2 pivot minor vanishes it swaps in two rows whose entries in the pivot
+    columns are independent, or returns 0 if there are none.  The
+    elimination is generic: it reads the matrix, not the group.
     """
     return _det_bareiss(group_matrix(a))
 

@@ -127,8 +127,10 @@ def _strong_lucas_probable_prime(n: int) -> bool:
 def is_prime(n: int) -> bool:
     """Primality of n (negatives are not prime).
 
-    Proven Miller-Rabin base sets below ~3.3e24; BPSW at and above.
+    Proven Miller-Rabin base sets below ~3.3e24; BPSW at and above.  Raises
+    TypeError unless n is an int (not a bool).
     """
+    check_envelope(n, None)
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -220,14 +222,11 @@ def _factor_unsigned(n: int) -> dict:
                 out[p] = e
     if n == 1:
         return out
-    if n < _TRIAL_BOUND * _TRIAL_BOUND or is_prime(n):
-        # no factor below the trial bound, so a small survivor is prime
-        out[n] = out.get(n, 0) + 1
-        return out
     stack = [n]
     while stack:
         m = stack.pop()
-        if is_prime(m):
+        # trial division leaves no composite piece below the bound squared
+        if m < _TRIAL_BOUND * _TRIAL_BOUND or is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
         d = _brent_rho(m)
@@ -271,7 +270,7 @@ def divisors(fac: Factorization) -> list:
 
 def is_in_P(p: int) -> bool:
     """True iff p is a positive prime congruent to 5 mod 8."""
-    return p > 0 and p % 8 == 5 and is_prime(p)
+    return is_prime(p) and p % 8 == 5
 
 
 def signed_divisors_1mod8(c: int, envelope: Optional[int] = ENVELOPE) -> list:

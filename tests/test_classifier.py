@@ -225,6 +225,13 @@ class TestValidator:
         with pytest.raises(InternalMismatchError, match=message):
             validate_certificate(cert, n)
 
+    @pytest.mark.parametrize("cert, n", [(OddA(0, 0, 5.0, 5, 5), -375), (Even15(5.0, 1), 163840)],
+                             ids=["odd-a", "even15"])
+    def test_rejects_a_float_prime(self, cert, n):
+        # both used to pass: 5.0 reconstructs n and passed as a prime 5 mod 8
+        with pytest.raises(TypeError, match="^expected an exact integer, got 5.0$"):
+            validate_certificate(cert, n)
+
 
 class TestValidateOnce:
     def test_failing_certificate_raises_on_every_call_and_is_not_cached(self, monkeypatch):

@@ -294,32 +294,30 @@ def leading_minor(mat, size):
     return det_gauss_slow([row[:size] for row in mat[:size]])
 
 
-@pytest.fixture
-def hand_offs(monkeypatch):
-    """The start step of every call into the one-step loop."""
-    starts = []
-    one_step = gdet._det_bareiss_one_step
+def eliminate(mat):
+    """_det_bareiss on a copy of mat: the determinant and the final row order.
 
-    def recording(m, start, prev):
-        starts.append(start)
-        return one_step(m, start, prev)
-
-    monkeypatch.setattr(gdet, "_det_bareiss_one_step", recording)
-    return starts
+    _det_bareiss reorders its list of rows in place, so order[p] is the input
+    index of the row left at position p; list(range(n)) means no pivot search
+    moved a row.
+    """
+    rows = [list(r) for r in mat]
+    ids = [id(r) for r in rows]
+    det = gdet._det_bareiss(rows)
+    return det, [ids.index(id(r)) for r in rows]
 
 
 class TestTwoStepBareiss:
-    def test_zero_diagonal_needs_no_one_by_one_pivot(self, hand_offs):
+    def test_zero_diagonal_needs_no_one_by_one_pivot(self):
         rng = random.Random(2024)
         for n in range(2, 10):
             for _ in range(20):
                 mat = zero_diagonal_matrix(n, rng)
                 assert mat[0][0] == 0
                 assert all(leading_minor(mat, k + 1) == 0 for k in range(0, n - 1, 2))
-                assert gdet._det_bareiss([list(r) for r in mat]) == det_gauss_slow(mat)
-        assert hand_offs == []
+                assert eliminate(mat) == (det_gauss_slow(mat), list(range(n)))
 
-    def test_group_matrices_with_nonzero_pivot_minors_stay_two_step(self, hand_offs):
+    def test_group_matrices_with_nonzero_pivot_minors_stay_two_step(self):
         rng = random.Random(77)
         checked = 0
         while checked < 30:
@@ -327,15 +325,17 @@ class TestTwoStepBareiss:
             mat = group_matrix(a)
             if all(leading_minor(mat, k + 2) for k in range(0, 16, 2)):
                 assert det16_direct(a) == det_gauss_slow(mat)
+                assert eliminate(mat) == (det16_direct(a), list(range(16)))
                 checked += 1
-        assert hand_offs == []
 
     @pytest.mark.parametrize("k", range(0, 16, 2))
     @pytest.mark.parametrize("shape", ["repeated", "zero"])
-    def test_hand_off_at_each_pair(self, k, shape, hand_offs):
+    def test_hand_off_at_each_pair(self, k, shape):
         # "repeated": rows k and k+1 agree on columns 0..k+1, so the 2x2
-        # pivot minor at k is zero; "zero": both rows vanish there, so the
-        # one-step loop must also swap a lower row into place.
+        # pivot minor at k is zero and a lower row moves into k+1; "zero":
+        # both rows vanish there, so a lower row also moves into k.  At
+        # k = 14 there is no lower row: the matrix is singular and no row
+        # moves.
         rng = random.Random(1000 + k)
         for _ in range(5):
             mat = [[rng.randint(-9, 9) for _ in range(16)] for _ in range(16)]
@@ -343,9 +343,38 @@ class TestTwoStepBareiss:
                 mat[k + 1][:k + 2] = mat[k][:k + 2]
             else:
                 mat[k][:k + 2] = mat[k + 1][:k + 2] = [0] * (k + 2)
-            hand_offs.clear()
-            assert gdet._det_bareiss([list(r) for r in mat]) == det_gauss_slow(mat)
-            assert hand_offs == [k]
+            det, order = eliminate(mat)
+            assert det == det_gauss_slow(mat)
+            assert order[:k] == list(range(k))
+            if k == 14:
+                assert (det, order) == (0, list(range(16)))
+            else:
+                assert order[k:k + 2] != [k, k + 1]
+                assert shape == "repeated" or order[k] > k + 1
+
+    @pytest.mark.parametrize("n", [7, 8])
+    @pytest.mark.parametrize("shape", ["zero", "rank one"])
+    def test_dependent_pivot_columns_give_zero(self, n, shape):
+        # "zero": rows k.. vanish on columns 0..k+1, so no row at or below k
+        # has a nonzero pair; "rank one": column k+1 is twice column k, so
+        # every pair is a multiple of the first nonzero one.  Either way the
+        # search returns 0 before it moves a row.
+        rng = random.Random(f"dependent {n} {shape}")
+        for k in range(0, n - 1, 2):
+            mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            for i, row in enumerate(mat):
+                if shape == "zero" and i >= k:
+                    row[:k + 2] = [0] * (k + 2)
+                elif shape == "rank one":
+                    row[k + 1] = 2 * row[k]
+            assert det_gauss_slow(mat) == 0
+            assert eliminate(mat) == (0, list(range(n)))
+
+    def test_lower_row_becomes_the_pivot(self):
+        # Row 0 has a zero pair, so row 1 moves into 0 and row 2, the first
+        # independent of it, into 1.
+        mat = [[0, 0, 1, 2], [1, 2, 3, 4], [2, 5, 1, 1], [3, 1, 4, 1]]
+        assert eliminate(mat) == (det_gauss_slow(mat), [1, 2, 0, 3])
 
     @pytest.mark.parametrize("low, high", [(-9, 9), (0, 1), (-1, 1), (-10**9, 10**9)])
     def test_three_routes_agree_on_seeded_tuples(self, low, high):

@@ -65,6 +65,15 @@ class TestPrimality:
         assert not is_prime(0)
         assert not is_prime(1)
 
+    @pytest.mark.parametrize("value", [13.0, 5.0, 41.0, True])
+    def test_rejects_non_integers(self, value):
+        # is_prime(13.0) and is_in_P(5.0) used to return True, and is_prime(41.0)
+        # failed inside the Miller-Rabin step
+        with pytest.raises(TypeError, match="^expected an exact integer, got "):
+            is_prime(value)
+        with pytest.raises(TypeError, match="^expected an exact integer, got "):
+            is_in_P(value)
+
     def test_carmichael_numbers(self):
         for n in (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265):
             assert not is_prime(n)
@@ -225,6 +234,8 @@ class TestTrialScreen:
         values += [p * 1000003 for p in primes[::11]] + [p * 999999000001 for p in primes[::97]]
         values += [2**40, 3**25, 2**20 * 10007, 10007 * 10009, 10007 * 10009 * 10037]
         values += [1000003 * 999999000001, 1, 2, 997, 10**12]
+        # rho pieces below and above the trial bound squared
+        values += [11003 * 11027 * 11047, 11003**2 * 1000003, 11027 * 1000003 * 999999000001]
         for n in values:
             self.assert_same(n)
 
