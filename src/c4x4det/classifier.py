@@ -21,7 +21,7 @@ from typing import Optional, Union
 
 from .core import _Record
 from .errors import InternalMismatchError, PreconditionError
-from .numtheory import ENVELOPE, check_envelope, factorize, is_in_P
+from .numtheory import ENVELOPE, Factorization, check_envelope, factorize, is_in_P, is_prime
 # Not used here: the benchmark's trace wraps classifier.signed_divisors_1mod8 by name.
 from .numtheory import signed_divisors_1mod8  # noqa: F401
 
@@ -185,7 +185,11 @@ def a_decompose(n: int, envelope: Optional[int] = ENVELOPE) -> Optional[OddA]:
     """
     if n % 16 != 9:
         raise PreconditionError(f"{n} is not an odd value congruent to 9 mod 16")
-    fac = factorize(n, envelope=envelope)
+    return _a_certificate(n, factorize(n, envelope=envelope))
+
+
+def _a_certificate(n: int, fac: Factorization) -> Optional[OddA]:
+    # a_decompose on the factorization of n
     triple = [p for p, e in fac.factors if p % 8 == 5 for _ in range(e)][:3]
     if len(triple) < 3:
         return None
@@ -197,15 +201,35 @@ def a_decompose(n: int, envelope: Optional[int] = ENVELOPE) -> Optional[OddA]:
     return OddA((d - 1) // 8, (c // d + 3) // 8, p1, p2, p3)
 
 
+def _check_rejection(m: int, fac: Factorization, most: int) -> None:
+    """Re-check the factorization a rejection rests on.
+
+    ``fac`` must be a complete factorization of ``m`` into primes with at
+    most ``most`` factors 5 mod 8, counted with multiplicity.  Raises
+    :class:`InternalMismatchError` otherwise, so a splitting defect cannot
+    turn an attainable value into a silent "not attainable".
+    """
+    if prod(p**e for p, e in fac.factors) != abs(m):
+        raise InternalMismatchError(f"{fac} does not multiply back to |{m}|")
+    for p, _e in fac.factors:
+        if not is_prime(p):
+            raise InternalMismatchError(f"factor {p} of {m} is not prime")
+    if sum(e for p, e in fac.factors if p % 8 == 5) > most:
+        raise InternalMismatchError(f"{m} has more than {most} prime factors 5 mod 8")
+
+
 def _decide(n: int) -> SClassification:
-    # The cold decision: a certificate or a rejection, not yet validated.
+    # The cold decision: a certificate, not yet validated, or a rejection
+    # whose factorization has been re-checked.
     if n % 2 == 1:
         r = n % 16
         if r == 1:
             return OddOne((n - 1) // 16)
         if r == 9:
-            cert = a_decompose(n, envelope=None)
+            fac = factorize(n, envelope=None)
+            cert = _a_certificate(n, fac)
             if cert is None:
+                _check_rejection(n, fac, 2)
                 return NotInS(Reason.ODD_A_NO_DECOMPOSITION)
             return cert
         return NotInS(Reason.ODD_BAD_RESIDUE)
@@ -217,8 +241,10 @@ def _decide(n: int) -> SClassification:
     if v >= 16:
         return Even16(n // 2**16)
     odd = n >> 15
-    p = next((q for q, _e in factorize(abs(odd), envelope=None).factors if q % 8 == 5), None)
+    fac = factorize(abs(odd), envelope=None)
+    p = next((q for q, _e in fac.factors if q % 8 == 5), None)
     if p is None:
+        _check_rejection(odd, fac, 0)
         return NotInS(Reason.EVEN15_NO_PRIME_IN_P)
     return Even15(p, odd // p)
 
@@ -227,7 +253,8 @@ def _decide(n: int) -> SClassification:
 def _classify_unbounded(n: int) -> SClassification:
     # Validation runs before the result is cached, so each distinct value is
     # validated once; lru_cache keeps no exception, so a certificate that
-    # fails raises again on every call.
+    # fails raises again on every call.  _decide re-checks the factorization
+    # behind a rejection itself, so that is cached only once checked too.
     cls = _decide(n)
     if not isinstance(cls, NotInS):
         validate_certificate(cls, n)
@@ -238,9 +265,11 @@ def classify(n: int, envelope: Optional[int] = ENVELOPE) -> SClassification:
     """Classify n against the attainable-value families.
 
     Returns a certificate whose invariants have been re-checked, or a
-    :class:`NotInS` carrying the rejection reason.  Raises
-    :class:`EnvelopeExceededError` when |n| exceeds ``envelope``; pass
-    ``envelope=None`` to classify arbitrarily large integers.
+    :class:`NotInS` carrying the rejection reason; a rejection that rests on
+    a factorization is returned only once that factorization is re-checked.
+    Raises :class:`EnvelopeExceededError` when |n| exceeds ``envelope``;
+    pass ``envelope=None`` to classify arbitrarily large integers.
     """
-    check_envelope(n, envelope)
+    if envelope is not None or type(n) is not int:
+        check_envelope(n, envelope)
     return _classify_unbounded(n)

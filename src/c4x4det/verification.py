@@ -4,7 +4,10 @@ Two directions are exercised:
 
 * membership scans (:func:`scan_exhaustive`, :func:`scan_random`) evaluate
   determinants of many coefficient vectors and insist the classifier accepts
-  every one of them;
+  every one of them.  An exhaustive block builds its tuples in C and runs
+  the factored route and :func:`classify` over them as two mapped passes,
+  one call each per tuple; a random block also runs the direct and
+  spectral routes on each tuple and requires all three to agree;
 * :func:`window_roundtrip` walks a window of integers, synthesizing and
   re-verifying a witness for every value the classifier accepts.
 
@@ -20,7 +23,7 @@ import os
 import random
 import time
 from collections import deque
-from itertools import islice, product
+from itertools import islice, product, repeat
 from typing import Iterable, Iterator, Optional
 
 from .classifier import NotInS, classify
@@ -72,11 +75,13 @@ class ScanReport(_Record):
             )
 
 
-def _scan_block(tuples: Iterable, require_oracle: bool):
-    """(checked, violations, seen values) over one block of tuples.
+def _scan_block(tuples: Iterable):
+    """(checked, violations, seen values) over one block of random tuples.
 
-    Each value comes from the factored route.  With ``require_oracle`` the
-    direct and spectral routes must agree with it before it is classified.
+    The direct, factored and spectral routes must agree on each tuple before
+    its value is classified.  Exhaustive blocks do not loop here: they run
+    the factored route and ``classify`` as mapped passes in
+    :func:`_exhaustive_block`.
     """
     checked = 0
     violations = []
@@ -85,17 +90,16 @@ def _scan_block(tuples: Iterable, require_oracle: bool):
         checked += 1
         value = det16_factored(a)
         seen.add(value)
-        if require_oracle:
-            direct = det16_direct(a)
-            spectral = det16_spectral(a)
-            if not (direct == value == spectral):
-                violations.append((
-                    a,
-                    value,
-                    f"determinant routes disagree: direct={direct} "
-                    f"factored={value} spectral={spectral}",
-                ))
-                continue
+        direct = det16_direct(a)
+        spectral = det16_spectral(a)
+        if not (direct == value == spectral):
+            violations.append((
+                a,
+                value,
+                f"determinant routes disagree: direct={direct} "
+                f"factored={value} spectral={spectral}",
+            ))
+            continue
         cls = classify(value, envelope=None)
         if isinstance(cls, NotInS):
             violations.append((a, value, cls))
@@ -103,16 +107,29 @@ def _scan_block(tuples: Iterable, require_oracle: bool):
 
 
 def _exhaustive_block(args):
+    # The prefix entries enter product() as one-element factors, so each
+    # 16-tuple is built in C; the tuples are regenerated, not held, for the
+    # violation list, which by the theorem stays empty.
     support, prefix, count = args
-    tails = islice(product(support, repeat=16 - len(prefix)), count)
-    return _scan_block((prefix + tail for tail in tails), False)
+    factors = [(x,) for x in prefix] + [support] * (16 - len(prefix))
+    values = list(map(det16_factored, islice(product(*factors), count)))
+    classes = list(map(classify, values, repeat(None)))
+    violations = []
+    if NotInS in map(type, classes):
+        tuples = islice(product(*factors), count)
+        violations = [
+            (a, value, cls)
+            for a, value, cls in zip(tuples, values, classes)
+            if isinstance(cls, NotInS)
+        ]
+    return len(values), violations, set(values)
 
 
 def _random_block(args):
     seed, block, size, bound = args
     rng = random.Random(seed * (1 << 32) + block)
     tuples = (tuple(rng.randint(-bound, bound) for _ in range(16)) for _ in range(size))
-    return _scan_block(tuples, True)
+    return _scan_block(tuples)
 
 
 def _bounded_map(pool, block_fn, blocks, window: int) -> Iterator:

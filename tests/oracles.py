@@ -6,7 +6,8 @@ shared bug.  ``a_decompose_walk`` is the one reference built on library
 parts (see its docstring).  ``spectral_factors_gauss``, ``det4_gauss``,
 ``det2`` and ``beta_gamma_norms_alt`` are library-free too: Gaussian
 integers here are plain ``(re, im)`` pairs, combined by ``gauss_add`` and
-``gauss_mul``.
+``gauss_mul``.  ``Poly`` runs integer code on free variables, so a formula
+can be checked as a polynomial identity.
 """
 
 from itertools import combinations_with_replacement
@@ -257,3 +258,73 @@ def beta_gamma_norms_alt(d) -> tuple:
         (d0 - d2) * (d5 - d7) - (d4 - d6) * (d1 - d3)
     ) ** 2
     return beta, gamma
+
+
+class Poly:
+    """Polynomial with integer coefficients, held as ``{monomial: coefficient}``.
+
+    A monomial packs each variable's exponent into 8 bits of an int, so the
+    product of two monomials is the sum of their keys and the constant
+    monomial is 0 (exponents must stay below 256).  Only ``+``, ``-``, ``*``
+    and ``==`` / ``!=`` are defined, with ints on either side: enough to run
+    code written for integers on free variables and compare the expansions.
+    """
+
+    __slots__ = ("terms",)
+    __hash__ = None
+
+    def __init__(self, terms):
+        self.terms = {m: c for m, c in terms.items() if c}
+
+    @classmethod
+    def variables(cls, count) -> list:
+        return [cls({1 << (8 * i): 1}) for i in range(count)]
+
+    @staticmethod
+    def _terms(x):
+        if isinstance(x, Poly):
+            return x.terms
+        if type(x) is int:
+            return {0: x}
+        return None
+
+    def __add__(self, other):
+        terms = Poly._terms(other)
+        if terms is None:
+            return NotImplemented
+        out = dict(self.terms)
+        for m, c in terms.items():
+            out[m] = out.get(m, 0) + c
+        return Poly(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Poly({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        terms = Poly._terms(other)
+        if terms is None:
+            return NotImplemented
+        out = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in terms.items():
+                out[m1 + m2] = out.get(m1 + m2, 0) + c1 * c2
+        return Poly(out)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        terms = Poly._terms(other)
+        if terms is None:
+            return NotImplemented
+        return self.terms == {m: c for m, c in terms.items() if c}
+
+    def __repr__(self):
+        return f"Poly({self.terms})"

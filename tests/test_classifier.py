@@ -20,7 +20,7 @@ from c4x4det.classifier import (
 )
 from c4x4det.errors import EnvelopeExceededError, InternalMismatchError, PreconditionError
 from c4x4det.gdet import det16_direct
-from c4x4det.numtheory import is_in_P, signed_divisors_1mod8
+from c4x4det.numtheory import Factorization, is_in_P, signed_divisors_1mod8
 from c4x4det.verification import scan_random
 
 
@@ -96,6 +96,15 @@ class TestClassify:
             classify(value)
         with pytest.raises(TypeError):
             classify(value, envelope=None)
+
+    def test_int_subclass(self):
+        # an int subclass is not an int by type, so it takes the checked path
+        class N(int):
+            pass
+
+        assert classify(N(17), envelope=None) == classify(17)
+        with pytest.raises(EnvelopeExceededError):
+            classify(N(10**13))
 
     def test_envelope_scale_members(self):
         # near the top of the supported range in each family
@@ -258,6 +267,54 @@ class TestValidateOnce:
         assert all(classify(-375) is first for _ in range(50))
         assert all(classify(-375, envelope=None) is first for _ in range(50))
         assert calls == [-375]
+
+
+@pytest.fixture
+def merged_primes(monkeypatch):
+    """Factor as if 11069 * 11093 (both 5 mod 8) were one prime (1 mod 8)."""
+    real = classifier.factorize
+
+    def merged(n, envelope=None):
+        exps = dict(real(n, envelope=envelope).factors)
+        if exps.get(11069) == exps.get(11093) == 1:
+            del exps[11069], exps[11093]
+            exps[11069 * 11093] = 1
+        return Factorization(1 if n > 0 else -1, tuple(sorted(exps.items())))
+
+    monkeypatch.setattr(classifier, "factorize", merged)
+    classifier._classify_unbounded.cache_clear()
+    yield
+    classifier._classify_unbounded.cache_clear()
+
+
+class TestRejectionCheck:
+    @pytest.mark.parametrize("n, right", [
+        (3069710425, OddA(0, 1387, 5, 5, 11069)),  # 5**2 * 11069 * 11093
+        (2**15 * 11069 * 11093, Even15(11069, 11093)),
+    ], ids=["odd-a", "even15"])
+    def test_merged_primes_raise(self, n, right, merged_primes, monkeypatch):
+        # the merged factorization leaves too few primes 5 mod 8, so the cold
+        # decision rejects; the check finds the composite "prime" instead
+        for _ in range(2):
+            with pytest.raises(InternalMismatchError, match="not prime"):
+                classify(n, envelope=None)
+            assert classifier._classify_unbounded.cache_info().currsize == 0
+        monkeypatch.undo()
+        assert classify(n, envelope=None) == right
+
+    def test_each_condition(self):
+        n = 3069710425
+        whole = Factorization(1, ((5, 2), (11069, 1), (11093, 1)))
+        classifier._check_rejection(n, whole, 4)
+        classifier._check_rejection(-n, whole, 4)
+        cases = [
+            (Factorization(1, ((5, 2), (11069, 1))), 4, "multiply back"),
+            (Factorization(1, ((5, 2), (11069 * 11093, 1))), 4, "not prime"),
+            (whole, 3, "more than 3"),
+        ]
+        for fac, most, message in cases:
+            with pytest.raises(InternalMismatchError, match=message):
+                classifier._check_rejection(n, fac, most)
 
 
 class TestConsistencyWithDeterminants:

@@ -8,7 +8,8 @@ import identities
 import pytest
 
 from c4x4det import verification
-from c4x4det.classifier import NotInS, classify
+from c4x4det.classifier import NotInS, Reason, classify
+from c4x4det.gdet import det16_spectral
 from c4x4det.verification import scan_exhaustive, scan_random, window_roundtrip
 
 witness_module = importlib.import_module("c4x4det.witness")
@@ -47,6 +48,14 @@ class TestScanExhaustive:
         report = scan_exhaustive((0, 1), limit=100)
         assert "PASS" in report.summary()
         assert list(report.json_lines()) == []
+
+    def test_block_boundary_matches_brute_force(self):
+        # blocks of 1000 over range(10): the limit ends 234 tuples into the
+        # second block, whose prefix differs from the first in its last entry
+        tuples = list(islice(product(range(10), repeat=16), 1234))
+        report = scan_exhaustive(range(10), limit=1234)
+        assert report.tuples_checked == len(tuples) == 1234
+        assert report.seen_values == set(map(det16_spectral, tuples))
 
     def test_support_wider_than_a_block(self, monkeypatch):
         # 5000 > 4096 entries: a block still runs the last entry over the support
@@ -305,20 +314,27 @@ class TestInvalidSizes:
             call()
 
 
+def _reject_odd(n, envelope=None):
+    if n % 2 == 1:
+        return NotInS(Reason.ODD_BAD_RESIDUE)
+    return classify(n, envelope=envelope)
+
+
 class TestScanFindsClassifierRegressions:
     def test_violation_is_reported_not_raised(self, monkeypatch):
         # a scan over a corrupted classifier must report, not crash
-        import c4x4det.verification as verification
-        from c4x4det.classifier import Reason
-
-        real = classify
-
-        def reject_odd(n, envelope=None):
-            if n % 2 == 1:
-                return NotInS(Reason.ODD_BAD_RESIDUE)
-            return real(n, envelope=envelope)
-
-        monkeypatch.setattr(verification, "classify", reject_odd)
+        monkeypatch.setattr(verification, "classify", _reject_odd)
         report = verification.scan_exhaustive((0, 1), limit=300)
         assert not report.ok
         assert all(json.loads(line)["detail"] for line in report.json_lines())
+
+    def test_violations_match_brute_force_in_order(self, monkeypatch):
+        monkeypatch.setattr(verification, "classify", _reject_odd)
+        expected = []
+        for a in islice(product((0, 1), repeat=16), 300):
+            value = det16_spectral(a)
+            cls = _reject_odd(value)
+            if isinstance(cls, NotInS):
+                expected.append((a, value, cls))
+        assert expected
+        assert list(scan_exhaustive((0, 1), limit=300).violations) == expected

@@ -1,7 +1,9 @@
 import importlib
 import random
+from itertools import product
 
 import pytest
+from oracles import Poly
 
 from c4x4det.classifier import Even15, Even16, NotInS, OddA, OddOne, Reason, classify
 from c4x4det.core import CoeffVec16
@@ -11,7 +13,7 @@ from c4x4det.errors import (
     NotAttainableError,
     PreconditionError,
 )
-from c4x4det.gdet import det16_direct
+from c4x4det.gdet import det16_direct, det16_factored, det16_spectral
 from c4x4det.numtheory import TwoSquaresRep, is_in_P, two_squares_prime_5mod8
 from c4x4det.witness import WitnessCase, WitnessPlan, emit, plan, witness
 
@@ -264,6 +266,68 @@ class TestPinnedVectors:
         values = list(params.values())
         assert 0 not in values and len(set(values)) == len(values)
         assert tuple(emit(p)) == expected
+
+
+def _prime_5mod8(h, low, x):
+    """(8h + x)^2 + (8 low + 2)^2: a prime 5 mod 8 as a sum of two squares."""
+    return (8 * h + x) * (8 * h + x) + (8 * low + 2) * (8 * low + 2)
+
+
+def _family_polynomials() -> dict:
+    """case -> (plan parameters as free variables, value polynomial).
+
+    The values are the paper's families in the plan's parameters: ``16m+1``,
+    ``2^16 * m`` by ``m mod 4``, ``2^15 * p * odd`` with ``2p = (8r+3)^2 +
+    (8s+1)^2``, and set A: ``(8j+1)(8k-3) p1 p2 p3``, where ``j = 2J`` or
+    ``2J-1`` and ``k = 2K`` or ``2K+1`` by parity, the slot prime is 5 mod 16
+    (x = 1) when j and k share a parity and 13 mod 16 (x = 3) otherwise, and
+    the paired primes take x = 2e+1.
+    """
+    (m,) = Poly.variables(1)
+    cases = {
+        WitnessCase.ODD_16M_PLUS_1: ((m,), 16 * m + 1),
+        WitnessCase.POW2_16_4M_PLUS_1: ((m,), 2**16 * (4 * m + 1)),
+        WitnessCase.POW2_16_4M_MINUS_1: ((m,), 2**16 * (4 * m - 1)),
+        WitnessCase.POW2_16_EVEN: ((m,), 2**16 * (2 * m)),
+    }
+    m, r, s = Poly.variables(3)
+    two_p = (8 * r + 3) * (8 * r + 3) + (8 * s + 1) * (8 * s + 1)
+    cases[WitnessCase.POW2_15_4M_PLUS_1] = ((m, r, s), 2**14 * two_p * (4 * m + 1))
+    cases[WitnessCase.POW2_15_4M_MINUS_1] = ((m, r, s), 2**14 * two_p * (4 * m - 1))
+    J, K, r, s, t, u, v, w = Poly.variables(8)
+    parities = (("EVEN", 0), ("ODD", 1))
+    for (jname, jp), (kname, kp), e in product(parities, parities, (1, 0)):
+        case = WitnessCase[f"A_{jname}_{kname}_PAIR{13 if e else 5}"]
+        j = 2 * J - jp
+        k = 2 * K + kp
+        slot = _prime_5mod8(r, s, 1 if jp == kp else 3)
+        pair = _prime_5mod8(t, u, 2 * e + 1) * _prime_5mod8(v, w, 2 * e + 1)
+        cases[case] = ((J, K, r, s, t, u, v, w, e), (8 * j + 1) * (8 * k - 3) * slot * pair)
+    return cases
+
+
+class TestFormsArePolynomialIdentities:
+    """Each case's form and row, on free parameters, has the family's value.
+
+    The forms see only ``+``, ``-`` and ``*``, so they run unchanged on
+    polynomials, and so do the factored and spectral routes; the direct
+    route divides and cannot.  An identity holds for every parameter value,
+    which leaves ``plan`` and the two-squares routines to the runtime
+    re-check.
+    """
+
+    FAMILIES = _family_polynomials()
+
+    def test_every_case(self):
+        assert set(self.FAMILIES) == set(WitnessCase)
+
+    @pytest.mark.parametrize("case", list(WitnessCase), ids=lambda c: c.name)
+    def test_both_routes_expand_to_the_family(self, case):
+        params, value = self.FAMILIES[case]
+        form, sign, row = witness_module._TABLES[case]
+        vec = form(row, sign, *params)
+        assert det16_factored(vec) == value
+        assert det16_spectral(vec) == value
 
 
 # One value per WitnessCase: the first fourteen values of the golden suite.
