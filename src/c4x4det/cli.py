@@ -4,6 +4,16 @@ Exit codes are uniform across subcommands: 0 for success (value in S, scan
 clean), 1 for a semantic negative (value not in S, violations found), 2 for
 usage errors including out-of-envelope inputs.
 
+The argument grammar is one table, ``_GRAMMAR``: per command, its integer
+positionals, its value options with their defaults, and its switches.
+``--opt value`` and ``--opt=value`` both work and take the value token as it
+stands, so ``--support -1,0,1`` works; the last of a repeated option wins.
+Options and positionals may come in any order, ``--`` ends the options, and
+a token that ``int()`` accepts is a positional even when it starts with
+``-`` (``classify -375``).  Option names are spelled in full.  ``-h`` or
+``--help`` prints ``USAGE`` and exits 0; any other bad argv prints usage and
+one ``c4x4det <command>: error:`` line on stderr and exits 2.
+
 JSON output is line oriented, one document per line, with stable field
 names: value, status, class, params, witness, verified (plus reason on
 rejections).  Integer values are rendered as decimal strings so consumers
@@ -12,8 +22,8 @@ never squeeze them through a float.
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from .classifier import Even15, Even16, NotInS, OddA, OddOne, classify
 from .core import derive
@@ -22,6 +32,16 @@ from .errors import EnvelopeExceededError, FactorizationError, NotAttainableErro
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
+
+# The help text; the README's "Command line" block is the same text.
+USAGE = """\
+c4x4det eval A0 A1 ... A15 [--explain]     # determinant (optionally per factor)
+c4x4det classify N [--json]                # membership certificate or reason
+c4x4det witness N [--json]                 # certificate plus realizing tuple
+c4x4det scan --support 0,1 [--limit K] [--jobs J]
+c4x4det scan --random N [--bound B] [--seed S] [--jobs J]
+c4x4det selfcheck [--samples K] [--seed S]
+"""
 
 
 def witness(n):
@@ -122,10 +142,7 @@ def _cmd_witness(args) -> int:
 
 
 def _parse_support(text: str):
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad support list {text!r}") from exc
+    return tuple(int(part) for part in text.split(","))
 
 
 def _within_floors(command: str, floors) -> bool:
@@ -190,62 +207,107 @@ def _cmd_selfcheck(args) -> int:
     return EXIT_OK if scan.ok and window.ok else EXIT_NEGATIVE
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="c4x4det",
-        description="Exact integer group determinants on the 4x4 bicyclic group: "
-        "evaluate, classify attainable values, and synthesize witnesses.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# command: (handler, positional name, how many, value options with defaults, switches).
+# Every value is an int except --support, a comma-separated list of ints.
+_GRAMMAR = {
+    "eval": (_cmd_eval, "coefficients", 16, {}, ("explain",)),
+    "classify": (_cmd_classify, "value", 1, {}, ("json",)),
+    "witness": (_cmd_witness, "value", 1, {}, ("json",)),
+    "scan": (
+        _cmd_scan,
+        None,
+        0,
+        {"support": None, "limit": None, "random": None, "bound": None, "seed": None, "jobs": 1},
+        (),
+    ),
+    "selfcheck": (_cmd_selfcheck, None, 0, {"samples": 1000, "seed": 0}, ()),
+}
 
-    p_eval = sub.add_parser("eval", help="determinant of 16 integer coefficients")
-    p_eval.add_argument("coefficients", nargs=16, type=int, metavar="A")
-    p_eval.add_argument("--explain", action="store_true",
-                        help="also print every factor of the product form")
-    p_eval.set_defaults(fn=_cmd_eval)
 
-    p_cls = sub.add_parser("classify", help="decide whether a value is attainable")
-    p_cls.add_argument("value", type=int)
-    p_cls.add_argument("--json", action="store_true")
-    p_cls.set_defaults(fn=_cmd_classify)
+def _usage_error(command, message):
+    """Exit 2 after the command's usage lines and one error line, both on stderr."""
+    lines = [line.partition("#")[0].rstrip() for line in USAGE.splitlines()
+             if command is None or line.split()[1] == command]
+    print("usage: " + "\n       ".join(lines), file=sys.stderr)
+    print(f"c4x4det{' ' + command if command else ''}: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
 
-    p_wit = sub.add_parser("witness", help="coefficients realizing a value")
-    p_wit.add_argument("value", type=int)
-    p_wit.add_argument("--json", action="store_true")
-    p_wit.set_defaults(fn=_cmd_witness)
 
-    p_scan = sub.add_parser("scan", help="classify determinants of many tuples")
-    p_scan.add_argument("--support", type=_parse_support,
-                        help="comma-separated entries, e.g. '0,1' or '-1,0,1'")
-    p_scan.add_argument("--limit", type=int, default=None,
-                        help="cap on the number of tuples for --support scans")
-    p_scan.add_argument("--random", type=int, default=None, metavar="N",
-                        help="number of seeded random tuples")
-    p_scan.add_argument("--bound", type=int, default=None,
-                        help="entry bound for --random scans (default 9)")
-    p_scan.add_argument("--seed", type=int, default=None,
-                        help="seed for --random scans (default 0)")
-    p_scan.add_argument("--jobs", type=int, default=1,
-                        help="worker processes, capped at the CPU count")
-    p_scan.set_defaults(fn=_cmd_scan)
+def _convert(command, label, text, kind):
+    try:
+        return kind(text)
+    except ValueError:
+        what = "support list" if kind is _parse_support else "integer"
+        _usage_error(command, f"{label}invalid {what} {text!r}")
 
-    p_self = sub.add_parser("selfcheck", help="oracle agreement + witness round-trip")
-    p_self.add_argument("--samples", type=int, default=1000)
-    p_self.add_argument("--seed", type=int, default=0)
-    p_self.set_defaults(fn=_cmd_selfcheck)
 
-    return parser
+def _is_option(token) -> bool:
+    """A token names an option when it starts with '-' and int() rejects it."""
+    if token[:1] != "-":
+        return False
+    try:
+        int(token)
+    except ValueError:
+        return True
+    return False
+
+
+def _parse(argv):
+    """(handler, namespace of its arguments) for ``argv``, or SystemExit.
+
+    Help exits 0 with ``USAGE`` on stdout; any other bad argv exits 2 with
+    nothing on stdout.
+    """
+    tokens = iter(argv)
+    command = next(tokens, None)
+    if command in ("-h", "--help"):
+        sys.stdout.write(USAGE)
+        raise SystemExit(EXIT_OK)
+    if command not in _GRAMMAR:
+        _usage_error(None, "missing command" if command is None else f"unknown command {command!r}")
+    handler, name, count, options, switches = _GRAMMAR[command]
+    values = dict(options, **dict.fromkeys(switches, False))
+    positionals = []
+    options_done = False
+    for token in tokens:
+        if options_done or not _is_option(token):
+            if len(positionals) == count:
+                _usage_error(command, f"unexpected argument {token!r}")
+            positionals.append(_convert(command, "", token, int))
+        elif token == "--":
+            options_done = True
+        elif token in ("-h", "--help"):
+            sys.stdout.write(USAGE)
+            raise SystemExit(EXIT_OK)
+        else:
+            flag, eq, text = token.partition("=")
+            key = flag[2:]
+            if flag[:2] != "--" or key not in values:
+                _usage_error(command, f"unknown option {flag!r}")
+            if key in switches:
+                if eq:
+                    _usage_error(command, f"{flag} takes no value, got {token!r}")
+                values[key] = True
+                continue
+            if not eq:
+                text = next(tokens, None)
+                if text is None:
+                    _usage_error(command, f"{flag} needs a value")
+            kind = _parse_support if key == "support" else int
+            values[key] = _convert(command, f"{flag}: ", text, kind)
+    if len(positionals) != count:
+        _usage_error(command, f"expected {count} integer argument{'s' * (count > 1)}, "
+                              f"got {len(positionals)}")
+    if count:
+        values[name] = positionals[0] if count == 1 else positionals
+    return handler, SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    handler, args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        return args.fn(args)
-    except EnvelopeExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FactorizationError as exc:
+        return handler(args)
+    except (EnvelopeExceededError, FactorizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -8,6 +8,7 @@ same output, byte for byte.  The public factorization entry points support
 
 from __future__ import annotations
 
+from itertools import compress
 from math import gcd, isqrt, prod
 from typing import NamedTuple, Optional
 
@@ -33,7 +34,7 @@ def _sieve(limit: int) -> tuple:
     for p in range(2, isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    return tuple(i for i, f in enumerate(flags) if f)
+    return tuple(compress(range(limit + 1), flags))
 
 
 _TRIAL_PRIMES = _sieve(_TRIAL_BOUND)

@@ -265,9 +265,10 @@ class Poly:
 
     A monomial packs each variable's exponent into 8 bits of an int, so the
     product of two monomials is the sum of their keys and the constant
-    monomial is 0 (exponents must stay below 256).  Only ``+``, ``-``, ``*``
-    and ``==`` / ``!=`` are defined, with ints on either side: enough to run
-    code written for integers on free variables and compare the expansions.
+    monomial is 0 (exponents must stay below 256).  Only ``+``, ``-``, ``*``,
+    ``**`` by a small non-negative int and ``==`` / ``!=`` are defined, with
+    ints on either side: enough to run code written for integers on free
+    variables and compare the expansions.
     """
 
     __slots__ = ("terms",)
@@ -319,6 +320,14 @@ class Poly:
         return Poly(out)
 
     __rmul__ = __mul__
+
+    def __pow__(self, exponent):
+        if type(exponent) is not int or exponent < 0:
+            return NotImplemented
+        out = Poly({0: 1})
+        for _ in range(exponent):
+            out = out * self
+        return out
 
     def __eq__(self, other):
         terms = Poly._terms(other)

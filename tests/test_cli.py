@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -271,3 +272,73 @@ class TestSelfcheck:
         assert "oracle agreement: PASS" in out
         assert "witness round-trip: FAIL" in out
         assert '"detail": "witness failed: witness for 1 is wrong"' in out
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+class TestArgv:
+    """The grammar table's parser: option forms, ``--``, help and usage errors."""
+
+    def test_equals_and_separate_values_agree(self, capsys):
+        joined = run_cli(capsys, "scan", "--random=40", "--seed=3")
+        split = run_cli(capsys, "scan", "--random", "40", "--seed", "3")
+        assert joined[0] == split[0] == 0
+        assert joined[1].rsplit(",", 1)[0] == split[1].rsplit(",", 1)[0]
+
+    def test_double_dash_then_negative_value(self, capsys):
+        code, out, _ = run_cli(capsys, "classify", "--", "-375")
+        assert code == 0 and out == "in_S set_A j=0 k=0 p1=5 p2=5 p3=5\n"
+
+    def test_option_before_positional(self, capsys):
+        before = run_cli(capsys, "witness", "--json", "17")
+        after = run_cli(capsys, "witness", "17", "--json")
+        assert before == after and before[0] == 0 and json.loads(before[1])["verified"]
+
+    def test_last_repeated_option_wins(self, capsys):
+        code, out, _ = run_cli(capsys, "scan", "--random", "5", "--random", "7")
+        assert code == 0 and out.startswith("PASS: 7 tuples")
+
+    def test_support_value_starting_with_minus(self, capsys):
+        code, out, err = run_cli(capsys, "scan", "--support", "-1,0,1", "--limit", "9")
+        assert code == 0 and err == ""
+        assert out.startswith("PASS: 9 tuples")
+
+    def test_spellings_that_int_accepts(self, capsys):
+        for token in ("+17", " 17", "1_7"):
+            assert run_cli(capsys, "classify", token) == (0, "in_S odd_16m_plus_1 m=1\n", "")
+
+    @pytest.mark.parametrize("argv", [("-h",), ("--help",), ("classify", "--help"),
+                                      ("scan", "--random", "5", "-h")])
+    def test_help_prints_usage_and_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        out = capsys.readouterr()
+        assert exc.value.code == 0
+        assert out.out == cli.USAGE and out.err == ""
+        assert "c4x4det classify N [--json]" in out.out
+
+    def test_readme_shows_the_help_text(self):
+        assert f"```\n{cli.USAGE}```" in README.read_text()
+
+    @pytest.mark.parametrize("argv, message", [
+        ((), "c4x4det: error: missing command"),
+        (("frob", "17"), "c4x4det: error: unknown command 'frob'"),
+        (("classify", "--bogus", "17"), "c4x4det classify: error: unknown option '--bogus'"),
+        (("scan", "--random"), "c4x4det scan: error: --random needs a value"),
+        (("classify", "17", "18"), "c4x4det classify: error: unexpected argument '18'"),
+        (("scan", "--rand", "5"), "c4x4det scan: error: unknown option '--rand'"),
+        (("classify", "seventeen"), "c4x4det classify: error: invalid integer 'seventeen'"),
+        (("classify", "--json=yes", "17"),
+         "c4x4det classify: error: --json takes no value, got '--json=yes'"),
+        (("selfcheck", "--seed=x"), "c4x4det selfcheck: error: --seed: invalid integer 'x'"),
+    ])
+    def test_bad_argv_exits_2_naming_the_token(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        out = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out.out == ""
+        usage, error = out.err.rstrip("\n").rsplit("\n", 1)
+        assert usage.startswith("usage: c4x4det ")
+        assert error == message

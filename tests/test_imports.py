@@ -7,7 +7,8 @@ or ``json``; ``eval`` adds ``gdet``, ``witness --json`` adds ``gdet``,
 ``witness`` and ``json``, and only ``scan`` loads the harness.  The process
 pool behind ``scan --jobs`` is loaded only by a scan on more than one
 process.  The records are not dataclasses, so no command loads
-``dataclasses`` or the ``inspect`` module it imports.
+``dataclasses`` or the ``inspect`` module it imports, and the command line
+is parsed from one grammar table, so no command loads ``argparse``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ WATCHED = (
     "multiprocessing",
     "dataclasses",
     "inspect",
+    "argparse",
 )
 
 

@@ -212,6 +212,32 @@ class TestFactorize:
             assert factored_value(factorize(n)) == n
 
 
+class TestTrialTable:
+    """The sieved table behind trial division, which ``oracles.factor_unsigned_loop`` shares."""
+
+    def test_primes_are_every_prime_up_to_the_bound(self):
+        # trial division by the primes found so far, independent of the sieve
+        expected = []
+        for n in range(2, numtheory._TRIAL_BOUND + 1):
+            for p in expected:
+                if p * p > n:
+                    expected.append(n)
+                    break
+                if n % p == 0:
+                    break
+            else:
+                expected.append(n)
+        assert numtheory._TRIAL_PRIMES == tuple(expected)
+
+    def test_chunks_split_the_table_and_carry_their_products(self):
+        chunks = numtheory._TRIAL_CHUNKS
+        assert tuple(p for chunk, _ in chunks for p in chunk) == numtheory._TRIAL_PRIMES
+        assert all(len(chunk) == 64 for chunk, _ in chunks[:-1])
+        assert chunks[0][1] == 0  # gcd(n, 0) == n: the first chunk is never skipped
+        for chunk, product in chunks[1:]:
+            assert product == prod(chunk)
+
+
 class TestTrialScreen:
     """The gcd-screened trial division returns what the plain loop returns."""
 

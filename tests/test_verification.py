@@ -6,6 +6,7 @@ from itertools import islice, product
 
 import identities
 import pytest
+from oracles import Poly
 
 from c4x4det import verification
 from c4x4det.classifier import NotInS, Reason, classify
@@ -295,6 +296,48 @@ class TestLemmaSuites:
         found = identities.failures(NORM_AGREEMENT, 100, seed=0)
         assert len(found) == 100
         assert all(msg.startswith("norm formulas disagree") for msg in found)
+
+
+class _FreeVariables:
+    """Stands in for ``random.Random``: each ``randint`` draws a new free variable."""
+
+    def __init__(self):
+        self.drawn = 0
+        self._variables = iter(Poly.variables(8))
+
+    def randint(self, low, high):
+        self.drawn += 1
+        return next(self._variables)
+
+
+class TestLemmaIdentitiesSymbolically:
+    """The four suites that are polynomial identities, proven on free variables.
+
+    Each suite runs unmodified on ``oracles.Poly`` variables, so it compares
+    the exact expansions of both sides: the identity holds for every input,
+    not only for the sampled ones.
+    """
+
+    @pytest.mark.parametrize("identity, variables", [
+        (identities.rotation_antisymmetry, 4),
+        (identities.half_swap_invariance, 8),
+        (identities.norm_formula_agreement, 8),
+        (identities.sum_square_difference, 8),
+    ], ids=lambda x: getattr(x, "__name__", str(x)))
+    def test_holds_on_free_variables(self, identity, variables):
+        draws = _FreeVariables()
+        assert identity(draws) is None
+        assert draws.drawn == variables
+
+    def test_broken_norms_fail_symbolically(self, broken_norms):
+        assert identities.norm_formula_agreement(_FreeVariables()).startswith(
+            "norm formulas disagree")
+
+    def test_broken_det4_fails_symbolically(self, monkeypatch):
+        real = identities.det4
+        monkeypatch.setattr(identities, "det4", lambda x0, x1, x2, x3: real(x0, x1, x2, x3) + x0)
+        assert identities.rotation_antisymmetry(_FreeVariables()).startswith(
+            "rotation antisymmetry fails")
 
 
 class TestInvalidSizes:
