@@ -8,7 +8,7 @@ character-block determinants.
 """
 
 from c4x4det import derive, det16_direct, det16_factored, det16_spectral
-from c4x4det.gdet import beta_gamma_norms, det4, group_matrix, spectral_factors
+from c4x4det.gdet import factored_pieces, group_matrix, spectral_factors
 
 a = (2,) + (1,) * 15
 
@@ -20,16 +20,16 @@ print("spectral (character blocks):       ", det16_spectral(a))
 print()
 
 b, c, d = derive(a)
-norms = beta_gamma_norms(d)
+p = factored_pieces(a)
 print("derived spectra:")
 print("  b =", b, " c =", c)
 print("  d =", d)
 print("  alpha =", tuple((d[i], d[i + 4]) for i in range(4)))
 print()
 print("factored pieces:")
-print(f"  det4(b) = {det4(*b)}")
-print(f"  det4(c) = {det4(*c)}")
-print(f"  beta_norm = {norms.beta_norm}, gamma_norm = {norms.gamma_norm}")
+print(f"  det4(b) = {p[0] * p[1] * p[2]}")
+print(f"  det4(c) = {p[3] * p[4] * p[5]}")
+print(f"  beta_norm = {p[6] * p[7]}, gamma_norm = {p[8] * p[9]}")
 print()
 print("spectral factors:", spectral_factors(a))
 print()

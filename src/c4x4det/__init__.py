@@ -52,8 +52,7 @@ __version__ = "0.1.0"
 # is always the function (see ``_Package``).
 _LAZY = {
     **dict.fromkeys(
-        ("gdet", "BetaGammaNorms", "beta_gamma_norms", "det4", "det16_direct",
-         "det16_factored", "det16_spectral"),
+        ("gdet", "det16_direct", "det16_factored", "det16_spectral", "factored_pieces"),
         "gdet",
     ),
     **dict.fromkeys(("witness", "WitnessCase", "WitnessPlan", "emit", "plan"), "witness"),
@@ -92,7 +91,6 @@ sys.modules[__name__].__class__ = _Package
 
 
 __all__ = [
-    "BetaGammaNorms",
     "CoeffVec16",
     "DerivedSpectra",
     "ENVELOPE",
@@ -114,14 +112,13 @@ __all__ = [
     "WitnessCase",
     "WitnessPlan",
     "a_decompose",
-    "beta_gamma_norms",
     "classify",
     "derive",
-    "det4",
     "det16_direct",
     "det16_factored",
     "det16_spectral",
     "emit",
+    "factored_pieces",
     "factorize",
     "is_in_P",
     "is_prime",

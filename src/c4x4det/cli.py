@@ -108,18 +108,17 @@ def _emit_document(doc: dict, as_json: bool) -> None:
 
 
 def _cmd_eval(args) -> int:
-    from .gdet import beta_gamma_norms, det4, det16_factored, spectral_factors
+    from .gdet import det16_factored, factored_pieces, spectral_factors
 
     a = tuple(args.coefficients)
-    value = det16_factored(a)
-    print(value)
+    print(det16_factored(a))
     if args.explain:
-        b, c, d = derive(a)
-        norms = beta_gamma_norms(d)
-        print(f"det4(b) = {det4(*b)}  with b = {b}")
-        print(f"det4(c) = {det4(*c)}  with c = {c}")
-        print(f"beta_norm = {norms.beta_norm}")
-        print(f"gamma_norm = {norms.gamma_norm}")
+        b, c, _ = derive(a)
+        p = factored_pieces(a)
+        print(f"det4(b) = {p[0] * p[1] * p[2]}  with b = {b}")
+        print(f"det4(c) = {p[3] * p[4] * p[5]}  with c = {c}")
+        print(f"beta_norm = {p[6] * p[7]}")
+        print(f"gamma_norm = {p[8] * p[9]}")
         for k, (re, im) in enumerate(spectral_factors(a)):
             print(f"spectral factor {k}: {re}{im:+d}i")
     return EXIT_OK

@@ -85,6 +85,13 @@ class _Record:
         return f"{type(self).__qualname__}({fields})"
 
 
+def check_coefficients(entries) -> None:
+    """Raise TypeError unless every entry is an ``int`` (a ``bool`` is not one)."""
+    for x in entries:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise TypeError(f"coefficients must be exact integers, got {x!r}")
+
+
 class CoeffVec16(tuple):
     """Sixteen integer coefficients a_0..a_15, one per group element.
 
@@ -96,9 +103,7 @@ class CoeffVec16(tuple):
         t = tuple(entries)
         if len(t) != 16:
             raise ValueError(f"expected 16 coefficients, got {len(t)}")
-        for x in t:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise TypeError(f"coefficients must be exact integers, got {x!r}")
+        check_coefficients(t)
         return super().__new__(cls, t)
 
     def __repr__(self):

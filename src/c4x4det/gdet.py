@@ -7,49 +7,39 @@
   those columns, and the same pass goes on.  The elimination is generic: it
   uses nothing of the group structure.  This is the oracle every other
   route is checked against.
-* :func:`det16_factored` uses the closed form
-  ``det4(b) * det4(c) * beta_norm * gamma_norm`` over the derived spectra,
-  evaluated in one frame: the spectra of :func:`derive`, :func:`det4` and
-  :func:`beta_gamma_norms` are inlined on the unpacked integers.
+* :func:`det16_factored` is the product of the ten integers of
+  :func:`factored_pieces`, which split the closed form
+  ``det4(b) * det4(c) * beta_norm * gamma_norm`` over the derived spectra;
+  ``det4(x0, x1, x2, x3) = {(x0+x2)^2 - (x1+x3)^2} * {(x0-x2)^2 + (x1-x3)^2}``
+  is the determinant of the 4x4 circulant.
 * :func:`det16_spectral` multiplies the four character-block determinants
   of :func:`spectral_factors` (the det4 closed form on the Gaussian
   arguments ``sum_s i^{k s} a[j+4s]``, k = 0..3) and checks that the
   product has no imaginary part.  Gaussian integers are plain ``(re, im)``
   integer pairs throughout; the route calls neither :func:`derive` nor
-  :func:`det4`.
+  :func:`factored_pieces`.
 
 All three agree exactly on every input; the test suite enforces this both on
-fixed examples and on randomized sweeps, and checks :func:`beta_gamma_norms`
-against an independent square-difference form of the two norms.
+fixed examples and on randomized sweeps, and proves the pieces against
+reference copies of det4 and the two norms as polynomial identities.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from math import prod
 
+from .core import check_coefficients
 # Not used here: the benchmark's trace wraps gdet.derive by name.
 from .core import derive  # noqa: F401
 from .errors import InternalMismatchError
 
 __all__ = [
-    "BetaGammaNorms",
-    "det4",
     "det16_direct",
     "det16_factored",
     "det16_spectral",
+    "factored_pieces",
     "spectral_factors",
-    "beta_gamma_norms",
 ]
-
-
-def det4(x0, x1, x2, x3):
-    """Determinant of the 4x4 circulant.
-
-    Closed form {(x0+x2)^2 - (x1+x3)^2} * {(x0-x2)^2 + (x1-x3)^2}; rotating
-    the arguments left by one position negates the value.
-    """
-    s, t, u, v = x0 + x2, x1 + x3, x0 - x2, x1 - x3
-    return (s * s - t * t) * (u * u + v * v)
 
 
 def _det4_pairs(x0r, x0i, x1r, x1i, x2r, x2i, x3r, x3i):
@@ -59,28 +49,6 @@ def _det4_pairs(x0r, x0i, x1r, x1i, x2r, x2i, x3r, x3i):
     pr, pi = sr * sr - si * si - tr * tr + ti * ti, 2 * (sr * si - tr * ti)
     qr, qi = ur * ur - ui * ui + vr * vr - vi * vi, 2 * (ur * ui + vr * vi)
     return pr * qr - pi * qi, pr * qi + pi * qr
-
-
-class BetaGammaNorms(NamedTuple):
-    """The two nonnegative norm factors of the Gaussian character blocks.
-
-    Each is a product of two sums of two squares, hence >= 0.
-    """
-
-    beta_norm: int
-    gamma_norm: int
-
-
-def beta_gamma_norms(d) -> BetaGammaNorms:
-    """Norms computed as products of two sums of two squares over d[0..7]."""
-    d0, d1, d2, d3, d4, d5, d6, d7 = d
-    beta = ((d0 + d2 + d1 + d3) ** 2 + (d4 + d6 + d5 + d7) ** 2) * (
-        (d0 + d2 - d1 - d3) ** 2 + (d4 + d6 - d5 - d7) ** 2
-    )
-    gamma = ((d0 - d2 - d5 + d7) ** 2 + (d4 - d6 + d1 - d3) ** 2) * (
-        (d0 - d2 + d5 - d7) ** 2 + (d4 - d6 - d1 + d3) ** 2
-    )
-    return BetaGammaNorms(beta, gamma)
 
 
 # _GROUP_INDEX[g][h] is the flat index of g*h^-1: componentwise subtraction mod 4.
@@ -156,17 +124,28 @@ def det16_direct(a) -> int:
     It eliminates two steps per pass (two-step Bareiss) in one loop; where a
     2x2 pivot minor vanishes it swaps in two rows whose entries in the pivot
     columns are independent, or returns 0 if there are none.  The
-    elimination is generic: it reads the matrix, not the group.
+    elimination is generic: it reads the matrix, not the group.  Its exact
+    divisions floor on anything but integers, so an entry that is not an
+    ``int`` (a ``bool`` or ``2.5`` is not one) raises ``TypeError`` first,
+    as :class:`CoeffVec16` does.
     """
+    check_coefficients(a)
     return _det_bareiss(group_matrix(a))
 
 
-def det16_factored(a) -> int:
-    """det4(b) * det4(c) * beta_norm * gamma_norm over the derived spectra.
+def factored_pieces(a) -> tuple:
+    """The ten integer factors of the factored route, in a fixed order.
 
-    One frame: the spectra of :func:`derive` and the closed forms of
-    :func:`det4` and :func:`beta_gamma_norms` are inlined on plain integers,
-    with no intermediate tuples.
+    With ``b, c, d = derive(a)`` and ``s, t, u, v`` the sums ``x0+x2``,
+    ``x1+x3`` and differences ``x0-x2``, ``x1-x3`` of a circulant's entries:
+
+    * 0-2: ``s-t``, ``s+t`` and ``u^2+v^2`` of b, so their product is det4(b);
+    * 3-5: the same three of c, whose product is det4(c);
+    * 6-7: the two sums of two squares whose product is the beta norm of d;
+    * 8-9: the two sums of two squares whose product is the gamma norm of d.
+
+    One frame on the unpacked integers: the spectra of :func:`derive` are
+    inlined.
     """
     if len(a) != 16:
         raise ValueError(f"expected 16 coefficients, got {len(a)}")
@@ -177,26 +156,32 @@ def det16_factored(a) -> int:
     o0, o1, o2, o3 = a4 + a12, a5 + a13, a6 + a14, a7 + a15
     es, et, eu, ev = e0 + e2, e1 + e3, e0 - e2, e1 - e3
     fs, ft, fu, fv = o0 + o2, o1 + o3, o0 - o2, o1 - o3
-    s, t, u, v = es + fs, et + ft, eu + fu, ev + fv
-    det_b = (s * s - t * t) * (u * u + v * v)
-    s, t, u, v = es - fs, et - ft, eu - fu, ev - fv
-    det_c = (s * s - t * t) * (u * u + v * v)
+    bs, bt, bu, bv = es + fs, et + ft, eu + fu, ev + fv
+    cs, ct, cu, cv = es - fs, et - ft, eu - fu, ev - fv
     # beta and gamma over d, through the sums and differences of d_i, d_{i+2}
     d0, d1, d2, d3 = a0 - a8, a1 - a9, a2 - a10, a3 - a11
     d4, d5, d6, d7 = a4 - a12, a5 - a13, a6 - a14, a7 - a15
     x, y, p, q = d0 + d2, d4 + d6, d1 + d3, d5 + d7
     s, t, u, v = x + p, y + q, x - p, y - q
-    beta = (s * s + t * t) * (u * u + v * v)
     x, y, p, q = d0 - d2, d4 - d6, d1 - d3, d5 - d7
-    s, t, u, v = x - q, y + p, x + q, y - p
-    gamma = (s * s + t * t) * (u * u + v * v)
-    return det_b * det_c * beta * gamma
+    g, h, m, n = x - q, y + p, x + q, y - p
+    return (
+        bs - bt, bs + bt, bu * bu + bv * bv,
+        cs - ct, cs + ct, cu * cu + cv * cv,
+        s * s + t * t, u * u + v * v,
+        g * g + h * h, m * m + n * n,
+    )
+
+
+def det16_factored(a) -> int:
+    """det4(b) * det4(c) * beta_norm * gamma_norm: the product of :func:`factored_pieces`."""
+    return prod(factored_pieces(a))
 
 
 def spectral_factors(a) -> tuple:
     """The four Gaussian character-block determinants, k = 0..3, as (re, im) pairs.
 
-    Block k evaluates the :func:`det4` closed form, in Gaussian integers, on
+    Block k evaluates the det4 closed form, in Gaussian integers, on
     the arguments ``z_j = sum_s i^{k s} * a[j + 4 s]``.  Block 0 sees the b
     vector and block 2 the c vector of :func:`derive`; block 1 sees the
     pairs ``(d[j], d[j+4])``, and blocks 1 and 3 are complex conjugates of

@@ -9,11 +9,11 @@ replays from (identity, seed) alone.
 
 import random
 
-from oracles import beta_gamma_norms_alt, character_sums
+from oracles import beta_gamma_norms, beta_gamma_norms_alt, character_sums, det4
 
 from c4x4det.classifier import v2
 from c4x4det.core import derive
-from c4x4det.gdet import beta_gamma_norms, det4, det16_factored
+from c4x4det.gdet import det16_factored
 
 
 def _rand_vec(rng, length, bound=50):

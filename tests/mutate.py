@@ -1,0 +1,115 @@
+"""Mutation sweep: each fixed mutant of ``src/`` must fail its target tests.
+
+Run from anywhere, with the standard library and pytest installed::
+
+    python tests/mutate.py
+
+Each entry of ``MUTANTS`` names a module under ``src/c4x4det``, a text that
+occurs in it exactly once, the text that replaces it, and the pytest target
+(a test file or one test in it) that should fail on the mutant.  The sweep
+copies ``src/``, ``tests/`` and ``pyproject.toml`` into a temporary
+directory, never editing the checkout, and runs ``pytest -x`` on each mutant
+there.  A mutant is *killed* when pytest reports a failing test (exit 1) or
+runs past ``TIMEOUT_S``, and *survived* when the target passes.  A mutant
+declared equivalent changes no answer any test can see; it is run and
+reported, but its survival is expected.  The exit status is 1 when a mutant
+that is not declared equivalent survives, or when pytest ends in any other
+way (a collection or usage error); otherwise 0.
+
+The file is not named ``test_*.py``, so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 300
+PIECES_TEST = (
+    "tests/test_gdet.py::TestFactoredKernel"
+    "::test_pieces_are_the_reference_closed_forms_on_free_variables"
+)
+
+# (module, old text, new text, pytest target, reason if declared equivalent)
+MUTANTS = (
+    ("gdet.py", "bs - bt, bs + bt,", "bs - bt, bs - bt,", PIECES_TEST, None),
+    ("gdet.py", "cu * cu + cv * cv", "cu * cu - cv * cv", PIECES_TEST, None),
+    ("gdet.py", "s, t, u, v = x + p, y + q,", "s, t, u, v = x + p, y - q,", PIECES_TEST, None),
+    ("gdet.py", "g, h, m, n = x - q,", "g, h, m, n = x + q,", PIECES_TEST, None),
+    ("gdet.py", "    check_coefficients(a)\n", "", "tests/test_gdet.py", None),
+    ("numtheory.py", "m < _TRIAL_BOUND * _TRIAL_BOUND", "m < _TRIAL_BOUND ** 3",
+     "tests/test_classifier.py", None),
+    ("numtheory.py", "(341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17))",
+     "(341_550_071_728_321, (2, 3, 5, 7, 11, 13))", "tests/test_numtheory.py", None),
+    ("classifier.py", "bound *= 8", "bound *= 2", "tests/test_classifier.py",
+     "any growth factor above 1 ends at the same least divisor; only the round count changes"),
+)
+
+
+def _copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _environment(work: Path) -> dict:
+    path = [str(work / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    # no bytecode cache: a restored module the size of its mutant, written in
+    # the same second, would otherwise load the mutant's stale .pyc
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), PYTHONDONTWRITEBYTECODE="1")
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import c4x4det; print(c4x4det.__file__)"],
+        capture_output=True, text=True, env=env, cwd=work, check=True,
+    ).stdout.strip()
+    if not Path(loaded).resolve().is_relative_to(work.resolve()):
+        raise SystemExit(f"the sweep would test {loaded}, not the mutated copy in {work}")
+    return env
+
+
+def _run(work: Path, env: dict, target: str) -> str:
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", target]
+    try:
+        code = subprocess.run(
+            command, cwd=work, env=env, capture_output=True, timeout=TIMEOUT_S
+        ).returncode
+    except subprocess.TimeoutExpired:
+        return "killed"
+    return {0: "survived", 1: "killed"}.get(code, f"error (pytest exit {code})")
+
+
+def main() -> int:
+    bad = 0
+    with tempfile.TemporaryDirectory(prefix="c4x4det-mutate-") as tmp:
+        work = Path(tmp)
+        _copy_tree(work)
+        env = _environment(work)
+        for module, old, new, target, equivalent in MUTANTS:
+            path = work / "src" / "c4x4det" / module
+            original = path.read_text()
+            if original.count(old) != 1:
+                raise SystemExit(f"{module}: {old!r} must occur exactly once")
+            path.write_text(original.replace(old, new))
+            start = time.perf_counter()
+            try:
+                outcome = _run(work, env, target)
+            finally:
+                path.write_text(original)
+            if outcome == "survived" and equivalent:
+                outcome = f"declared-equivalent ({equivalent})"
+            elif outcome != "killed":
+                bad += 1
+            print(f"{outcome:9} {time.perf_counter() - start:5.1f}s  {module}: "
+                  f"{old!r} -> {new!r}  [{target}]", flush=True)
+    print(f"{len(MUTANTS)} mutants, {bad} survived or errored")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,14 +4,17 @@ The brute-force oracles call nothing in the library; their divisor walks are
 plain trial division, so disagreements point at the library, never at a
 shared bug.  ``a_decompose_walk`` is the one reference built on library
 parts (see its docstring).  ``spectral_factors_gauss``, ``det4_gauss``,
-``det2`` and ``beta_gamma_norms_alt`` are library-free too: Gaussian
-integers here are plain ``(re, im)`` pairs, combined by ``gauss_add`` and
-``gauss_mul``.  ``Poly`` runs integer code on free variables, so a formula
+``det2``, ``det4``, ``beta_gamma_norms`` and ``beta_gamma_norms_alt`` are
+library-free too: Gaussian integers here are plain ``(re, im)`` pairs,
+combined by ``gauss_add`` and ``gauss_mul``.  ``det4`` and
+``beta_gamma_norms`` are the closed forms whose products
+``gdet.factored_pieces`` splits into its ten integer pieces.  ``Poly`` runs integer code on free variables, so a formula
 can be checked as a polynomial identity.
 """
 
 from itertools import combinations_with_replacement
 from math import isqrt
+from typing import NamedTuple
 
 from c4x4det.classifier import OddA
 from c4x4det.numtheory import (
@@ -197,11 +200,21 @@ def det2(x0, x1):
     return x0 * x0 - x1 * x1
 
 
+def det4(x0, x1, x2, x3):
+    """Determinant of the 4x4 circulant.
+
+    Closed form {(x0+x2)^2 - (x1+x3)^2} * {(x0-x2)^2 + (x1-x3)^2}; rotating
+    the arguments left by one position negates the value.
+    """
+    s, t, u, v = x0 + x2, x1 + x3, x0 - x2, x1 - x3
+    return (s * s - t * t) * (u * u + v * v)
+
+
 def det4_gauss(z0, z1, z2, z3) -> tuple:
     """The det4 closed form on Gaussian (re, im) pairs, by ``gauss_add`` / ``gauss_mul``.
 
     {(z0+z2)^2 - (z1+z3)^2} * {(z0-z2)^2 + (z1-z3)^2}, the same form as
-    ``gdet.det4`` on integers.
+    ``det4`` on integers.
     """
     s, t = gauss_add(z0, z2), gauss_add(z1, z3)
     u, v = gauss_add(z0, z2, -1), gauss_add(z1, z3, -1)
@@ -243,12 +256,34 @@ def spectral_factors_gauss(a) -> tuple:
     return tuple(det4_gauss(*character_sums(a, k)) for k in range(4))
 
 
+class BetaGammaNorms(NamedTuple):
+    """The two nonnegative norm factors of the Gaussian character blocks.
+
+    Each is a product of two sums of two squares, hence >= 0.
+    """
+
+    beta_norm: int
+    gamma_norm: int
+
+
+def beta_gamma_norms(d) -> BetaGammaNorms:
+    """Norms computed as products of two sums of two squares over d[0..7]."""
+    d0, d1, d2, d3, d4, d5, d6, d7 = d
+    beta = ((d0 + d2 + d1 + d3) ** 2 + (d4 + d6 + d5 + d7) ** 2) * (
+        (d0 + d2 - d1 - d3) ** 2 + (d4 + d6 - d5 - d7) ** 2
+    )
+    gamma = ((d0 - d2 - d5 + d7) ** 2 + (d4 - d6 + d1 - d3) ** 2) * (
+        (d0 - d2 + d5 - d7) ** 2 + (d4 - d6 - d1 + d3) ** 2
+    )
+    return BetaGammaNorms(beta, gamma)
+
+
 def beta_gamma_norms_alt(d) -> tuple:
     """Reference ``(beta_norm, gamma_norm)`` via the square-difference form.
 
-    ``gdet.beta_gamma_norms`` writes each norm as a product of two sums of
-    two squares; this writes it as a difference of two squares, so the two
-    must agree on every input.
+    ``beta_gamma_norms`` writes each norm as a product of two sums of two
+    squares; this writes it as a difference of two squares, so the two must
+    agree on every input.
     """
     d0, d1, d2, d3, d4, d5, d6, d7 = d
     beta = ((d0 + d2) ** 2 + (d4 + d6) ** 2 + (d1 + d3) ** 2 + (d5 + d7) ** 2) ** 2 - 4 * (

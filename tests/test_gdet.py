@@ -10,19 +10,21 @@ from c4x4det import gdet
 from c4x4det.core import derive
 from c4x4det.errors import InternalMismatchError
 from c4x4det.gdet import (
-    beta_gamma_norms,
-    det4,
     det16_direct,
     det16_factored,
     det16_spectral,
+    factored_pieces,
     group_matrix,
     spectral_factors,
 )
 from c4x4det.verification import scan_exhaustive
 from c4x4det.witness import WitnessCase, plan, witness
 from oracles import (
+    Poly,
+    beta_gamma_norms,
     beta_gamma_norms_alt,
     det2,
+    det4,
     det4_gauss,
     gauss_add,
     gauss_mul,
@@ -230,6 +232,15 @@ class TestDet16:
             det16_spectral((1, 2, 3))
         with pytest.raises(ValueError, match="^expected 16 coefficients, got 3$"):
             det16_factored((1, 2, 3))
+        with pytest.raises(ValueError, match="^expected 16 coefficients, got 3$"):
+            factored_pieces((1, 2, 3))
+
+    @pytest.mark.parametrize("entry", [2.5, 2.0, True, Fraction(5, 2)], ids=repr)
+    def test_direct_rejects_entries_that_are_not_ints(self, entry):
+        # Bareiss's exact divisions floor on floats: (2.5, 1, ..., 1) gave 1053.0
+        a = (entry,) + (1,) * 15
+        with pytest.raises(TypeError, match="must be exact integers"):
+            det16_direct(a)
 
 
 def factored_reference(a):
@@ -250,6 +261,15 @@ class TestFactoredKernel:
     def test_matches_reference_on_the_unit_prefix(self):
         for a in islice(product((-1, 0, 1), repeat=16), 4096):
             assert det16_factored(a) == factored_reference(a), a
+
+    def test_pieces_are_the_reference_closed_forms_on_free_variables(self):
+        a = Poly.variables(16)
+        b, c, d = derive(a)
+        p = factored_pieces(a)
+        assert len(p) == 10
+        assert p[0] * p[1] * p[2] == det4(*b)
+        assert p[3] * p[4] * p[5] == det4(*c)
+        assert (p[6] * p[7], p[8] * p[9]) == beta_gamma_norms(d) == beta_gamma_norms_alt(d)
 
     def test_scan_sees_the_reference_values(self):
         tuples = islice(product((-1, 0, 1), repeat=16), 20000)

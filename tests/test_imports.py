@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import c4x4det
-from c4x4det import verification
+from c4x4det import gdet, verification
 
 SRC = Path(c4x4det.__file__).resolve().parent.parent
 WATCHED = (
@@ -125,6 +125,13 @@ class TestLazyExports:
 
     def test_dir_lists_the_lazy_names(self):
         assert set(c4x4det.__all__) | {"verification"} <= set(dir(c4x4det))
+
+    @pytest.mark.parametrize("name", ["det4", "beta_gamma_norms", "BetaGammaNorms"])
+    def test_removed_factored_names_raise(self, name):
+        # the closed forms live in gdet.factored_pieces; references in tests/oracles.py
+        for module in (c4x4det, gdet):
+            with pytest.raises(AttributeError, match=name):
+                getattr(module, name)
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError, match="no_such_name"):
