@@ -2,7 +2,8 @@
 
 The coefficient vector below assigns m+1 = 2 to the identity element and
 m = 1 everywhere else; its determinant is 16m + 1 = 17.  The direct route
-eliminates the literal 16x16 matrix; the factored route multiplies the
+factors the coefficient sum 17 out of the literal 16x16 matrix and
+eliminates the 15x15 matrix of row differences; the factored route multiplies the
 closed-form pieces; the spectral route multiplies the four Gaussian
 character-block determinants.
 """

@@ -1,12 +1,14 @@
 """The order-16 group determinant, computed three independent ways.
 
 * :func:`det16_direct` builds the literal 16x16 matrix ``M[g][h] = a[g*h^-1]``
-  from a group index table and eliminates it fraction-free, two steps per
-  pass (two-step Bareiss), staying in exact integers.  Where a 2x2 pivot
-  minor vanishes, a pivot search swaps in two rows that are independent in
-  those columns, and the same pass goes on.  The elimination is generic: it
-  uses nothing of the group structure.  This is the oracle every other
-  route is checked against.
+  from a group index table, factors out ``sum(a)`` and eliminates the 15x15
+  matrix of row differences fraction-free, two steps per pass (two-step
+  Bareiss), staying in exact integers.  Where a 2x2 pivot minor vanishes, a
+  pivot search swaps in two rows that are independent in those columns, and
+  the same pass goes on.  The one group fact it uses is that every row of
+  the index table is a permutation of ``range(16)``, which holds for any
+  group; it uses no character of C4 x C4 beyond the trivial one.  This is
+  the oracle every other route is checked against.
 * :func:`det16_factored` is the product of the ten integers of
   :func:`factored_pieces`, which split the closed form
   ``det4(b) * det4(c) * beta_norm * gamma_norm`` over the derived spectra;
@@ -121,16 +123,30 @@ def det16_direct(a) -> int:
     """Exact determinant of the full 16x16 group matrix.
 
     The reference oracle: independent of the factored and spectral routes.
-    It eliminates two steps per pass (two-step Bareiss) in one loop; where a
+    It uses one fact about the group: every row of its index table is a
+    permutation of ``range(16)``, so every row of ``M`` sums to
+    ``S = sum(a)``.  Adding columns 1..15 into column 0 and subtracting row 0
+    from the others gives ``det M = S * det N`` with
+    ``N[i][j] = M[i][j] - M[0][j]`` for ``1 <= i, j <= 15``; ``S == 0``
+    makes ``M`` singular.  ``N`` holds differences of entries, so an offset
+    common to every entry never enters the elimination.  ``N`` is
+    eliminated two steps per pass (two-step Bareiss) in one loop; where a
     2x2 pivot minor vanishes it swaps in two rows whose entries in the pivot
-    columns are independent, or returns 0 if there are none.  The
-    elimination is generic: it reads the matrix, not the group.  Its exact
+    columns are independent, or returns 0 if there are none.  Its exact
     divisions floor on anything but integers, so an entry that is not an
     ``int`` (a ``bool`` or ``2.5`` is not one) raises ``TypeError`` first,
     as :class:`CoeffVec16` does.
     """
+    # a plain tuple: indexing a subclass such as CoeffVec16 misses the
+    # exact-tuple subscript fast path, 256 times per matrix
+    a = tuple(a)
     check_coefficients(a)
-    return _det_bareiss(group_matrix(a))
+    m = group_matrix(a)
+    s = sum(a)
+    if s == 0:
+        return 0
+    r0 = m[0][1:]
+    return s * _det_bareiss([[x - y for x, y in zip(r[1:], r0)] for r in m[1:]])
 
 
 def factored_pieces(a) -> tuple:

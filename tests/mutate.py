@@ -43,6 +43,10 @@ MUTANTS = (
     ("gdet.py", "s, t, u, v = x + p, y + q,", "s, t, u, v = x + p, y - q,", PIECES_TEST, None),
     ("gdet.py", "g, h, m, n = x - q,", "g, h, m, n = x + q,", PIECES_TEST, None),
     ("gdet.py", "    check_coefficients(a)\n", "", "tests/test_gdet.py", None),
+    ("gdet.py", "return s * _det_bareiss(", "return _det_bareiss(", "tests/test_gdet.py", None),
+    ("gdet.py", "s = sum(a)\n", "s = sum(a[1:])\n", "tests/test_gdet.py", None),
+    ("gdet.py", "if s == 0:", "if s <= 0:", "tests/test_gdet.py", None),
+    ("gdet.py", "    a = tuple(a)\n", "", "tests/test_gdet.py", None),
     ("numtheory.py", "m < _TRIAL_BOUND * _TRIAL_BOUND", "m < _TRIAL_BOUND ** 3",
      "tests/test_classifier.py", None),
     ("numtheory.py", "(341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17))",

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from c4x4det import gdet
-from c4x4det.core import derive
+from c4x4det.core import CoeffVec16, derive
 from c4x4det.errors import InternalMismatchError
 from c4x4det.gdet import (
     det16_direct,
@@ -226,14 +226,55 @@ class TestDet16:
         assert len(parities) == 1
 
     def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            det16_direct((1, 2, 3))
+        # (0,) * 15 and () sum to 0: the length check comes before that exit
+        for a in ((1, 2, 3), (0,) * 15, ()):
+            with pytest.raises(ValueError, match="^expected 16 coefficients, got"):
+                det16_direct(a)
         with pytest.raises(ValueError):
             det16_spectral((1, 2, 3))
         with pytest.raises(ValueError, match="^expected 16 coefficients, got 3$"):
             det16_factored((1, 2, 3))
         with pytest.raises(ValueError, match="^expected 16 coefficients, got 3$"):
             factored_pieces((1, 2, 3))
+
+    def test_group_index_is_a_latin_square(self):
+        # det16_direct relies on every row being a permutation of range(16):
+        # then every row of M sums to sum(a), which it factors out.
+        for line in (*gdet._GROUP_INDEX, *zip(*gdet._GROUP_INDEX)):
+            assert sorted(line) == list(range(16))
+
+    def test_direct_on_offset_vectors(self):
+        # witness vectors are one large offset plus small corrections; the
+        # elimination sees only the corrections' differences
+        rng = random.Random("offset vectors")
+        offsets = [2**40, -2**40, 2**40 - 1, 1 - 2**40, 62499999999, -62499999999, 1, -1]
+        offsets += [rng.choice((-1, 1)) * rng.randint(1, 2**40) for _ in range(8)]
+        for m in offsets:
+            a = tuple(m + rng.randint(-9, 9) for _ in range(16))
+            assert det16_direct(a) == det_gauss_slow(group_matrix(a)), a
+
+    def test_direct_on_zero_sum_vectors(self):
+        rng = random.Random("zero sums")
+        vectors = [(1, -1) + (0,) * 14, (5,) * 8 + (-5,) * 8]
+        for bound in (1, 9, 2**40):
+            for _ in range(6):
+                a = [rng.randint(-bound, bound) for _ in range(15)]
+                vectors.append((*a, -sum(a)))
+        for a in vectors:
+            assert any(a) and sum(a) == 0
+            assert det16_direct(a) == det_gauss_slow(group_matrix(a)) == 0, a
+
+    def test_coeffvec16_and_plain_tuple_agree(self, monkeypatch):
+        # witness.emit hands det16_direct a CoeffVec16; the matrix is built
+        # from a plain tuple, which indexes faster
+        seen = []
+        real = gdet.group_matrix
+        monkeypatch.setattr(gdet, "group_matrix", lambda a: seen.append(type(a)) or real(a))
+        rng = random.Random("coeffvec16")
+        for _ in range(20):
+            a = tuple(rng.randint(-10**6, 10**6) for _ in range(16))
+            assert det16_direct(CoeffVec16(a)) == det16_direct(a) == det16_factored(a)
+        assert set(seen) == {tuple}
 
     @pytest.mark.parametrize("entry", [2.5, 2.0, True, Fraction(5, 2)], ids=repr)
     def test_direct_rejects_entries_that_are_not_ints(self, entry):
@@ -327,6 +368,35 @@ def eliminate(mat):
     return det, [ids.index(id(r)) for r in rows]
 
 
+def check_hand_off(n, k, shape, rng):
+    """Random n x n matrices whose 2x2 pivot minor at pair k is zero.
+
+    "repeated": rows k and k+1 agree on columns 0..k+1, so a lower row moves
+    into k+1; "zero": both rows vanish there, so a lower row also moves into
+    k.  That takes one row below k+1 ("repeated") or two ("zero"); without
+    them the matrix is singular and no row moves (k = 14 at n = 16, and
+    "zero" at k = 12 for n = 15).  A draw whose pivot minor vanishes at an
+    earlier pair is drawn again, so the rows above k keep their places.
+    """
+    moves = k + (3 if shape == "repeated" else 4) <= n
+    for _ in range(5):
+        mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        while not all(leading_minor(mat, j) for j in range(2, k + 1, 2)):
+            mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        if shape == "repeated":
+            mat[k + 1][:k + 2] = mat[k][:k + 2]
+        else:
+            mat[k][:k + 2] = mat[k + 1][:k + 2] = [0] * (k + 2)
+        det, order = eliminate(mat)
+        assert det == det_gauss_slow(mat)
+        assert order[:k] == list(range(k))
+        if moves:
+            assert order[k:k + 2] != [k, k + 1]
+            assert shape == "repeated" or order[k] > k + 1
+        else:
+            assert (det, order) == (0, list(range(n)))
+
+
 class TestTwoStepBareiss:
     def test_zero_diagonal_needs_no_one_by_one_pivot(self):
         rng = random.Random(2024)
@@ -351,26 +421,13 @@ class TestTwoStepBareiss:
     @pytest.mark.parametrize("k", range(0, 16, 2))
     @pytest.mark.parametrize("shape", ["repeated", "zero"])
     def test_hand_off_at_each_pair(self, k, shape):
-        # "repeated": rows k and k+1 agree on columns 0..k+1, so the 2x2
-        # pivot minor at k is zero and a lower row moves into k+1; "zero":
-        # both rows vanish there, so a lower row also moves into k.  At
-        # k = 14 there is no lower row: the matrix is singular and no row
-        # moves.
-        rng = random.Random(1000 + k)
-        for _ in range(5):
-            mat = [[rng.randint(-9, 9) for _ in range(16)] for _ in range(16)]
-            if shape == "repeated":
-                mat[k + 1][:k + 2] = mat[k][:k + 2]
-            else:
-                mat[k][:k + 2] = mat[k + 1][:k + 2] = [0] * (k + 2)
-            det, order = eliminate(mat)
-            assert det == det_gauss_slow(mat)
-            assert order[:k] == list(range(k))
-            if k == 14:
-                assert (det, order) == (0, list(range(16)))
-            else:
-                assert order[k:k + 2] != [k, k + 1]
-                assert shape == "repeated" or order[k] > k + 1
+        check_hand_off(16, k, shape, random.Random(1000 + k))
+
+    @pytest.mark.parametrize("k", range(0, 14, 2))
+    @pytest.mark.parametrize("shape", ["repeated", "zero"])
+    def test_hand_off_at_each_pair_15x15(self, k, shape):
+        # det16_direct eliminates the 15x15 difference matrix
+        check_hand_off(15, k, shape, random.Random(f"hand-off 15 {k}"))
 
     @pytest.mark.parametrize("n", [7, 8])
     @pytest.mark.parametrize("shape", ["zero", "rank one"])
