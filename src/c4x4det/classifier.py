@@ -21,7 +21,8 @@ from typing import Optional, Union
 
 from .core import _Record
 from .errors import InternalMismatchError, PreconditionError
-from .numtheory import ENVELOPE, Factorization, check_envelope, factorize, is_in_P, is_prime
+from .numtheory import ENVELOPE, Factorization, check_envelope, divisors_ascending, factorize
+from .numtheory import is_in_P, is_prime
 # Not used here: the benchmark's trace wraps classifier.signed_divisors_1mod8 by name.
 from .numtheory import signed_divisors_1mod8  # noqa: F401
 
@@ -130,37 +131,6 @@ def validate_certificate(cls: SClassification, n: int) -> None:
         raise InternalMismatchError(f"cannot validate {cls!r}")
 
 
-def _least_divisor_mod8(factors, residue: int) -> Optional[int]:
-    """Smallest positive divisor e == residue (mod 8) of prod(p**a), or None.
-
-    ``factors`` holds (prime, exponent) pairs with the primes ascending.  Only
-    divisors up to a bound are enumerated, and the bound grows 8x per round
-    until a match appears or it covers the whole number, so the cost follows
-    the size of the answer, not the full divisor count.
-    """
-    total = prod(p**a for p, a in factors)
-    bound = 8
-    while True:
-        divs = [1]
-        for p, a in factors:
-            if p > bound:
-                break
-            grown = []
-            for d in divs:
-                for _ in range(a):
-                    d *= p
-                    if d > bound:
-                        break
-                    grown.append(d)
-            divs += grown
-        hits = [d for d in divs if d % 8 == residue]
-        if hits:
-            return min(hits)
-        if bound >= total:
-            return None
-        bound *= 8
-
-
 def a_decompose(n: int, envelope: Optional[int] = ENVELOPE) -> Optional[OddA]:
     """Find the set-A certificate of n (odd, n == 9 mod 16), or None.
 
@@ -181,8 +151,14 @@ def a_decompose(n: int, envelope: Optional[int] = ENVELOPE) -> Optional[OddA]:
     The certificate takes the three smallest such primes and the smallest
     signed 1-mod-8 divisor d of c.  That is d = -|c|/e for the smallest
     positive divisor e of |c| with e == 7|c| (mod 8), or d = 1 when |c| has
-    no such divisor.  The fixed order makes the certificate reproducible.
+    no such divisor.  e is the first hit of one lazy ascending walk over the
+    divisors of |c| (:func:`~c4x4det.numtheory.divisors_ascending`), so the
+    cost follows the size of e, not the divisor count of |c|.  The fixed
+    order makes the certificate reproducible.  n is checked as an integer
+    within the envelope before its residue, so a float or a bool raises
+    TypeError.
     """
+    check_envelope(n, envelope)
     if n % 16 != 9:
         raise PreconditionError(f"{n} is not an odd value congruent to 9 mod 16")
     return _a_certificate(n, factorize(n, envelope=envelope))
@@ -196,7 +172,8 @@ def _a_certificate(n: int, fac: Factorization) -> Optional[OddA]:
     p1, p2, p3 = triple
     c = n // (p1 * p2 * p3)
     rest = [(p, a - triple.count(p)) for p, a in fac.factors if a > triple.count(p)]
-    e = _least_divisor_mod8(rest, 7 * abs(c) % 8)
+    r = 7 * abs(c) % 8
+    e = next((e for e in divisors_ascending(rest) if e % 8 == r), None)
     d = 1 if e is None else -(abs(c) // e)
     return OddA((d - 1) // 8, (c // d + 3) // 8, p1, p2, p3)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import compress
 from math import gcd, isqrt, prod
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .core import _Record
 from .errors import (
@@ -260,13 +260,25 @@ def factorize(n: int, envelope: Optional[int] = ENVELOPE) -> Factorization:
     return Factorization(sign, tuple(sorted(fac.items())))
 
 
-def divisors(fac: Factorization) -> list:
-    """All positive divisors of |n| from its factorization, unsorted."""
-    out = [1]
-    for p, e in fac.factors:
-        powers = [p**k for k in range(1, e + 1)]
-        out = [d * q for d in out for q in [1] + powers]
-    return out
+def divisors_ascending(factors) -> Iterator[int]:
+    """Each positive divisor of prod(p**e) once, ascending, from (p, e) pairs.
+
+    A lazy heap walk over the prime list with each p repeated e times.  A
+    divisor extends only at list positions past its last factor, and only by
+    the first remaining copy of each prime, so each divisor is pushed by one
+    parent.  A caller that stops at its first hit pays for the divisors
+    below that hit, not for all of them.
+    """
+    from heapq import heappop, heappush  # on first use: keeps `import c4x4det` lean
+
+    primes = [p for p, e in factors for _ in range(e)]
+    heap = [(1, 0)]
+    while heap:
+        d, i = heappop(heap)
+        yield d
+        for j in range(i, len(primes)):
+            if j == i or primes[j] != primes[j - 1]:  # one branch per distinct prime
+                heappush(heap, (d * primes[j], j + 1))
 
 
 def is_in_P(p: int) -> bool:
@@ -283,14 +295,7 @@ def signed_divisors_1mod8(c: int, envelope: Optional[int] = ENVELOPE) -> list:
     if c == 0:
         raise PreconditionError("zero has no divisor set here")
     fac = factorize(abs(c), envelope=None)
-    out = []
-    for d in divisors(fac):
-        if d % 8 == 1:
-            out.append(d)
-        if -d % 8 == 1:
-            out.append(-d)
-    out.sort()
-    return out
+    return sorted([s for d in divisors_ascending(fac.factors) for s in (d, -d) if s % 8 == 1])
 
 
 class TwoSquaresRep(NamedTuple):

@@ -75,37 +75,6 @@ class ScanReport(_Record):
             )
 
 
-def _scan_block(tuples: Iterable):
-    """(checked, violations, seen values) over one block of random tuples.
-
-    The direct, factored and spectral routes must agree on each tuple before
-    its value is classified.  Exhaustive blocks do not loop here: they run
-    the factored route and ``classify`` as mapped passes in
-    :func:`_exhaustive_block`.
-    """
-    checked = 0
-    violations = []
-    seen = set()
-    for a in tuples:
-        checked += 1
-        value = det16_factored(a)
-        seen.add(value)
-        direct = det16_direct(a)
-        spectral = det16_spectral(a)
-        if not (direct == value == spectral):
-            violations.append((
-                a,
-                value,
-                f"determinant routes disagree: direct={direct} "
-                f"factored={value} spectral={spectral}",
-            ))
-            continue
-        cls = classify(value, envelope=None)
-        if isinstance(cls, NotInS):
-            violations.append((a, value, cls))
-    return checked, violations, seen
-
-
 def _exhaustive_block(args):
     # The prefix entries enter product() as one-element factors, so each
     # 16-tuple is built in C; the tuples are regenerated, not held, for the
@@ -126,10 +95,34 @@ def _exhaustive_block(args):
 
 
 def _random_block(args):
+    """(checked, violations, seen values) over one block of seeded random tuples.
+
+    The direct, factored and spectral routes must agree on each tuple before
+    its value is classified.  The routes and ``classify`` are looked up as
+    module globals on each call, so they can be wrapped by name.
+    """
     seed, block, size, bound = args
     rng = random.Random(seed * (1 << 32) + block)
-    tuples = (tuple(rng.randint(-bound, bound) for _ in range(16)) for _ in range(size))
-    return _scan_block(tuples)
+    violations = []
+    seen = set()
+    for _ in range(size):
+        a = tuple(rng.randint(-bound, bound) for _ in range(16))
+        value = det16_factored(a)
+        seen.add(value)
+        direct = det16_direct(a)
+        spectral = det16_spectral(a)
+        if not (direct == value == spectral):
+            violations.append((
+                a,
+                value,
+                f"determinant routes disagree: direct={direct} "
+                f"factored={value} spectral={spectral}",
+            ))
+            continue
+        cls = classify(value, envelope=None)
+        if isinstance(cls, NotInS):
+            violations.append((a, value, cls))
+    return size, violations, seen
 
 
 def _bounded_map(pool, block_fn, blocks, window: int) -> Iterator:

@@ -51,8 +51,20 @@ MUTANTS = (
      "tests/test_classifier.py", None),
     ("numtheory.py", "(341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17))",
      "(341_550_071_728_321, (2, 3, 5, 7, 11, 13))", "tests/test_numtheory.py", None),
-    ("classifier.py", "bound *= 8", "bound *= 2", "tests/test_classifier.py",
-     "any growth factor above 1 ends at the same least divisor; only the round count changes"),
+    # not j + 1 -> j: that walk repeats a prime forever, so a search with no hit never ends
+    ("numtheory.py", "(d * primes[j], j + 1)", "(d * primes[j], j + 2)",
+     "tests/test_classifier.py", None),
+    # equivalent for test_classifier.py: a repeated divisor cannot change the first hit
+    ("numtheory.py", "if j == i or primes[j] != primes[j - 1]:", "if True:",
+     "tests/test_numtheory.py", None),
+    ("classifier.py", ") > most:", ") > most + 1:", "tests/test_classifier.py", None),
+    ("witness.py", "ODD_16M_PLUS_1: (_form_m, 1, (1, 0,", "ODD_16M_PLUS_1: (_form_m, 1, (2, 0,",
+     "tests/test_witness.py", None),
+    ("witness.py", "p + r + t - v + c[0], p + s + t + w + c[1],",
+     "p + s + t + w + c[1], p + r + t - v + c[0],", "tests/test_witness.py", None),
+    ("witness.py", "(1, 1): (0, 0, 0, 0, 0, 0, -1, -1, 0, -1, 0, 0, -1, -1, -1, -1),",
+     "(1, 1): (0, 0, 0, 0, 0, 0, -1, -1, 0, -1, 0, 0, -1, -1, -1, 0),",
+     "tests/test_witness.py", None),
 )
 
 

@@ -2,14 +2,18 @@
 
 The brute-force oracles call nothing in the library; their divisor walks are
 plain trial division, so disagreements point at the library, never at a
-shared bug.  ``a_decompose_walk`` is the one reference built on library
-parts (see its docstring).  ``spectral_factors_gauss``, ``det4_gauss``,
-``det2``, ``det4``, ``beta_gamma_norms`` and ``beta_gamma_norms_alt`` are
-library-free too: Gaussian integers here are plain ``(re, im)`` pairs,
-combined by ``gauss_add`` and ``gauss_mul``.  ``det4`` and
-``beta_gamma_norms`` are the closed forms whose products
-``gdet.factored_pieces`` splits into its ten integer pieces.  ``Poly`` runs integer code on free variables, so a formula
-can be checked as a polynomial identity.
+shared bug.  ``expanded_divisors`` is library-free too: it lists the
+divisors of a factorization by product expansion.  ``a_decompose_walk`` is
+the one reference built on library parts: it takes the library's
+factorization, but lists divisors with ``expanded_divisors``, not with the
+library's walk (see its docstring).  ``spectral_factors_gauss``,
+``det4_gauss``, ``det2``, ``det4``, ``beta_gamma_norms`` and
+``beta_gamma_norms_alt`` are library-free as well: Gaussian integers here
+are plain ``(re, im)`` pairs, combined by ``gauss_add`` and ``gauss_mul``.
+``det4`` and ``beta_gamma_norms`` are the closed forms whose products
+``gdet.factored_pieces`` splits into its ten integer pieces.  ``Poly`` runs
+integer code on free variables, so a formula can be checked as a
+polynomial identity.
 """
 
 from itertools import combinations_with_replacement
@@ -23,7 +27,6 @@ from c4x4det.numtheory import (
     _brent_rho,
     factorize,
     is_prime,
-    signed_divisors_1mod8,
 )
 
 
@@ -37,6 +40,19 @@ def positive_divisors(n: int) -> list:
             if d != n // d:
                 large.append(n // d)
     return small + large[::-1]
+
+
+def expanded_divisors(factors) -> list:
+    """All positive divisors of prod(p**e) from (p, e) pairs, unsorted.
+
+    The product expansion: each prime's powers multiply every divisor built
+    so far.  It shares no code with ``numtheory.divisors_ascending``.
+    """
+    out = [1]
+    for p, e in factors:
+        powers = [p**k for k in range(1, e + 1)]
+        out = [d * q for d in out for q in [1] + powers]
+    return out
 
 
 def two_squares_all(n: int) -> list:
@@ -164,8 +180,9 @@ def a_decompose_walk(n: int):
     replaced.  For each triple it tries the divisors d of the cofactor
     ascending and returns the first (j, k) that meets the parity constraint,
     so it fixes the certificate the closed form must reproduce.  It takes
-    the library's factorization and divisor list, which carry their own
-    oracle tests, so it checks the closed form and not the factoring.
+    the library's factorization, which carries its own oracle tests, and
+    expands the divisors itself, so it checks the closed form and the
+    classifier's divisor walk, not the factoring.
     """
     fac = factorize(n, envelope=None)
     mult = {p: e for p, e in fac.factors if p % 8 == 5}
@@ -177,7 +194,8 @@ def a_decompose_walk(n: int):
         p1, p2, p3 = triple
         c = n // (p1 * p2 * p3)
         l, m, nn = (p1 + 3) // 8, (p2 + 3) // 8, (p3 + 3) // 8
-        for d in signed_divisors_1mod8(c, envelope=None):
+        cofactor = factorize(abs(c), envelope=None).factors
+        for d in sorted(s for e in expanded_divisors(cofactor) for s in (e, -e) if s % 8 == 1):
             j = (d - 1) // 8
             k = (c // d + 3) // 8
             if (j - k - l - m - nn) % 2 != 0:

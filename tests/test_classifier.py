@@ -118,6 +118,10 @@ class TestADecompose:
         assert a_decompose(5625) == OddA(-2, 0, 5, 5, 5)
         assert a_decompose(1625) == OddA(0, 2, 5, 5, 5)
         assert a_decompose(425) is None  # only two 5-mod-8 prime factors
+        # the least divisor e == 7|c| (mod 8) of the cofactor is composite:
+        # e = 989 = 23 * 43 here, and e = 1253 = 7 * 179 below
+        assert a_decompose(-809264000935) == OddA(-9096, 124, 5, 13, 173)
+        assert a_decompose(-984503745575) == OddA(-1, 157, 5, 5, 4489813)
 
     def test_certificates_reconstruct(self):
         for n in (-375, 1625, 5625, 9625, -4375):
@@ -132,9 +136,10 @@ class TestADecompose:
             a_decompose(8)
 
     def test_float_rejected(self):
-        # -375.0 passes the residue check; factorize then refuses it
-        with pytest.raises(TypeError):
-            a_decompose(-375.0)
+        # the type is checked before the residue: 17.0 and True are not 9 mod 16
+        for value in (-375.0, 17.0, True):
+            with pytest.raises(TypeError):
+                a_decompose(value)
 
     def test_deterministic(self):
         for n in (1625, 5625, 15625):

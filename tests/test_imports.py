@@ -8,7 +8,9 @@ or ``json``; ``eval`` adds ``gdet``, ``witness --json`` adds ``gdet``,
 pool behind ``scan --jobs`` is loaded only by a scan on more than one
 process.  The records are not dataclasses, so no command loads
 ``dataclasses`` or the ``inspect`` module it imports, and the command line
-is parsed from one grammar table, so no command loads ``argparse``.
+is parsed from one grammar table, so no command loads ``argparse``.  The
+set-A divisor walk imports ``heapq`` on first use, so only a command that
+decides a set-A value loads it.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ WATCHED = (
     "dataclasses",
     "inspect",
     "argparse",
+    "heapq",
 )
 
 
@@ -64,6 +67,7 @@ def cli_run(*argv) -> str:
 FOOTPRINTS = {
     "import": ("import c4x4det", set()),
     "classify": (cli_run("classify", "17"), set()),
+    "classify-set-a": (cli_run("classify", "-809264000935"), {"heapq"}),
     "witness": (cli_run("witness", "17", "--json"), {"c4x4det.gdet", "c4x4det.witness", "json"}),
     "eval": (cli_run("eval", *"2 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1".split()), {"c4x4det.gdet"}),
     "scan": (
