@@ -1,14 +1,15 @@
 """The order-16 group determinant, computed three independent ways.
 
-* :func:`det16_direct` builds the literal 16x16 matrix ``M[g][h] = a[g*h^-1]``
-  from a group index table, factors out ``sum(a)`` and eliminates the 15x15
-  matrix of row differences fraction-free, two steps per pass (two-step
-  Bareiss), staying in exact integers.  Where a 2x2 pivot minor vanishes, a
-  pivot search swaps in two rows that are independent in those columns, and
-  the same pass goes on.  The one group fact it uses is that every row of
-  the index table is a permutation of ``range(16)``, which holds for any
-  group; it uses no character of C4 x C4 beyond the trivial one.  This is
-  the oracle every other route is checked against.
+* :func:`det16_direct` works on the literal 16x16 matrix ``M[g][h] = a[g*h^-1]``
+  of a group index table: it factors out ``sum(a)``, gathers the 15x15
+  matrix of row differences of ``M`` straight from ``a`` and eliminates it
+  fraction-free, two steps per pass (two-step Bareiss), staying in exact
+  integers.  Where a 2x2 pivot minor vanishes, a pivot search swaps in two
+  rows that are independent in those columns, and the same pass goes on.
+  The one group fact it uses is that every row of the index table is a
+  permutation of ``range(16)``, which holds for any group; it uses no
+  character of C4 x C4 beyond the trivial one.  This is the oracle every
+  other route is checked against.
 * :func:`det16_factored` is the product of the ten integers of
   :func:`factored_pieces`, which split the closed form
   ``det4(b) * det4(c) * beta_norm * gamma_norm`` over the derived spectra;
@@ -29,6 +30,7 @@ reference copies of det4 and the two norms as polynomial identities.
 from __future__ import annotations
 
 from math import prod
+from operator import itemgetter, sub
 
 from .core import check_coefficients
 # Not used here: the benchmark's trace wraps gdet.derive by name.
@@ -58,13 +60,16 @@ _GROUP_INDEX = tuple(
     tuple((((g & 3) - (h & 3)) & 3) + 4 * (((g >> 2) - (h >> 2)) & 3) for h in range(16))
     for g in range(16)
 )
+# _N_ROWS[g](a) is row g of group_matrix(a) without its column 0, gathered in C.
+_N_ROWS = tuple(itemgetter(*row[1:]) for row in _GROUP_INDEX)
 
 
 def group_matrix(a):
     """The 16x16 matrix M[g][h] = a[g*h^-1] with elements (r, s) at r + 4*s.
 
-    g*h^-1 is componentwise subtraction mod 4.  This is the one place the
-    convention is spelled out; tests reuse this builder.
+    g*h^-1 is componentwise subtraction mod 4, spelled out once in
+    ``_GROUP_INDEX``; :func:`det16_direct` gathers from the same table, and
+    the demo and the tests use this builder.
     """
     if len(a) != 16:
         raise ValueError(f"expected 16 coefficients, got {len(a)}")
@@ -76,7 +81,10 @@ def _det_bareiss(m) -> int:
     # of m in place.  Each pass eliminates columns k, k+1 with the 2x2 pivot
     # minor c0 of rows k, k+1, and each lower row gets the two cofactors
     # c1, c2 of its entries there.  Every division by prev is exact by
-    # Sylvester's identity, in any row order.  When c0 == 0, the first row
+    # Sylvester's identity, in any row order.  A lower row whose entries in
+    # columns k, k+1 are both 0 has c1 == c2 == 0, so its update only
+    # rescales it by c0 / prev, and leaves it as it is when c0 == prev
+    # (every pass, for the identity).  When c0 == 0, the first row
     # i >= k with a nonzero pair in columns k, k+1 and the first row j > i
     # with a pair independent of it are swapped into k and k+1 (so j > k + 1);
     # without both, those columns are dependent and the determinant is 0.
@@ -109,10 +117,14 @@ def _det_bareiss(m) -> int:
         cols = range(k + 2, n)
         for ri in m[k + 2:]:
             x0, x1 = ri[k], ri[k + 1]
-            c1 = (c * x1 - d * x0) // prev
-            c2 = (b * x0 - a * x1) // prev
-            for j in cols:
-                ri[j] = (ri[j] * c0 + pk[j] * c1 + pk1[j] * c2) // prev
+            if x0 or x1:
+                c1 = (c * x1 - d * x0) // prev
+                c2 = (b * x0 - a * x1) // prev
+                for j in cols:
+                    ri[j] = (ri[j] * c0 + pk[j] * c1 + pk1[j] * c2) // prev
+            elif c0 != prev:
+                for j in cols:
+                    ri[j] = ri[j] * c0 // prev
         prev = c0
     # n even: the last pivot c0 is the whole determinant; n odd: the last
     # row holds it.
@@ -128,25 +140,30 @@ def det16_direct(a) -> int:
     ``S = sum(a)``.  Adding columns 1..15 into column 0 and subtracting row 0
     from the others gives ``det M = S * det N`` with
     ``N[i][j] = M[i][j] - M[0][j]`` for ``1 <= i, j <= 15``; ``S == 0``
-    makes ``M`` singular.  ``N`` holds differences of entries, so an offset
-    common to every entry never enters the elimination.  ``N`` is
-    eliminated two steps per pass (two-step Bareiss) in one loop; where a
-    2x2 pivot minor vanishes it swaps in two rows whose entries in the pivot
-    columns are independent, or returns 0 if there are none.  Its exact
+    makes ``M`` singular.  ``M`` itself is never built: each row of ``N``
+    is gathered from ``a`` by one ``itemgetter`` over a row of the index
+    table, less the gathered row 0.  ``N`` holds differences of entries, so
+    an offset common to every entry never enters the elimination.  ``N`` is
+    eliminated two steps per pass (two-step Bareiss) in one loop; a lower
+    row that is 0 in both pivot columns is only rescaled, or left alone
+    when the pivot minor equals the previous one.  Where a 2x2 pivot minor
+    vanishes it swaps in two rows whose entries in the pivot columns are
+    independent, or returns 0 if there are none.  Its exact
     divisions floor on anything but integers, so an entry that is not an
     ``int`` (a ``bool`` or ``2.5`` is not one) raises ``TypeError`` first,
-    as :class:`CoeffVec16` does.
+    as :class:`CoeffVec16` does, and then a length other than 16 raises
+    ``ValueError``.
     """
-    # a plain tuple: indexing a subclass such as CoeffVec16 misses the
-    # exact-tuple subscript fast path, 256 times per matrix
+    # any iterable, a CoeffVec16 too, becomes the plain tuple the rows gather from
     a = tuple(a)
     check_coefficients(a)
-    m = group_matrix(a)
+    if len(a) != 16:
+        raise ValueError(f"expected 16 coefficients, got {len(a)}")
     s = sum(a)
     if s == 0:
         return 0
-    r0 = m[0][1:]
-    return s * _det_bareiss([[x - y for x, y in zip(r[1:], r0)] for r in m[1:]])
+    r0 = _N_ROWS[0](a)
+    return s * _det_bareiss([list(map(sub, g(a), r0)) for g in _N_ROWS[1:]])
 
 
 def factored_pieces(a) -> tuple:

@@ -47,6 +47,9 @@ MUTANTS = (
     ("gdet.py", "s = sum(a)\n", "s = sum(a[1:])\n", "tests/test_gdet.py", None),
     ("gdet.py", "if s == 0:", "if s <= 0:", "tests/test_gdet.py", None),
     ("gdet.py", "    a = tuple(a)\n", "", "tests/test_gdet.py", None),
+    ("gdet.py", "if x0 or x1:", "if x0:", "tests/test_gdet.py", None),
+    ("gdet.py", "elif c0 != prev:", "elif False:", "tests/test_gdet.py", None),
+    ("gdet.py", "r0 = _N_ROWS[0](a)", "r0 = _N_ROWS[1](a)", "tests/test_gdet.py", None),
     ("numtheory.py", "m < _TRIAL_BOUND * _TRIAL_BOUND", "m < _TRIAL_BOUND ** 3",
      "tests/test_classifier.py", None),
     ("numtheory.py", "(341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17))",

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import islice, product
 
@@ -226,16 +227,21 @@ class TestDet16:
         assert len(parities) == 1
 
     def test_wrong_length_rejected(self):
-        # (0,) * 15 and () sum to 0: the length check comes before that exit
-        for a in ((1, 2, 3), (0,) * 15, ()):
-            with pytest.raises(ValueError, match="^expected 16 coefficients, got"):
+        # (0,) * 15 and () sum to 0: the length check comes before that exit;
+        # 17 entries would gather without complaint
+        for a in ((1, 2, 3), (0,) * 15, (), (1,) * 17, (0,) * 17):
+            with pytest.raises(ValueError, match=f"^expected 16 coefficients, got {len(a)}$"):
                 det16_direct(a)
-        with pytest.raises(ValueError):
-            det16_spectral((1, 2, 3))
-        with pytest.raises(ValueError, match="^expected 16 coefficients, got 3$"):
-            det16_factored((1, 2, 3))
-        with pytest.raises(ValueError, match="^expected 16 coefficients, got 3$"):
-            factored_pieces((1, 2, 3))
+        for a in ((1, 2, 3), (1,) * 17):
+            with pytest.raises(ValueError):
+                det16_spectral(a)
+            with pytest.raises(ValueError, match=f"^expected 16 coefficients, got {len(a)}$"):
+                det16_factored(a)
+            with pytest.raises(ValueError, match=f"^expected 16 coefficients, got {len(a)}$"):
+                factored_pieces(a)
+        # the entry check comes before the length check
+        with pytest.raises(TypeError, match="must be exact integers"):
+            det16_direct((2.5,) * 17)
 
     def test_group_index_is_a_latin_square(self):
         # det16_direct relies on every row being a permutation of range(16):
@@ -265,16 +271,30 @@ class TestDet16:
             assert det16_direct(a) == det_gauss_slow(group_matrix(a)) == 0, a
 
     def test_coeffvec16_and_plain_tuple_agree(self, monkeypatch):
-        # witness.emit hands det16_direct a CoeffVec16; the matrix is built
-        # from a plain tuple, which indexes faster
+        # witness.emit hands det16_direct a CoeffVec16, and any iterable is
+        # accepted; N is gathered from a plain tuple
         seen = []
-        real = gdet.group_matrix
-        monkeypatch.setattr(gdet, "group_matrix", lambda a: seen.append(type(a)) or real(a))
+
+        def spy(gather):
+            return lambda a: seen.append(type(a)) or gather(a)
+
+        monkeypatch.setattr(gdet, "_N_ROWS", tuple(map(spy, gdet._N_ROWS)))
         rng = random.Random("coeffvec16")
         for _ in range(20):
             a = tuple(rng.randint(-10**6, 10**6) for _ in range(16))
-            assert det16_direct(CoeffVec16(a)) == det16_direct(a) == det16_factored(a)
+            assert (det16_direct(CoeffVec16(a)) == det16_direct(iter(a))
+                    == det16_direct(a) == det16_factored(a))
         assert set(seen) == {tuple}
+
+    def test_gathered_n_is_the_row_differences_of_the_group_matrix(self, monkeypatch):
+        # on free variables, so every entry of N names the two coefficients
+        # it subtracts
+        x = Poly.variables(16)
+        seen = []
+        monkeypatch.setattr(gdet, "check_coefficients", lambda a: None)
+        monkeypatch.setattr(gdet, "_det_bareiss", lambda n: seen.append(n) or 1)
+        assert det16_direct(x) == sum(x)
+        assert seen == [difference_matrix(x)]
 
     @pytest.mark.parametrize("entry", [2.5, 2.0, True, Fraction(5, 2)], ids=repr)
     def test_direct_rejects_entries_that_are_not_ints(self, entry):
@@ -351,8 +371,45 @@ def zero_diagonal_matrix(n, rng):
             for i in range(n)]
 
 
+def difference_matrix(a):
+    """N[i][j] = M[i][j] - M[0][j], 1 <= i, j <= 15, for M = group_matrix(a)."""
+    m = group_matrix(a)
+    return [[x - y for x, y in zip(r[1:], m[0][1:])] for r in m[1:]]
+
+
 def leading_minor(mat, size):
     return det_gauss_slow([row[:size] for row in mat[:size]])
+
+
+class LoggedRow(list):
+    """A matrix row that logs the kind of each update _det_bareiss makes to it.
+
+    A pass at pair k writes columns k+2.. of a lower row in increasing order,
+    so a write at a column no later than the previous one starts an update,
+    and entries k and k+1 of the row, still unwritten, are its pair: "full"
+    when the pair is nonzero, "rescale" when it is zero.  A row left alone
+    logs nothing.
+    """
+
+    def __init__(self, row, log):
+        super().__init__(row)
+        self.log = log
+        self.last = len(row)
+
+    def __setitem__(self, j, value):
+        if j <= self.last:
+            self.log.append("full" if self[j - 2] or self[j - 1] else "rescale")
+        self.last = j
+        super().__setitem__(j, value)
+
+
+def eliminate_logged(mat):
+    """eliminate(mat), plus a Counter of the lower-row updates by kind."""
+    log = []
+    rows = [LoggedRow(r, log) for r in mat]
+    ids = [id(r) for r in rows]
+    det = gdet._det_bareiss(rows)
+    return det, [ids.index(id(r)) for r in rows], Counter(log)
 
 
 def eliminate(mat):
@@ -362,10 +419,25 @@ def eliminate(mat):
     index of the row left at position p; list(range(n)) means no pivot search
     moved a row.
     """
-    rows = [list(r) for r in mat]
-    ids = [id(r) for r in rows]
-    det = gdet._det_bareiss(rows)
-    return det, [ids.index(id(r)) for r in rows]
+    det, order, _ = eliminate_logged(mat)
+    return det, order
+
+
+def lower_rows(n):
+    """The lower-row updates of an n x n elimination that does not return 0 early."""
+    return sum(n - k - 2 for k in range(0, n - 1, 2))
+
+
+# Final row orders of the 15x15 N of CASE_VALUES witnesses whose elimination
+# meets a zero pivot minor; the other witnesses keep list(range(15)).
+WITNESS_ROW_ORDERS = {
+    -999999999719: [0, 1, 3, 4, 5, 7, 2, 11, 8, 9, 10, 6, 12, 13, 14],
+    999999999625: [3, 4, 5, 7, 8, 9, 0, 11, 1, 2, 10, 6, 12, 13, 14],
+    -999999999575: [0, 1, 3, 4, 5, 7, 2, 11, 8, 9, 10, 6, 12, 13, 14],
+    -999999998855: [0, 1, 3, 4, 5, 7, 2, 11, 8, 9, 10, 6, 12, 13, 14],
+    999999996905: [0, 2, 1, *range(3, 15)],
+    999999897600: [0, 2, 1, *range(3, 15)],
+}
 
 
 def check_hand_off(n, k, shape, rng):
@@ -460,10 +532,58 @@ class TestTwoStepBareiss:
             a = tuple(rng.randint(low, high) for _ in range(16))
             assert det16_direct(a) == det16_factored(a) == det16_spectral(a), a
 
+    def test_rows_with_a_zero_pair_are_rescaled_or_left_alone(self):
+        # Block upper triangular with 2x2 diagonal blocks of determinant
+        # 3, 1, 5, 2: every row below a pass is zero in its pivot columns.
+        # The pivot minors c0 are the leading minors 3, 3, 15: pass 0
+        # rescales six rows (c0 != prev = 1), pass 2 leaves four alone
+        # (c0 == prev) and pass 4 rescales two.
+        rng = random.Random("zero pairs")
+        blocks = ([[2, 1], [1, 2]], [[2, 1], [1, 1]], [[3, 1], [1, 2]], [[1, 1], [-1, 1]])
+        mat = [[rng.randint(-9, 9) if j // 2 > i // 2 else 0 for j in range(8)]
+               for i in range(8)]
+        for t, block in enumerate(blocks):
+            for i in range(2):
+                mat[2 * t + i][2 * t:2 * t + 2] = block[i]
+        assert det_gauss_slow(mat) == 30
+        assert eliminate_logged(mat) == (30, list(range(8)), Counter(rescale=8))
+
+    def test_zero_pair_at_a_pass_with_unit_pivot_minor_is_left_alone(self):
+        # pass 0: c0 == prev == 1, and row 3 is zero in columns 0 and 1
+        rng = random.Random("unit pivot")
+        mat = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(6)]
+        mat[0][:2], mat[1][:2], mat[3][:2] = [2, 1], [1, 1], [0, 0]
+        det, order, kinds = eliminate_logged(mat)
+        assert (det, order) == (det_gauss_slow(mat), list(range(6)))
+        assert kinds == Counter(full=lower_rows(6) - 1)
+
+    @pytest.mark.parametrize("pair", [(0, 5), (4, 0)])
+    def test_row_with_one_zero_in_the_pair_gets_the_full_update(self, pair):
+        rng = random.Random(f"one zero {pair}")
+        mat = [[rng.randint(-9, 9) for _ in range(7)] for _ in range(7)]
+        mat[0][:2], mat[1][:2], mat[4][:2] = [3, 1], [1, 2], list(pair)
+        det, order, kinds = eliminate_logged(mat)
+        assert (det, order) == (det_gauss_slow(mat), list(range(7)))
+        assert kinds == Counter(full=lower_rows(7))
+
+    def test_small_witnesses_skip_or_rescale_their_updates(self):
+        # 17: N is the identity, so all 49 lower-row updates are skipped;
+        # 65536: 26 updates only rescale a row
+        for n, kinds in ((17, Counter()), (65536, Counter(full=23, rescale=26))):
+            vec, _ = witness(n)
+            mat = difference_matrix(vec)
+            assert eliminate_logged(mat) == (n // sum(vec), list(range(15)), kinds)
+        assert lower_rows(15) == 49
+
     def test_three_routes_agree_on_every_witness_case(self):
         cases = set()
         for n in CASE_VALUES:
             vec, cls = witness(n)
             cases.add(plan(cls).case)
             assert det16_direct(vec) == det16_factored(vec) == det16_spectral(vec) == n
+            # the 15x15 N that det16_direct eliminates
+            mat = difference_matrix(vec)
+            det, order = eliminate(mat)
+            assert det * sum(vec) == n and det == det_gauss_slow(mat)
+            assert order == WITNESS_ROW_ORDERS.get(n, list(range(15))), n
         assert cases == set(WitnessCase)
