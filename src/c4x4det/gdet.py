@@ -8,8 +8,10 @@
   rows that are independent in those columns, and the same pass goes on.
   The one group fact it uses is that every row of the index table is a
   permutation of ``range(16)``, which holds for any group; it uses no
-  character of C4 x C4 beyond the trivial one.  This is the oracle every
-  other route is checked against.
+  character of C4 x C4 beyond the trivial one.  ``det N`` is memoised on
+  the differences ``a - a[0]``, the only thing ``N`` depends on, in a
+  cache of at most 256 entries, so a witness family's repeated shape is
+  eliminated once.  This is the oracle every other route is checked against.
 * :func:`det16_factored` is the product of the ten integers of
   :func:`factored_pieces`, which split the closed form
   ``det4(b) * det4(c) * beta_norm * gamma_norm`` over the derived spectra;
@@ -29,6 +31,8 @@ reference copies of det4 and the two norms as polynomial identities.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import repeat
 from math import prod
 from operator import itemgetter, sub
 
@@ -62,6 +66,9 @@ _GROUP_INDEX = tuple(
 )
 # _N_ROWS[g](a) is row g of group_matrix(a) without its column 0, gathered in C.
 _N_ROWS = tuple(itemgetter(*row[1:]) for row in _GROUP_INDEX)
+# Distinct difference vectors whose det N is kept: enough for the witness
+# families' repeated shapes, small enough to leave the memory footprint flat.
+_DET_N_CACHE_SIZE = 256
 
 
 def group_matrix(a):
@@ -131,6 +138,14 @@ def _det_bareiss(m) -> int:
     return sign * (prev if n % 2 == 0 else m[n - 1][n - 1])
 
 
+@lru_cache(maxsize=_DET_N_CACHE_SIZE)
+def _det_n(d) -> int:
+    # det N from the differences d = a - a[0]: N depends on a only through
+    # them, so the cache is exact, and each distinct d is still eliminated.
+    r0 = _N_ROWS[0](d)
+    return _det_bareiss([list(map(sub, g(d), r0)) for g in _N_ROWS[1:]])
+
+
 def det16_direct(a) -> int:
     """Exact determinant of the full 16x16 group matrix.
 
@@ -140,10 +155,16 @@ def det16_direct(a) -> int:
     ``S = sum(a)``.  Adding columns 1..15 into column 0 and subtracting row 0
     from the others gives ``det M = S * det N`` with
     ``N[i][j] = M[i][j] - M[0][j]`` for ``1 <= i, j <= 15``; ``S == 0``
-    makes ``M`` singular.  ``M`` itself is never built: each row of ``N``
-    is gathered from ``a`` by one ``itemgetter`` over a row of the index
-    table, less the gathered row 0.  ``N`` holds differences of entries, so
-    an offset common to every entry never enters the elimination.  ``N`` is
+    makes ``M`` singular.  ``N`` holds differences of entries, so an offset
+    common to every entry cancels in it: ``N``, and so ``det N``, is a
+    function of the differences ``d = a - a[0]`` alone.  ``det N`` is
+    memoised on ``d`` in a least-recently-used cache of 256 entries.  That
+    is exact: every distinct ``d`` is still eliminated in integers, and
+    ``S`` is recomputed on every call.  The witnesses of one family
+    (``16m+1``, say) share one ``d``, so re-checking all of them costs one
+    elimination.  ``M`` itself is never built: each row of ``N`` is
+    gathered from ``d`` by one ``itemgetter`` over a row of the index
+    table, less the gathered row 0.  ``N`` is
     eliminated two steps per pass (two-step Bareiss) in one loop; a lower
     row that is 0 in both pivot columns is only rescaled, or left alone
     when the pivot minor equals the previous one.  Where a 2x2 pivot minor
@@ -154,7 +175,7 @@ def det16_direct(a) -> int:
     as :class:`CoeffVec16` does, and then a length other than 16 raises
     ``ValueError``.
     """
-    # any iterable, a CoeffVec16 too, becomes the plain tuple the rows gather from
+    # any iterable, a CoeffVec16 too, becomes a plain tuple
     a = tuple(a)
     check_coefficients(a)
     if len(a) != 16:
@@ -162,8 +183,7 @@ def det16_direct(a) -> int:
     s = sum(a)
     if s == 0:
         return 0
-    r0 = _N_ROWS[0](a)
-    return s * _det_bareiss([list(map(sub, g(a), r0)) for g in _N_ROWS[1:]])
+    return s * _det_n(tuple(map(sub, a, repeat(a[0]))))
 
 
 def factored_pieces(a) -> tuple:

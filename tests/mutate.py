@@ -43,13 +43,20 @@ MUTANTS = (
     ("gdet.py", "s, t, u, v = x + p, y + q,", "s, t, u, v = x + p, y - q,", PIECES_TEST, None),
     ("gdet.py", "g, h, m, n = x - q,", "g, h, m, n = x + q,", PIECES_TEST, None),
     ("gdet.py", "    check_coefficients(a)\n", "", "tests/test_gdet.py", None),
-    ("gdet.py", "return s * _det_bareiss(", "return _det_bareiss(", "tests/test_gdet.py", None),
+    ("gdet.py", "return s * _det_n(", "return _det_n(", "tests/test_gdet.py", None),
     ("gdet.py", "s = sum(a)\n", "s = sum(a[1:])\n", "tests/test_gdet.py", None),
     ("gdet.py", "if s == 0:", "if s <= 0:", "tests/test_gdet.py", None),
     ("gdet.py", "    a = tuple(a)\n", "", "tests/test_gdet.py", None),
     ("gdet.py", "if x0 or x1:", "if x0:", "tests/test_gdet.py", None),
     ("gdet.py", "elif c0 != prev:", "elif False:", "tests/test_gdet.py", None),
-    ("gdet.py", "r0 = _N_ROWS[0](a)", "r0 = _N_ROWS[1](a)", "tests/test_gdet.py", None),
+    ("gdet.py", "r0 = _N_ROWS[0](d)", "r0 = _N_ROWS[1](d)", "tests/test_gdet.py", None),
+    # same answers, one elimination per vector: only the eliminate-once tests see it
+    ("gdet.py", "_det_n(tuple(map(sub, a, repeat(a[0]))))", "_det_n(a)",
+     "tests/test_gdet.py::TestDirectMemo", None),
+    ("gdet.py", "@lru_cache(maxsize=_DET_N_CACHE_SIZE)", "@lru_cache(maxsize=None)",
+     "tests/test_gdet.py::TestDirectMemo", None),
+    ("gdet.py", "repeat(a[0])", "repeat(a[1])", "tests/test_gdet.py",
+     "N is offset-invariant: a - a[1] gives the same N and the same cache hits"),
     ("numtheory.py", "m < _TRIAL_BOUND * _TRIAL_BOUND", "m < _TRIAL_BOUND ** 3",
      "tests/test_classifier.py", None),
     ("numtheory.py", "(341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17))",

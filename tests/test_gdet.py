@@ -55,6 +55,19 @@ def degenerate_matrices(draw):
     return rows
 
 
+@pytest.fixture
+def fresh_det_n():
+    """_det_n with an empty cache, emptied again after the test.
+
+    A test that spies on _det_bareiss or _N_ROWS sees every elimination
+    only from an empty cache, and no value a spy returned outlives it.
+    """
+    det_n = gdet._det_n
+    det_n.cache_clear()
+    yield det_n
+    det_n.cache_clear()
+
+
 def det_gauss_slow(mat):
     """Independent referee: exact rational Gaussian elimination."""
     m = [[Fraction(x) for x in row] for row in mat]
@@ -270,9 +283,9 @@ class TestDet16:
             assert any(a) and sum(a) == 0
             assert det16_direct(a) == det_gauss_slow(group_matrix(a)) == 0, a
 
-    def test_coeffvec16_and_plain_tuple_agree(self, monkeypatch):
+    def test_coeffvec16_and_plain_tuple_agree(self, monkeypatch, fresh_det_n):
         # witness.emit hands det16_direct a CoeffVec16, and any iterable is
-        # accepted; N is gathered from a plain tuple
+        # accepted; N is gathered from a plain tuple of differences
         seen = []
 
         def spy(gather):
@@ -286,12 +299,14 @@ class TestDet16:
                     == det16_direct(a) == det16_factored(a))
         assert set(seen) == {tuple}
 
-    def test_gathered_n_is_the_row_differences_of_the_group_matrix(self, monkeypatch):
+    def test_gathered_n_is_the_row_differences_of_the_group_matrix(
+            self, monkeypatch, fresh_det_n):
         # on free variables, so every entry of N names the two coefficients
-        # it subtracts
+        # it subtracts; a Poly is unhashable, so _det_n runs uncached
         x = Poly.variables(16)
         seen = []
         monkeypatch.setattr(gdet, "check_coefficients", lambda a: None)
+        monkeypatch.setattr(gdet, "_det_n", gdet._det_n.__wrapped__)
         monkeypatch.setattr(gdet, "_det_bareiss", lambda n: seen.append(n) or 1)
         assert det16_direct(x) == sum(x)
         assert seen == [difference_matrix(x)]
@@ -302,6 +317,60 @@ class TestDet16:
         a = (entry,) + (1,) * 15
         with pytest.raises(TypeError, match="must be exact integers"):
             det16_direct(a)
+
+
+class TestDirectMemo:
+    """det N is memoised on the differences a - a[0]."""
+
+    @staticmethod
+    def count_eliminations(monkeypatch):
+        calls = []
+        bareiss = gdet._det_bareiss
+        monkeypatch.setattr(gdet, "_det_bareiss", lambda m: calls.append(len(m)) or bareiss(m))
+        return calls
+
+    def test_a_one_parameter_family_is_eliminated_once(self, monkeypatch, fresh_det_n):
+        # m * (1, ..., 1) plus one correction row: every witness has one N
+        calls = self.count_eliminations(monkeypatch)
+        for m in range(-500, 501):
+            _, cls = witness(16 * m + 1)
+            assert plan(cls).case is WitnessCase.ODD_16M_PLUS_1
+        assert calls == [15]
+
+    def test_each_pow2_16_case_is_eliminated_once(self, monkeypatch, fresh_det_n):
+        calls = self.count_eliminations(monkeypatch)
+        cases = {plan(witness(65536 * m)[1]).case for m in range(-60, 61) if m}
+        assert cases == {WitnessCase.POW2_16_4M_PLUS_1, WitnessCase.POW2_16_4M_MINUS_1,
+                         WitnessCase.POW2_16_EVEN}
+        assert calls == [15] * 3
+
+    @given(coeffs, st.integers(-10**12, 10**12))
+    def test_a_common_offset_moves_only_the_sum(self, a, c):
+        # det M = sum(a) * det N, and N does not see the offset
+        shifted = tuple(x + c for x in a)
+        assert det16_direct(shifted) * sum(a) == det16_direct(a) * (sum(a) + 16 * c)
+
+    @pytest.mark.parametrize("a, error", [
+        ((2.5,) + (1,) * 15, TypeError),
+        ((True,) * 16, TypeError),
+        ((1,) * 15, ValueError),
+        ((1,) * 17, ValueError),
+        ((), ValueError),
+    ], ids=["float", "bool", "15", "17", "empty"])
+    def test_bad_input_raises_every_time_and_caches_nothing(self, a, error, fresh_det_n):
+        assert det16_direct((2,) + (1,) * 15) == 17
+        for _ in range(3):
+            with pytest.raises(error):
+                det16_direct(a)
+        assert fresh_det_n.cache_info().currsize == 1
+
+    def test_the_cache_is_bounded(self, fresh_det_n):
+        size = fresh_det_n.cache_info().maxsize
+        assert size == gdet._DET_N_CACHE_SIZE > 0
+        for k in range(size + 8):
+            a = (1, k) + (0,) * 14
+            assert det16_direct(a) == det16_factored(a)
+        assert fresh_det_n.cache_info().currsize == size
 
 
 def factored_reference(a):
