@@ -2,10 +2,12 @@
 
 The coefficient vector below assigns m+1 = 2 to the identity element and
 m = 1 everywhere else; its determinant is 16m + 1 = 17.  The direct route
-factors the coefficient sum 17 out of the literal 16x16 matrix and
-eliminates the 15x15 matrix of row differences; the factored route multiplies the
-closed-form pieces; the spectral route multiplies the four Gaussian
-character-block determinants.
+splits the literal 16x16 matrix over the cosets of the order-2 subgroup
+generated by (2, 0), factors the coefficient sum 17 out of the 8x8 coset-sum
+block and eliminates its 7x7 matrix of row differences and the 8x8
+coset-difference block; the factored route multiplies the closed-form
+pieces; the spectral route multiplies the four Gaussian character-block
+determinants.
 """
 
 from c4x4det import derive, det16_direct, det16_factored, det16_spectral

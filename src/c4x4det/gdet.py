@@ -1,17 +1,20 @@
 """The order-16 group determinant, computed three independent ways.
 
 * :func:`det16_direct` works on the literal 16x16 matrix ``M[g][h] = a[g*h^-1]``
-  of a group index table: it factors out ``sum(a)``, gathers the 15x15
-  matrix of row differences of ``M`` straight from ``a`` and eliminates it
-  fraction-free, two steps per pass (two-step Bareiss), staying in exact
-  integers.  Where a 2x2 pivot minor vanishes, a pivot search swaps in two
-  rows that are independent in those columns, and the same pass goes on.
-  The one group fact it uses is that every row of the index table is a
-  permutation of ``range(16)``, which holds for any group; it uses no
-  character of C4 x C4 beyond the trivial one.  ``det N`` is memoised on
-  the differences ``a - a[0]``, the only thing ``N`` depends on, in a
-  cache of at most 256 entries, so a witness family's repeated shape is
-  eliminated once.  This is the oracle every other route is checked against.
+  of a group index table.  Over the cosets of ``K = {e, z}``, ``z = (2, 0)``,
+  it splits ``M`` into two 8x8 blocks: ``Q``, the group matrix of ``G/K`` on
+  the coset sums, and ``T``, the part of ``M`` on which ``z`` acts as -1,
+  so ``det M = sum(a) * det Q' * det T`` with ``Q'`` the 7x7 matrix of row
+  differences of ``Q``.  It gathers ``Q'`` and ``T`` straight from ``a`` and
+  eliminates each fraction-free, two steps per pass (two-step Bareiss), in
+  exact integers, swapping in independent rows where a 2x2 pivot minor
+  vanishes.  The group facts it uses are that every row of the index table
+  is a permutation of ``range(16)`` and that ``z`` has order 2; it uses no
+  closed form, and splits over ``(2, 0)`` where :func:`derive` splits over
+  ``(0, 2)``.  ``det Q' * det T`` is memoised on the differences
+  ``a - a[0]`` (at most 256 entries), so a witness family's repeated shape
+  is eliminated once.  This is the oracle every other route is checked
+  against.
 * :func:`det16_factored` is the product of the ten integers of
   :func:`factored_pieces`, which split the closed form
   ``det4(b) * det4(c) * beta_norm * gamma_norm`` over the derived spectra;
@@ -34,7 +37,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import repeat
 from math import prod
-from operator import itemgetter, sub
+from operator import add, itemgetter, sub
 
 from .core import check_coefficients
 # Not used here: the benchmark's trace wraps gdet.derive by name.
@@ -64,9 +67,17 @@ _GROUP_INDEX = tuple(
     tuple((((g & 3) - (h & 3)) & 3) + 4 * (((g >> 2) - (h >> 2)) & 3) for h in range(16))
     for g in range(16)
 )
-# _N_ROWS[g](a) is row g of group_matrix(a) without its column 0, gathered in C.
-_N_ROWS = tuple(itemgetter(*row[1:]) for row in _GROUP_INDEX)
-# Distinct difference vectors whose det N is kept: enough for the witness
+# z = (2, 0) has order 2.  _COSET_REPS holds the smaller element of each
+# coset {g, g*z} of K = {e, z}: the eight (r, s) with r in {0, 1}.
+_Z = 2
+_COSET_REPS = tuple(g for g in range(16) if g < _GROUP_INDEX[g][_Z])
+# _TIMES_Z(a)[g] is a[g*z], as z is its own inverse; gathered in C.
+_TIMES_Z = itemgetter(*(row[_Z] for row in _GROUP_INDEX))
+# With R = _COSET_REPS, _T_ROWS[i](v) is (v[R_i R_j^-1] for j = 0..7) and
+# _Q_ROWS[i](v) the same without column 0.
+_T_ROWS = tuple(itemgetter(*(_GROUP_INDEX[r][h] for h in _COSET_REPS)) for r in _COSET_REPS)
+_Q_ROWS = tuple(itemgetter(*(_GROUP_INDEX[r][h] for h in _COSET_REPS[1:])) for r in _COSET_REPS)
+# Distinct difference vectors whose det M / S is kept: enough for the witness
 # families' repeated shapes, small enough to leave the memory footprint flat.
 _DET_N_CACHE_SIZE = 256
 
@@ -140,40 +151,56 @@ def _det_bareiss(m) -> int:
 
 @lru_cache(maxsize=_DET_N_CACHE_SIZE)
 def _det_n(d) -> int:
-    # det N from the differences d = a - a[0]: N depends on a only through
-    # them, so the cache is exact, and each distinct d is still eliminated.
-    r0 = _N_ROWS[0](d)
-    return _det_bareiss([list(map(sub, g(d), r0)) for g in _N_ROWS[1:]])
+    # det M / S = det Q' * det T from the differences d = a - a[0]: both
+    # blocks depend on a only through them, so the cache is exact, and each
+    # distinct d is still eliminated.  Q is read off the coset sums u and T
+    # off the coset differences v; T is skipped when det Q' is 0.
+    zd = _TIMES_Z(d)
+    u = tuple(map(add, d, zd))
+    q0 = _Q_ROWS[0](u)
+    det_q = _det_bareiss([list(map(sub, g(u), q0)) for g in _Q_ROWS[1:]])
+    if det_q == 0:
+        return 0
+    v = tuple(map(sub, d, zd))
+    return det_q * _det_bareiss([list(g(v)) for g in _T_ROWS])
 
 
 def det16_direct(a) -> int:
     """Exact determinant of the full 16x16 group matrix.
 
     The reference oracle: independent of the factored and spectral routes.
-    It uses one fact about the group: every row of its index table is a
-    permutation of ``range(16)``, so every row of ``M`` sums to
-    ``S = sum(a)``.  Adding columns 1..15 into column 0 and subtracting row 0
-    from the others gives ``det M = S * det N`` with
-    ``N[i][j] = M[i][j] - M[0][j]`` for ``1 <= i, j <= 15``; ``S == 0``
-    makes ``M`` singular.  ``N`` holds differences of entries, so an offset
-    common to every entry cancels in it: ``N``, and so ``det N``, is a
-    function of the differences ``d = a - a[0]`` alone.  ``det N`` is
-    memoised on ``d`` in a least-recently-used cache of 256 entries.  That
-    is exact: every distinct ``d`` is still eliminated in integers, and
-    ``S`` is recomputed on every call.  The witnesses of one family
-    (``16m+1``, say) share one ``d``, so re-checking all of them costs one
-    elimination.  ``M`` itself is never built: each row of ``N`` is
-    gathered from ``d`` by one ``itemgetter`` over a row of the index
-    table, less the gathered row 0.  ``N`` is
-    eliminated two steps per pass (two-step Bareiss) in one loop; a lower
-    row that is 0 in both pivot columns is only rescaled, or left alone
-    when the pivot minor equals the previous one.  Where a 2x2 pivot minor
-    vanishes it swaps in two rows whose entries in the pivot columns are
-    independent, or returns 0 if there are none.  Its exact
-    divisions floor on anything but integers, so an entry that is not an
-    ``int`` (a ``bool`` or ``2.5`` is not one) raises ``TypeError`` first,
-    as :class:`CoeffVec16` does, and then a length other than 16 raises
-    ``ValueError``.
+    It splits ``M`` over the cosets ``{g, g*z}`` of ``K = {e, z}``, where
+    ``z = (2, 0)`` has order 2 and ``R`` are the eight representatives
+    ``(r, s)`` with ``r`` in ``{0, 1}``.  Three unimodular steps change
+    ``M``: add column ``h*z`` into column ``h`` and subtract row ``g`` from
+    row ``g*z`` for each representative ``h``, ``g``, then put the
+    representatives first, rows and columns alike.  That leaves
+    ``[[Q, X], [0, T]]`` with ``Q[i][j] = a(R_i R_j^-1) + a(R_i R_j^-1 z)``
+    and ``T[i][j] = a(R_i R_j^-1) - a(R_i R_j^-1 z)`` for ``0 <= i, j < 8``.
+    ``Q`` is the group matrix of ``G/K`` on the coset sums, and ``T`` is the
+    part of ``M`` on which ``z`` acts as -1.  Every row of ``Q`` is a
+    permutation of the coset sums, so it sums to ``S = sum(a)``; as for any
+    group matrix, ``det Q = S * det Q'`` with ``Q'[i][j] = Q[i][j] - Q[0][j]``
+    for ``1 <= i, j <= 7``.  So ``det M = S * det Q' * det T``; ``S == 0``
+    makes ``M`` singular, and ``det Q' == 0`` returns 0 without building
+    ``T``.  ``Q'`` and ``T`` hold differences of entries, so an offset common
+    to every entry cancels in both: ``det Q' * det T`` is a function of the
+    differences ``d = a - a[0]`` alone.  It is memoised on ``d`` in a
+    least-recently-used cache of 256 entries.  That is exact: every
+    distinct ``d`` is still eliminated in integers, and ``S`` is recomputed
+    on every call.  The witnesses of one family (``16m+1``, say) share one
+    ``d``, so re-checking all of them costs one elimination of each block.
+    ``M`` itself is never built: each row of both blocks is gathered from
+    the coset sums or differences of ``d`` by one ``itemgetter`` over the
+    index table.  Each block is eliminated two steps per pass (two-step
+    Bareiss) in one loop; a lower row that is 0 in both pivot columns is
+    only rescaled, or left alone when the pivot minor equals the previous
+    one.  Where a 2x2 pivot minor vanishes it swaps in two rows whose
+    entries in the pivot columns are independent, or returns 0 if there are
+    none.  Its exact divisions floor on anything but integers, so an entry
+    that is not an ``int`` (a ``bool`` or ``2.5`` is not one) raises
+    ``TypeError`` first, as :class:`CoeffVec16` does, and then a length
+    other than 16 raises ``ValueError``.
     """
     # any iterable, a CoeffVec16 too, becomes a plain tuple
     a = tuple(a)

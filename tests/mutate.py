@@ -35,6 +35,10 @@ PIECES_TEST = (
     "tests/test_gdet.py::TestFactoredKernel"
     "::test_pieces_are_the_reference_closed_forms_on_free_variables"
 )
+BLOCKS_TEST = (
+    "tests/test_gdet.py::TestDet16"
+    "::test_gathered_blocks_are_the_coset_blocks_of_the_group_matrix"
+)
 
 # (module, old text, new text, pytest target, reason if declared equivalent)
 MUTANTS = (
@@ -49,14 +53,26 @@ MUTANTS = (
     ("gdet.py", "    a = tuple(a)\n", "", "tests/test_gdet.py", None),
     ("gdet.py", "if x0 or x1:", "if x0:", "tests/test_gdet.py", None),
     ("gdet.py", "elif c0 != prev:", "elif False:", "tests/test_gdet.py", None),
-    ("gdet.py", "r0 = _N_ROWS[0](d)", "r0 = _N_ROWS[1](d)", "tests/test_gdet.py", None),
+    ("gdet.py", "q0 = _Q_ROWS[0](u)", "q0 = _Q_ROWS[1](u)", "tests/test_gdet.py", None),
+    ("gdet.py", "u = tuple(map(add, d, zd))", "u = tuple(map(sub, d, zd))",
+     "tests/test_gdet.py", None),
+    # (1, 0) has order 4
+    ("gdet.py", "_Z = 2\n", "_Z = 1\n", "tests/test_gdet.py", None),
+    # same answers, as it negates all 8 rows of T and (-1)**8 == 1: only the
+    # test that reads the gathered blocks sees it
+    ("gdet.py", "v = tuple(map(sub, d, zd))", "v = tuple(map(sub, zd, d))",
+     BLOCKS_TEST, None),
+    # same answers, as S * 0 * det T == 0: only the test that refuses to
+    # gather T sees it
+    ("gdet.py", "    if det_q == 0:\n        return 0\n", "",
+     "tests/test_gdet.py::TestDet16::test_a_singular_quotient_block_skips_t", None),
     # same answers, one elimination per vector: only the eliminate-once tests see it
     ("gdet.py", "_det_n(tuple(map(sub, a, repeat(a[0]))))", "_det_n(a)",
      "tests/test_gdet.py::TestDirectMemo", None),
     ("gdet.py", "@lru_cache(maxsize=_DET_N_CACHE_SIZE)", "@lru_cache(maxsize=None)",
      "tests/test_gdet.py::TestDirectMemo", None),
     ("gdet.py", "repeat(a[0])", "repeat(a[1])", "tests/test_gdet.py",
-     "N is offset-invariant: a - a[1] gives the same N and the same cache hits"),
+     "Q' and T are offset-invariant: a - a[1] gives the same blocks and the same cache hits"),
     ("numtheory.py", "m < _TRIAL_BOUND * _TRIAL_BOUND", "m < _TRIAL_BOUND ** 3",
      "tests/test_classifier.py", None),
     ("numtheory.py", "(341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17))",

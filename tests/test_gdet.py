@@ -59,8 +59,9 @@ def degenerate_matrices(draw):
 def fresh_det_n():
     """_det_n with an empty cache, emptied again after the test.
 
-    A test that spies on _det_bareiss or _N_ROWS sees every elimination
-    only from an empty cache, and no value a spy returned outlives it.
+    A test that spies on _det_bareiss or the gathers sees every
+    elimination only from an empty cache, and no value a spy returned
+    outlives it.
     """
     det_n = gdet._det_n
     det_n.cache_clear()
@@ -258,7 +259,8 @@ class TestDet16:
 
     def test_group_index_is_a_latin_square(self):
         # det16_direct relies on every row being a permutation of range(16):
-        # then every row of M sums to sum(a), which it factors out.
+        # then every row of the coset-sum block Q sums to sum(a), which it
+        # factors out.
         for line in (*gdet._GROUP_INDEX, *zip(*gdet._GROUP_INDEX)):
             assert sorted(line) == list(range(16))
 
@@ -285,31 +287,52 @@ class TestDet16:
 
     def test_coeffvec16_and_plain_tuple_agree(self, monkeypatch, fresh_det_n):
         # witness.emit hands det16_direct a CoeffVec16, and any iterable is
-        # accepted; N is gathered from a plain tuple of differences
-        seen = []
+        # accepted; every gather reads a plain tuple of differences or of
+        # their coset sums or differences
+        seen = Counter()
 
         def spy(gather):
-            return lambda a: seen.append(type(a)) or gather(a)
+            return lambda a: seen.update([type(a)]) or gather(a)
 
-        monkeypatch.setattr(gdet, "_N_ROWS", tuple(map(spy, gdet._N_ROWS)))
+        monkeypatch.setattr(gdet, "_TIMES_Z", spy(gdet._TIMES_Z))
+        monkeypatch.setattr(gdet, "_Q_ROWS", tuple(map(spy, gdet._Q_ROWS)))
+        monkeypatch.setattr(gdet, "_T_ROWS", tuple(map(spy, gdet._T_ROWS)))
         rng = random.Random("coeffvec16")
         for _ in range(20):
             a = tuple(rng.randint(-10**6, 10**6) for _ in range(16))
             assert (det16_direct(CoeffVec16(a)) == det16_direct(iter(a))
                     == det16_direct(a) == det16_factored(a))
-        assert set(seen) == {tuple}
+        # 20 misses, each with one z-gather and 8 + 8 row gathers
+        assert seen == Counter({tuple: 20 * 17})
 
-    def test_gathered_n_is_the_row_differences_of_the_group_matrix(
+    def test_gathered_blocks_are_the_coset_blocks_of_the_group_matrix(
             self, monkeypatch, fresh_det_n):
-        # on free variables, so every entry of N names the two coefficients
-        # it subtracts; a Poly is unhashable, so _det_n runs uncached
+        # on free variables, so every entry names the coefficients it adds
+        # and subtracts; a Poly is unhashable, so _det_n runs uncached
         x = Poly.variables(16)
+        m = coset_split(x)
+        assert all(e == 0 for row in m[8:] for e in row[:8])
+        a = tuple(random.Random("split").randint(-9, 9) for _ in range(16))
+        assert det_gauss_slow(coset_split(a)) == det_gauss_slow(group_matrix(a))
         seen = []
         monkeypatch.setattr(gdet, "check_coefficients", lambda a: None)
         monkeypatch.setattr(gdet, "_det_n", gdet._det_n.__wrapped__)
         monkeypatch.setattr(gdet, "_det_bareiss", lambda n: seen.append(n) or 1)
         assert det16_direct(x) == sum(x)
-        assert seen == [difference_matrix(x)]
+        assert seen == list(coset_blocks(x))
+
+    def test_a_singular_quotient_block_skips_t(self, monkeypatch, fresh_det_n):
+        # every coset {g, g*z} of (1, 1, 0, 0) * 4 sums to 1, so every entry
+        # of Q is 1 and Q' is 0 while S = 8
+        a = (1, 1, 0, 0) * 4
+        q, _ = coset_blocks(a)
+        assert sum(a) == 8 and not any(map(any, q))
+
+        def refuse(v):
+            raise AssertionError("T was gathered")
+
+        monkeypatch.setattr(gdet, "_T_ROWS", (refuse,) * 8)
+        assert det16_direct(a) == det_gauss_slow(group_matrix(a)) == 0
 
     @pytest.mark.parametrize("entry", [2.5, 2.0, True, Fraction(5, 2)], ids=repr)
     def test_direct_rejects_entries_that_are_not_ints(self, entry):
@@ -330,23 +353,25 @@ class TestDirectMemo:
         return calls
 
     def test_a_one_parameter_family_is_eliminated_once(self, monkeypatch, fresh_det_n):
-        # m * (1, ..., 1) plus one correction row: every witness has one N
+        # m * (1, ..., 1) plus one correction row: every witness has one d
         calls = self.count_eliminations(monkeypatch)
         for m in range(-500, 501):
             _, cls = witness(16 * m + 1)
             assert plan(cls).case is WitnessCase.ODD_16M_PLUS_1
-        assert calls == [15]
+        assert fresh_det_n.cache_info().misses == 1
+        assert calls == [7, 8]
 
     def test_each_pow2_16_case_is_eliminated_once(self, monkeypatch, fresh_det_n):
         calls = self.count_eliminations(monkeypatch)
         cases = {plan(witness(65536 * m)[1]).case for m in range(-60, 61) if m}
         assert cases == {WitnessCase.POW2_16_4M_PLUS_1, WitnessCase.POW2_16_4M_MINUS_1,
                          WitnessCase.POW2_16_EVEN}
-        assert calls == [15] * 3
+        assert fresh_det_n.cache_info().misses == 3
+        assert calls == [7, 8] * 3
 
     @given(coeffs, st.integers(-10**12, 10**12))
     def test_a_common_offset_moves_only_the_sum(self, a, c):
-        # det M = sum(a) * det N, and N does not see the offset
+        # det M = sum(a) * det Q' * det T, and neither block sees the offset
         shifted = tuple(x + c for x in a)
         assert det16_direct(shifted) * sum(a) == det16_direct(a) * (sum(a) + 16 * c)
 
@@ -440,10 +465,36 @@ def zero_diagonal_matrix(n, rng):
             for i in range(n)]
 
 
-def difference_matrix(a):
-    """N[i][j] = M[i][j] - M[0][j], 1 <= i, j <= 15, for M = group_matrix(a)."""
+# z = (2, 0) is flat 2, and g*z = (r + 2, s); one element of each coset
+# {g, g*z} has r in {0, 1}.
+COSET_REPS = [g for g in range(16) if g % 4 < 2]
+TIMES_Z = [(g + 2) % 4 + 4 * (g // 4) for g in range(16)]
+
+
+def coset_split(a):
+    """group_matrix(a) split over the cosets of {e, z}: [[Q, X], [0, T]].
+
+    For each representative h (and g), column h*z is added into column h
+    and row g is subtracted from row g*z; then the representatives go
+    first, rows and columns alike.  The steps are unimodular, so the
+    determinant is unchanged.
+    """
     m = group_matrix(a)
-    return [[x - y for x, y in zip(r[1:], m[0][1:])] for r in m[1:]]
+    for h in COSET_REPS:
+        for row in m:
+            row[h] = row[h] + row[TIMES_Z[h]]
+    for g in COSET_REPS:
+        m[TIMES_Z[g]] = [x - y for x, y in zip(m[TIMES_Z[g]], m[g])]
+    order = COSET_REPS + [TIMES_Z[g] for g in COSET_REPS]
+    return [[m[i][j] for j in order] for i in order]
+
+
+def coset_blocks(a):
+    """Q' and T of coset_split(a): Q'[i][j] = Q[i][j] - Q[0][j], 1 <= i, j <= 7."""
+    m = coset_split(a)
+    q0 = m[0][1:8]
+    return ([[x - y for x, y in zip(row[1:8], q0)] for row in m[1:8]],
+            [row[8:] for row in m[8:]])
 
 
 def leading_minor(mat, size):
@@ -497,15 +548,16 @@ def lower_rows(n):
     return sum(n - k - 2 for k in range(0, n - 1, 2))
 
 
-# Final row orders of the 15x15 N of CASE_VALUES witnesses whose elimination
-# meets a zero pivot minor; the other witnesses keep list(range(15)).
+# Final row orders of the 7x7 Q' and the 8x8 T of CASE_VALUES witnesses
+# whose elimination meets a zero pivot minor; the other witnesses keep
+# list(range(7)) and list(range(8)).
 WITNESS_ROW_ORDERS = {
-    -999999999719: [0, 1, 3, 4, 5, 7, 2, 11, 8, 9, 10, 6, 12, 13, 14],
-    999999999625: [3, 4, 5, 7, 8, 9, 0, 11, 1, 2, 10, 6, 12, 13, 14],
-    -999999999575: [0, 1, 3, 4, 5, 7, 2, 11, 8, 9, 10, 6, 12, 13, 14],
-    -999999998855: [0, 1, 3, 4, 5, 7, 2, 11, 8, 9, 10, 6, 12, 13, 14],
-    999999996905: [0, 2, 1, *range(3, 15)],
-    999999897600: [0, 2, 1, *range(3, 15)],
+    -999999999719: ([1, 3, 0, 5, 4, 2, 6], list(range(8))),
+    -999999999687: ([0, 1, 2, 4, 3, 5, 6], list(range(8))),
+    999999999625: ([1, 3, 0, 5, 4, 2, 6], [2, 3, 4, 5, 0, 1, 6, 7]),
+    -999999999575: ([1, 3, 0, 5, 4, 2, 6], list(range(8))),
+    -999999998855: ([1, 3, 0, 5, 4, 2, 6], list(range(8))),
+    999999930368: ([0, 1, 2, 4, 3, 5, 6], list(range(8))),
 }
 
 
@@ -567,8 +619,15 @@ class TestTwoStepBareiss:
     @pytest.mark.parametrize("k", range(0, 14, 2))
     @pytest.mark.parametrize("shape", ["repeated", "zero"])
     def test_hand_off_at_each_pair_15x15(self, k, shape):
-        # det16_direct eliminates the 15x15 difference matrix
+        # an odd order, whose last row holds the determinant
         check_hand_off(15, k, shape, random.Random(f"hand-off 15 {k}"))
+
+    @pytest.mark.parametrize("n", [7, 8])
+    @pytest.mark.parametrize("shape", ["repeated", "zero"])
+    def test_hand_off_at_each_pair_of_the_coset_blocks(self, n, shape):
+        # det16_direct eliminates the 7x7 Q' and the 8x8 T
+        for k in range(0, n - 1, 2):
+            check_hand_off(n, k, shape, random.Random(f"hand-off {n} {k}"))
 
     @pytest.mark.parametrize("n", [7, 8])
     @pytest.mark.parametrize("shape", ["zero", "rank one"])
@@ -636,13 +695,19 @@ class TestTwoStepBareiss:
         assert kinds == Counter(full=lower_rows(7))
 
     def test_small_witnesses_skip_or_rescale_their_updates(self):
-        # 17: N is the identity, so all 49 lower-row updates are skipped;
-        # 65536: 26 updates only rescale a row
-        for n, kinds in ((17, Counter()), (65536, Counter(full=23, rescale=26))):
+        # 17: Q' and T are identities, so all 9 + 12 lower-row updates are
+        # skipped; 65536: one update of Q' and two of T only rescale a row
+        for n, q_kinds, t_kinds in (
+                (17, Counter(), Counter()),
+                (65536, Counter(full=8, rescale=1), Counter(full=10, rescale=2))):
             vec, _ = witness(n)
-            mat = difference_matrix(vec)
-            assert eliminate_logged(mat) == (n // sum(vec), list(range(15)), kinds)
-        assert lower_rows(15) == 49
+            q, t = coset_blocks(vec)
+            (det_q, q_order, q_seen), (det_t, t_order, t_seen) = map(eliminate_logged, (q, t))
+            assert (q_order, q_seen, t_order, t_seen) == (
+                list(range(7)), q_kinds, list(range(8)), t_kinds)
+            assert (det_q, det_t) == (det_gauss_slow(q), det_gauss_slow(t))
+            assert sum(vec) * det_q * det_t == n
+        assert (lower_rows(7), lower_rows(8)) == (9, 12)
 
     def test_three_routes_agree_on_every_witness_case(self):
         cases = set()
@@ -650,9 +715,11 @@ class TestTwoStepBareiss:
             vec, cls = witness(n)
             cases.add(plan(cls).case)
             assert det16_direct(vec) == det16_factored(vec) == det16_spectral(vec) == n
-            # the 15x15 N that det16_direct eliminates
-            mat = difference_matrix(vec)
-            det, order = eliminate(mat)
-            assert det * sum(vec) == n and det == det_gauss_slow(mat)
-            assert order == WITNESS_ROW_ORDERS.get(n, list(range(15))), n
+            # the 7x7 Q' and the 8x8 T that det16_direct eliminates
+            q, t = coset_blocks(vec)
+            (det_q, q_order), (det_t, t_order) = eliminate(q), eliminate(t)
+            assert (det_q, det_t) == (det_gauss_slow(q), det_gauss_slow(t))
+            assert sum(vec) * det_q * det_t == n
+            assert (q_order, t_order) == WITNESS_ROW_ORDERS.get(
+                n, (list(range(7)), list(range(8)))), n
         assert cases == set(WitnessCase)
