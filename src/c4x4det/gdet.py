@@ -7,14 +7,14 @@
   so ``det M = sum(a) * det Q' * det T`` with ``Q'`` the 7x7 matrix of row
   differences of ``Q``.  It gathers ``Q'`` and ``T`` straight from ``a`` and
   eliminates each fraction-free, two steps per pass (two-step Bareiss), in
-  exact integers, swapping in independent rows where a 2x2 pivot minor
-  vanishes.  The group facts it uses are that every row of the index table
-  is a permutation of ``range(16)`` and that ``z`` has order 2; it uses no
-  closed form, and splits over ``(2, 0)`` where :func:`derive` splits over
-  ``(0, 2)``.  ``det Q' * det T`` is memoised on the differences
-  ``a - a[0]`` (at most 256 entries), so a witness family's repeated shape
-  is eliminated once.  This is the oracle every other route is checked
-  against.
+  exact integers, with one update for every lower row, swapping in
+  independent rows where a 2x2 pivot minor vanishes.  The group facts it
+  uses are that every row of the index table is a permutation of
+  ``range(16)`` and that ``z`` has order 2; it uses no closed form, and
+  splits over ``(2, 0)`` where :func:`derive` splits over ``(0, 2)``.
+  ``det Q' * det T`` is memoised on the differences ``a - a[0]`` (at most
+  256 entries), so a witness family's repeated shape is eliminated once.
+  This is the oracle every other route is checked against.
 * :func:`det16_factored` is the product of the ten integers of
   :func:`factored_pieces`, which split the closed form
   ``det4(b) * det4(c) * beta_norm * gamma_norm`` over the derived spectra;
@@ -99,13 +99,12 @@ def _det_bareiss(m) -> int:
     # of m in place.  Each pass eliminates columns k, k+1 with the 2x2 pivot
     # minor c0 of rows k, k+1, and each lower row gets the two cofactors
     # c1, c2 of its entries there.  Every division by prev is exact by
-    # Sylvester's identity, in any row order.  A lower row whose entries in
-    # columns k, k+1 are both 0 has c1 == c2 == 0, so its update only
-    # rescales it by c0 / prev, and leaves it as it is when c0 == prev
-    # (every pass, for the identity).  When c0 == 0, the first row
-    # i >= k with a nonzero pair in columns k, k+1 and the first row j > i
-    # with a pair independent of it are swapped into k and k+1 (so j > k + 1);
-    # without both, those columns are dependent and the determinant is 0.
+    # Sylvester's identity, in any row order.  Every lower row gets the same
+    # update, one that is 0 in columns k, k+1 too.  When c0 == 0, the first
+    # row i >= k with a nonzero pair in columns k, k+1 and the first row
+    # j > i with a pair independent of it are swapped into k and k+1 (so
+    # j > k + 1); without both, those columns are dependent and the
+    # determinant is 0.
     n = len(m)
     prev = sign = 1
     for k in range(0, n - 1, 2):
@@ -135,14 +134,10 @@ def _det_bareiss(m) -> int:
         cols = range(k + 2, n)
         for ri in m[k + 2:]:
             x0, x1 = ri[k], ri[k + 1]
-            if x0 or x1:
-                c1 = (c * x1 - d * x0) // prev
-                c2 = (b * x0 - a * x1) // prev
-                for j in cols:
-                    ri[j] = (ri[j] * c0 + pk[j] * c1 + pk1[j] * c2) // prev
-            elif c0 != prev:
-                for j in cols:
-                    ri[j] = ri[j] * c0 // prev
+            c1 = (c * x1 - d * x0) // prev
+            c2 = (b * x0 - a * x1) // prev
+            for j in cols:
+                ri[j] = (ri[j] * c0 + pk[j] * c1 + pk1[j] * c2) // prev
         prev = c0
     # n even: the last pivot c0 is the whole determinant; n odd: the last
     # row holds it.
@@ -193,11 +188,10 @@ def det16_direct(a) -> int:
     ``M`` itself is never built: each row of both blocks is gathered from
     the coset sums or differences of ``d`` by one ``itemgetter`` over the
     index table.  Each block is eliminated two steps per pass (two-step
-    Bareiss) in one loop; a lower row that is 0 in both pivot columns is
-    only rescaled, or left alone when the pivot minor equals the previous
-    one.  Where a 2x2 pivot minor vanishes it swaps in two rows whose
-    entries in the pivot columns are independent, or returns 0 if there are
-    none.  Its exact divisions floor on anything but integers, so an entry
+    Bareiss) in one loop, with one update for every lower row.  Where a
+    2x2 pivot minor vanishes it swaps in two rows whose entries in the pivot
+    columns are independent, or returns 0 if there are none.  Its exact
+    divisions floor on anything but integers, so an entry
     that is not an ``int`` (a ``bool`` or ``2.5`` is not one) raises
     ``TypeError`` first, as :class:`CoeffVec16` does, and then a length
     other than 16 raises ``ValueError``.

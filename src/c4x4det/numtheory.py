@@ -165,8 +165,6 @@ def _brent_rho(n: int) -> int:
     Brent's cycle variant of Pollard's rho with the fixed parameter sequence
     c = 1, 2, 3, ...; the polynomial x^2 + c mod n is iterated from y = 2.
     """
-    if n % 2 == 0:
-        return 2
     for c in range(1, 1000):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from itertools import islice, product
 
 import pytest
@@ -433,6 +434,90 @@ class TestFactoredKernel:
         assert report.seen_values == {factored_reference(a) for a in tuples}
 
 
+# The elements (r, s) of C4 x C4 in the flat order r + 4*s of group_matrix.
+ELEMENTS = [(r, s) for s in range(4) for r in range(4)]
+I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+CHARACTERS = [(k, l) for k in range(4) for l in range(4)]
+
+
+def character(k, l, x):
+    """chi_(k,l)(r, s) = i^(kr + ls), a Gaussian integer (re, im).
+
+    The group law is componentwise addition mod 4, and i^4 = 1, so every
+    chi_(k,l) is a homomorphism to the fourth roots of unity; it reads no
+    table of gdet.
+    """
+    r, s = x
+    return I_POWERS[(k * r + l * s) % 4]
+
+
+def conjugate(z):
+    return (z[0], -z[1])
+
+
+def gauss_sum(terms):
+    return reduce(gauss_add, terms)
+
+
+def gauss_prod(terms):
+    return reduce(gauss_mul, terms)
+
+
+def eigenvalues(a):
+    """lambda_(k,l) = sum_x a_x * conj chi_(k,l)(x), keyed by (k, l)."""
+    return {c: gauss_sum(gauss_mul((x, 0), conjugate(character(*c, g)))
+                         for x, g in zip(a, ELEMENTS))
+            for c in CHARACTERS}
+
+
+class TestCharacterFactorization:
+    """The three routes compute one polynomial: det M = prod of the eigenvalues.
+
+    Every character vector is an eigenvector of group_matrix(a), and the
+    character table is invertible, so det M is the product of the 16
+    eigenvalues.  The spectral blocks and the factored pieces then regroup
+    that product.  All of it is checked on free variables, so it holds for
+    every input.
+    """
+
+    def test_each_character_is_an_eigenvector_of_the_group_matrix(self):
+        a = Poly.variables(16)
+        lam, m = eigenvalues(a), group_matrix(a)
+        for c in CHARACTERS:
+            v = [character(*c, g) for g in ELEMENTS]
+            for row, vg in zip(m, v):
+                image = gauss_sum(gauss_mul((e, 0), vh) for e, vh in zip(row, v))
+                assert image == gauss_mul(lam[c], vg), c
+
+    def test_the_character_table_is_orthogonal(self):
+        # each chi is a character of the group law, and V V* = 16 I, so V is
+        # invertible and det M = prod(lambda)
+        for c in CHARACTERS:
+            for (r, s), (t, u) in product(ELEMENTS, repeat=2):
+                assert character(*c, ((r + t) % 4, (s + u) % 4)) == gauss_mul(
+                    character(*c, (r, s)), character(*c, (t, u)))
+            for d in CHARACTERS:
+                entry = gauss_sum(gauss_mul(character(*c, g), conjugate(character(*d, g)))
+                                  for g in ELEMENTS)
+                assert entry == (16 if c == d else 0, 0), (c, d)
+
+    def test_spectral_blocks_are_products_of_eigenvalues(self):
+        # block k is det4 of z_j = sum_s i^(ks) a[j + 4s], the product over
+        # k' of sum_x a_x i^(k'r + ks) = lambda_(-k', -k)
+        a = Poly.variables(16)
+        lam = eigenvalues(a)
+        for block, l in zip(spectral_factors(a), (0, 3, 2, 1)):
+            assert block == gauss_prod(lam[k, l] for k in range(4)), l
+
+    def test_factored_pieces_regroup_the_spectral_blocks(self):
+        a = Poly.variables(16)
+        f0, f1, f2, f3 = spectral_factors(a)
+        p = factored_pieces(a)
+        assert f0 == (p[0] * p[1] * p[2], 0)
+        assert f2 == (p[3] * p[4] * p[5], 0)
+        assert gauss_mul(f1, f3) == (p[6] * p[7] * p[8] * p[9], 0)
+
+
 # One value near the envelope per witness case, so the re-checked vectors
 # have large entries.
 CASE_VALUES = (
@@ -501,37 +586,6 @@ def leading_minor(mat, size):
     return det_gauss_slow([row[:size] for row in mat[:size]])
 
 
-class LoggedRow(list):
-    """A matrix row that logs the kind of each update _det_bareiss makes to it.
-
-    A pass at pair k writes columns k+2.. of a lower row in increasing order,
-    so a write at a column no later than the previous one starts an update,
-    and entries k and k+1 of the row, still unwritten, are its pair: "full"
-    when the pair is nonzero, "rescale" when it is zero.  A row left alone
-    logs nothing.
-    """
-
-    def __init__(self, row, log):
-        super().__init__(row)
-        self.log = log
-        self.last = len(row)
-
-    def __setitem__(self, j, value):
-        if j <= self.last:
-            self.log.append("full" if self[j - 2] or self[j - 1] else "rescale")
-        self.last = j
-        super().__setitem__(j, value)
-
-
-def eliminate_logged(mat):
-    """eliminate(mat), plus a Counter of the lower-row updates by kind."""
-    log = []
-    rows = [LoggedRow(r, log) for r in mat]
-    ids = [id(r) for r in rows]
-    det = gdet._det_bareiss(rows)
-    return det, [ids.index(id(r)) for r in rows], Counter(log)
-
-
 def eliminate(mat):
     """_det_bareiss on a copy of mat: the determinant and the final row order.
 
@@ -539,13 +593,10 @@ def eliminate(mat):
     index of the row left at position p; list(range(n)) means no pivot search
     moved a row.
     """
-    det, order, _ = eliminate_logged(mat)
-    return det, order
-
-
-def lower_rows(n):
-    """The lower-row updates of an n x n elimination that does not return 0 early."""
-    return sum(n - k - 2 for k in range(0, n - 1, 2))
+    rows = [list(r) for r in mat]
+    ids = [id(r) for r in rows]
+    det = gdet._det_bareiss(rows)
+    return det, [ids.index(id(r)) for r in rows]
 
 
 # Final row orders of the 7x7 Q' and the 8x8 T of CASE_VALUES witnesses
@@ -662,10 +713,11 @@ class TestTwoStepBareiss:
 
     def test_rows_with_a_zero_pair_are_rescaled_or_left_alone(self):
         # Block upper triangular with 2x2 diagonal blocks of determinant
-        # 3, 1, 5, 2: every row below a pass is zero in its pivot columns.
+        # 3, 1, 5, 2: every row below a pass is zero in its pivot columns,
+        # so both its cofactors are 0 and the update scales it by c0 / prev.
         # The pivot minors c0 are the leading minors 3, 3, 15: pass 0
-        # rescales six rows (c0 != prev = 1), pass 2 leaves four alone
-        # (c0 == prev) and pass 4 rescales two.
+        # rescales six rows (c0 != prev = 1), pass 2 leaves four as they
+        # are (c0 == prev) and pass 4 rescales two.
         rng = random.Random("zero pairs")
         blocks = ([[2, 1], [1, 2]], [[2, 1], [1, 1]], [[3, 1], [1, 2]], [[1, 1], [-1, 1]])
         mat = [[rng.randint(-9, 9) if j // 2 > i // 2 else 0 for j in range(8)]
@@ -674,40 +726,33 @@ class TestTwoStepBareiss:
             for i in range(2):
                 mat[2 * t + i][2 * t:2 * t + 2] = block[i]
         assert det_gauss_slow(mat) == 30
-        assert eliminate_logged(mat) == (30, list(range(8)), Counter(rescale=8))
+        assert eliminate(mat) == (30, list(range(8)))
 
     def test_zero_pair_at_a_pass_with_unit_pivot_minor_is_left_alone(self):
         # pass 0: c0 == prev == 1, and row 3 is zero in columns 0 and 1
         rng = random.Random("unit pivot")
         mat = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(6)]
         mat[0][:2], mat[1][:2], mat[3][:2] = [2, 1], [1, 1], [0, 0]
-        det, order, kinds = eliminate_logged(mat)
-        assert (det, order) == (det_gauss_slow(mat), list(range(6)))
-        assert kinds == Counter(full=lower_rows(6) - 1)
+        assert eliminate(mat) == (det_gauss_slow(mat), list(range(6)))
 
     @pytest.mark.parametrize("pair", [(0, 5), (4, 0)])
     def test_row_with_one_zero_in_the_pair_gets_the_full_update(self, pair):
         rng = random.Random(f"one zero {pair}")
         mat = [[rng.randint(-9, 9) for _ in range(7)] for _ in range(7)]
         mat[0][:2], mat[1][:2], mat[4][:2] = [3, 1], [1, 2], list(pair)
-        det, order, kinds = eliminate_logged(mat)
-        assert (det, order) == (det_gauss_slow(mat), list(range(7)))
-        assert kinds == Counter(full=lower_rows(7))
+        assert eliminate(mat) == (det_gauss_slow(mat), list(range(7)))
 
     def test_small_witnesses_skip_or_rescale_their_updates(self):
-        # 17: Q' and T are identities, so all 9 + 12 lower-row updates are
-        # skipped; 65536: one update of Q' and two of T only rescale a row
-        for n, q_kinds, t_kinds in (
-                (17, Counter(), Counter()),
-                (65536, Counter(full=8, rescale=1), Counter(full=10, rescale=2))):
+        # 17: Q' and T are identities, so every update leaves its row as it
+        # is; 65536: one update of Q' and two of T meet a zero pair, so they
+        # only rescale their rows
+        for n in (17, 65536):
             vec, _ = witness(n)
             q, t = coset_blocks(vec)
-            (det_q, q_order, q_seen), (det_t, t_order, t_seen) = map(eliminate_logged, (q, t))
-            assert (q_order, q_seen, t_order, t_seen) == (
-                list(range(7)), q_kinds, list(range(8)), t_kinds)
+            (det_q, q_order), (det_t, t_order) = eliminate(q), eliminate(t)
+            assert (q_order, t_order) == (list(range(7)), list(range(8)))
             assert (det_q, det_t) == (det_gauss_slow(q), det_gauss_slow(t))
             assert sum(vec) * det_q * det_t == n
-        assert (lower_rows(7), lower_rows(8)) == (9, 12)
 
     def test_three_routes_agree_on_every_witness_case(self):
         cases = set()
