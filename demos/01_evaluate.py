@@ -2,12 +2,12 @@
 
 The coefficient vector below assigns m+1 = 2 to the identity element and
 m = 1 everywhere else; its determinant is 16m + 1 = 17.  The direct route
-splits the literal 16x16 matrix over the cosets of the order-2 subgroup
-generated by (2, 0), factors the coefficient sum 17 out of the 8x8 coset-sum
-block and eliminates its 7x7 matrix of row differences and the 8x8
-coset-difference block; the factored route multiplies the closed-form
-pieces; the spectral route multiplies the four Gaussian character-block
-determinants.
+splits the literal 16x16 matrix over the cosets of the Klein subgroup
+generated by (2, 0) and (0, 2) into four 4x4 blocks, factors the
+coefficient sum 17 out of the coset-sum block and expands the determinants
+of its 3x3 matrix of row differences and of the other three blocks by
+cofactors; the factored route multiplies the closed-form pieces; the
+spectral route multiplies the four Gaussian character-block determinants.
 """
 
 from c4x4det import derive, det16_direct, det16_factored, det16_spectral

@@ -1,19 +1,20 @@
 """The order-16 group determinant, computed three independent ways.
 
 * :func:`det16_direct` works on the literal 16x16 matrix ``M[g][h] = a[g*h^-1]``
-  of a group index table.  Over the cosets of ``K = {e, z}``, ``z = (2, 0)``,
-  it splits ``M`` into two 8x8 blocks: ``Q``, the group matrix of ``G/K`` on
-  the coset sums, and ``T``, the part of ``M`` on which ``z`` acts as -1,
-  so ``det M = sum(a) * det Q' * det T`` with ``Q'`` the 7x7 matrix of row
-  differences of ``Q``.  It gathers ``Q'`` and ``T`` straight from ``a`` and
-  eliminates each fraction-free, two steps per pass (two-step Bareiss), in
-  exact integers, with one update for every lower row, swapping in
-  independent rows where a 2x2 pivot minor vanishes.  The group facts it
-  uses are that every row of the index table is a permutation of
-  ``range(16)`` and that ``z`` has order 2; it uses no closed form, and
-  splits over ``(2, 0)`` where :func:`derive` splits over ``(0, 2)``.
-  ``det Q' * det T`` is memoised on the differences ``a - a[0]`` (at most
-  256 entries), so a witness family's repeated shape is eliminated once.
+  of a group index table.  Over the cosets of the Klein subgroup
+  ``V = {e, z, w, z*w}``, ``z = (2, 0)``, ``w = (0, 2)``, it splits ``M``
+  into four 4x4 blocks: ``P``, the group matrix of ``G/V`` on the coset
+  sums, and ``B+-``, ``B-+``, ``B--``, the parts of ``M`` on which ``z``,
+  ``w`` or both act as -1, so ``det M = sum(a) * det P' * det B+- *
+  det B-+ * det B--`` with ``P'`` the 3x3 matrix of row differences of
+  ``P``.  It gathers each block straight from ``a`` and expands its
+  determinant by cofactors, in exact integers, with no division and no
+  pivot search.  The group facts it uses are that every row of the index
+  table is a permutation of ``range(16)`` and that ``z`` and ``w`` have
+  order 2; it uses no closed form, and it splits over ``V`` into literal
+  matrix determinants, not over characters.  The product of the four
+  block determinants is memoised on the differences ``a - a[0]`` (at most
+  256 entries), so a witness family's repeated shape is evaluated once.
   This is the oracle every other route is checked against.
 * :func:`det16_factored` is the product of the ten integers of
   :func:`factored_pieces`, which split the closed form
@@ -28,8 +29,10 @@
   :func:`factored_pieces`.
 
 All three agree exactly on every input; the test suite enforces this both on
-fixed examples and on randomized sweeps, and proves the pieces against
-reference copies of det4 and the two norms as polynomial identities.
+fixed examples and on randomized sweeps.  It proves the pieces against
+reference copies of det4 and the two norms, and the block identity and
+both cofactor expansions of :func:`det16_direct`, as polynomial
+identities.
 """
 
 from __future__ import annotations
@@ -67,16 +70,21 @@ _GROUP_INDEX = tuple(
     tuple((((g & 3) - (h & 3)) & 3) + 4 * (((g >> 2) - (h >> 2)) & 3) for h in range(16))
     for g in range(16)
 )
-# z = (2, 0) has order 2.  _COSET_REPS holds the smaller element of each
-# coset {g, g*z} of K = {e, z}: the eight (r, s) with r in {0, 1}.
-_Z = 2
-_COSET_REPS = tuple(g for g in range(16) if g < _GROUP_INDEX[g][_Z])
-# _TIMES_Z(a)[g] is a[g*z], as z is its own inverse; gathered in C.
+# z = (2, 0) and w = (0, 2) have order 2 and generate the Klein subgroup
+# V = {e, z, w, z*w}.  _REPS holds the smallest element of each coset of V:
+# the four (r, s) with r, s in {0, 1}.
+_Z, _W = 2, 8
+_REPS = tuple(g for g in range(16) if g < _GROUP_INDEX[g][_Z] and g < _GROUP_INDEX[g][_W])
+# _TIMES_Z(a)[g] is a[g*z] and _TIMES_W(a)[g] is a[g*w], as z and w are
+# their own inverses; gathered in C.
 _TIMES_Z = itemgetter(*(row[_Z] for row in _GROUP_INDEX))
-# With R = _COSET_REPS, _T_ROWS[i](v) is (v[R_i R_j^-1] for j = 0..7) and
-# _Q_ROWS[i](v) the same without column 0.
-_T_ROWS = tuple(itemgetter(*(_GROUP_INDEX[r][h] for h in _COSET_REPS)) for r in _COSET_REPS)
-_Q_ROWS = tuple(itemgetter(*(_GROUP_INDEX[r][h] for h in _COSET_REPS[1:])) for r in _COSET_REPS)
+_TIMES_W = itemgetter(*(row[_W] for row in _GROUP_INDEX))
+# With R = _REPS, _BLOCK(x) is the 4x4 matrix x[R_i R_j^-1], row by row;
+# _P_ROWS(x) is its rows 1..3 and _P_TOP(x) its row 0 three times over,
+# both without column 0.
+_BLOCK = itemgetter(*(_GROUP_INDEX[r][h] for r in _REPS for h in _REPS))
+_P_ROWS = itemgetter(*(_GROUP_INDEX[r][h] for r in _REPS[1:] for h in _REPS[1:]))
+_P_TOP = itemgetter(*(_GROUP_INDEX[_REPS[0]][h] for h in _REPS[1:] * 3))
 # Distinct difference vectors whose det M / S is kept: enough for the witness
 # families' repeated shapes, small enough to leave the memory footprint flat.
 _DET_N_CACHE_SIZE = 256
@@ -94,107 +102,85 @@ def group_matrix(a):
     return [[a[t] for t in row] for row in _GROUP_INDEX]
 
 
-def _det_bareiss(m) -> int:
-    # Two-step fraction-free elimination (Bareiss 1968); reorders the rows
-    # of m in place.  Each pass eliminates columns k, k+1 with the 2x2 pivot
-    # minor c0 of rows k, k+1, and each lower row gets the two cofactors
-    # c1, c2 of its entries there.  Every division by prev is exact by
-    # Sylvester's identity, in any row order.  Every lower row gets the same
-    # update, one that is 0 in columns k, k+1 too.  When c0 == 0, the first
-    # row i >= k with a nonzero pair in columns k, k+1 and the first row
-    # j > i with a pair independent of it are swapped into k and k+1 (so
-    # j > k + 1); without both, those columns are dependent and the
-    # determinant is 0.
-    n = len(m)
-    prev = sign = 1
-    for k in range(0, n - 1, 2):
-        pk, pk1 = m[k], m[k + 1]
-        a, b, c, d = pk[k], pk[k + 1], pk1[k], pk1[k + 1]
-        c0 = (a * d - b * c) // prev
-        if c0 == 0:
-            for i in range(k, n):
-                a, b = m[i][k], m[i][k + 1]
-                if a or b:
-                    break
-            else:
-                return 0
-            for j in range(i + 1, n):
-                c, d = m[j][k], m[j][k + 1]
-                if a * d - b * c:
-                    break
-            else:
-                return 0
-            if i != k:
-                m[k], m[i] = m[i], m[k]
-                sign = -sign
-            m[k + 1], m[j] = m[j], m[k + 1]
-            sign = -sign
-            pk, pk1 = m[k], m[k + 1]
-            c0 = (a * d - b * c) // prev
-        cols = range(k + 2, n)
-        for ri in m[k + 2:]:
-            x0, x1 = ri[k], ri[k + 1]
-            c1 = (c * x1 - d * x0) // prev
-            c2 = (b * x0 - a * x1) // prev
-            for j in cols:
-                ri[j] = (ri[j] * c0 + pk[j] * c1 + pk1[j] * c2) // prev
-        prev = c0
-    # n even: the last pivot c0 is the whole determinant; n odd: the last
-    # row holds it.
-    return sign * (prev if n % 2 == 0 else m[n - 1][n - 1])
+def _det3(m) -> int:
+    # Cofactor expansion of the 3x3 matrix m, row by row, along row 0.
+    a, b, c, d, e, f, g, h, i = m
+    return a * (e * i - f * h) + b * (f * g - d * i) + c * (d * h - e * g)
+
+
+def _det4(m) -> int:
+    # Laplace expansion of the 4x4 matrix m, row by row, along rows 0 and 1:
+    # s_k and c_k are the 2x2 minors of rows 0, 1 and of rows 2, 3 on the
+    # column pairs (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), so c_5-k
+    # is the complement of s_k.
+    x00, x01, x02, x03, x10, x11, x12, x13, x20, x21, x22, x23, x30, x31, x32, x33 = m
+    s0, s1, s2 = x00 * x11 - x01 * x10, x00 * x12 - x02 * x10, x00 * x13 - x03 * x10
+    s3, s4, s5 = x01 * x12 - x02 * x11, x01 * x13 - x03 * x11, x02 * x13 - x03 * x12
+    c0, c1, c2 = x20 * x31 - x21 * x30, x20 * x32 - x22 * x30, x20 * x33 - x23 * x30
+    c3, c4, c5 = x21 * x32 - x22 * x31, x21 * x33 - x23 * x31, x22 * x33 - x23 * x32
+    return s0 * c5 - s1 * c4 + s2 * c3 + s3 * c2 - s4 * c1 + s5 * c0
 
 
 @lru_cache(maxsize=_DET_N_CACHE_SIZE)
 def _det_n(d) -> int:
-    # det M / S = det Q' * det T from the differences d = a - a[0]: both
-    # blocks depend on a only through them, so the cache is exact, and each
-    # distinct d is still eliminated.  Q is read off the coset sums u and T
-    # off the coset differences v; T is skipped when det Q' is 0.
+    # det M / S = det P' * det B+- * det B-+ * det B-- from the differences
+    # d = a - a[0]: every block depends on a only through them, so the
+    # cache is exact.  u and v are the sums and differences of d over z;
+    # P' is read off u + u*w, and B+-, B-+, B-- off u - u*w, v + v*w and
+    # v - v*w.  The 4x4 blocks are skipped when det P' is 0.
     zd = _TIMES_Z(d)
     u = tuple(map(add, d, zd))
-    q0 = _Q_ROWS[0](u)
-    det_q = _det_bareiss([list(map(sub, g(u), q0)) for g in _Q_ROWS[1:]])
-    if det_q == 0:
+    uw = _TIMES_W(u)
+    p = tuple(map(add, u, uw))
+    det_p = _det3(tuple(map(sub, _P_ROWS(p), _P_TOP(p))))
+    if det_p == 0:
         return 0
     v = tuple(map(sub, d, zd))
-    return det_q * _det_bareiss([list(g(v)) for g in _T_ROWS])
+    vw = _TIMES_W(v)
+    return (det_p * _det4(_BLOCK(tuple(map(sub, u, uw))))
+            * _det4(_BLOCK(tuple(map(add, v, vw)))) * _det4(_BLOCK(tuple(map(sub, v, vw)))))
 
 
 def det16_direct(a) -> int:
     """Exact determinant of the full 16x16 group matrix.
 
     The reference oracle: independent of the factored and spectral routes.
-    It splits ``M`` over the cosets ``{g, g*z}`` of ``K = {e, z}``, where
-    ``z = (2, 0)`` has order 2 and ``R`` are the eight representatives
-    ``(r, s)`` with ``r`` in ``{0, 1}``.  Three unimodular steps change
-    ``M``: add column ``h*z`` into column ``h`` and subtract row ``g`` from
-    row ``g*z`` for each representative ``h``, ``g``, then put the
-    representatives first, rows and columns alike.  That leaves
-    ``[[Q, X], [0, T]]`` with ``Q[i][j] = a(R_i R_j^-1) + a(R_i R_j^-1 z)``
-    and ``T[i][j] = a(R_i R_j^-1) - a(R_i R_j^-1 z)`` for ``0 <= i, j < 8``.
-    ``Q`` is the group matrix of ``G/K`` on the coset sums, and ``T`` is the
-    part of ``M`` on which ``z`` acts as -1.  Every row of ``Q`` is a
-    permutation of the coset sums, so it sums to ``S = sum(a)``; as for any
-    group matrix, ``det Q = S * det Q'`` with ``Q'[i][j] = Q[i][j] - Q[0][j]``
-    for ``1 <= i, j <= 7``.  So ``det M = S * det Q' * det T``; ``S == 0``
-    makes ``M`` singular, and ``det Q' == 0`` returns 0 without building
-    ``T``.  ``Q'`` and ``T`` hold differences of entries, so an offset common
-    to every entry cancels in both: ``det Q' * det T`` is a function of the
-    differences ``d = a - a[0]`` alone.  It is memoised on ``d`` in a
-    least-recently-used cache of 256 entries.  That is exact: every
-    distinct ``d`` is still eliminated in integers, and ``S`` is recomputed
-    on every call.  The witnesses of one family (``16m+1``, say) share one
-    ``d``, so re-checking all of them costs one elimination of each block.
-    ``M`` itself is never built: each row of both blocks is gathered from
-    the coset sums or differences of ``d`` by one ``itemgetter`` over the
-    index table.  Each block is eliminated two steps per pass (two-step
-    Bareiss) in one loop, with one update for every lower row.  Where a
-    2x2 pivot minor vanishes it swaps in two rows whose entries in the pivot
-    columns are independent, or returns 0 if there are none.  Its exact
-    divisions floor on anything but integers, so an entry
-    that is not an ``int`` (a ``bool`` or ``2.5`` is not one) raises
-    ``TypeError`` first, as :class:`CoeffVec16` does, and then a length
-    other than 16 raises ``ValueError``.
+    It splits ``M`` twice, each time over an element of order 2.  First
+    over ``z = (2, 0)``: for each representative ``h``, ``g`` of a coset
+    ``{g, g*z}``, add column ``h*z`` into column ``h`` and subtract row
+    ``g`` from row ``g*z``, then put the representatives first, rows and
+    columns alike.  These unimodular steps leave ``[[Q, X], [0, T]]``, where
+    ``Q`` and ``T`` take the coset sums ``u = a + a*z`` and differences
+    ``v = a - a*z`` at ``R_i R_j^-1``.  Then over ``w = (0, 2)``: with the
+    representatives ordered ``R, R*w``, where ``R`` are the four ``(r, s)``
+    with ``r, s`` in ``{0, 1}``, ``Q`` and ``T`` both have the shape
+    ``[[A, B], [B, A]]``, and the same step turns each into
+    ``[[A + B, B], [0, A - B]]``.  So ``det M`` is the product of the four
+    4x4 determinants of ``x[R_i R_j^-1]`` for the signed sums ``x`` over the
+    Klein subgroup ``V = {e, z, w, z*w}``: ``u + u*w`` gives ``P``,
+    ``u - u*w`` gives ``B+-``, ``v + v*w`` gives ``B-+`` and ``v - v*w``
+    gives ``B--``.  ``P`` is the group matrix of ``G/V`` on the coset sums
+    of ``V``.  Every row of it is a permutation of them, so it sums to
+    ``S = sum(a)``; as for any group matrix, ``det P = S * det P'`` with
+    ``P'[i][j] = P[i][j] - P[0][j]`` for ``1 <= i, j <= 3``.  So
+    ``det M = S * det P' * det B+- * det B-+ * det B--``; ``S == 0`` makes
+    ``M`` singular, and ``det P' == 0`` returns 0 without building the other
+    three blocks.  ``P'`` and the ``B`` blocks hold differences of entries,
+    so an offset common to every entry cancels in all four: their product
+    is a function of the differences ``d = a - a[0]`` alone.  It is
+    memoised on ``d`` in a least-recently-used cache of 256 entries.  That
+    is exact: every distinct ``d`` is still evaluated in integers, and
+    ``S`` is recomputed on every call.  The witnesses of one family
+    (``16m+1``, say) share one ``d``, so re-checking all of them costs one
+    evaluation of the blocks.  ``M`` itself is never built: each block is
+    gathered from a signed sum of ``d`` by one ``itemgetter`` over the index
+    table.  ``det P'`` is expanded by cofactors along a row and each
+    ``det B`` over the 2x2 minors of its first two rows, with no division
+    and no pivot search; the tests prove the block identity and both
+    expansions on free variables.  The route is exact only on integers,
+    so an entry that is not an ``int`` (a ``bool`` or ``2.5`` is not one)
+    raises ``TypeError`` first, as :class:`CoeffVec16` does, and then a
+    length other than 16 raises ``ValueError``.
     """
     # any iterable, a CoeffVec16 too, becomes a plain tuple
     a = tuple(a)

@@ -39,6 +39,10 @@ BLOCKS_TEST = (
     "tests/test_gdet.py::TestDet16"
     "::test_gathered_blocks_are_the_coset_blocks_of_the_group_matrix"
 )
+LEIBNIZ_TEST = (
+    "tests/test_gdet.py::TestDet16"
+    "::test_cofactor_expansions_are_the_leibniz_formula"
+)
 EIGENVECTOR_TEST = (
     "tests/test_gdet.py::TestCharacterFactorization"
     "::test_each_character_is_an_eigenvector_of_the_group_matrix"
@@ -71,28 +75,35 @@ MUTANTS = (
     ("gdet.py", "s = sum(a)\n", "s = sum(a[1:])\n", "tests/test_gdet.py", None),
     ("gdet.py", "if s == 0:", "if s <= 0:", "tests/test_gdet.py", None),
     ("gdet.py", "    a = tuple(a)\n", "", "tests/test_gdet.py", None),
-    ("gdet.py", "c2 = (b * x0 - a * x1) // prev", "c2 = (a * x1 - b * x0) // prev",
-     "tests/test_gdet.py", None),
-    ("gdet.py", "q0 = _Q_ROWS[0](u)", "q0 = _Q_ROWS[1](u)", "tests/test_gdet.py", None),
+    ("gdet.py", "- s1 * c4", "+ s1 * c4", LEIBNIZ_TEST, None),
+    ("gdet.py", "b * (f * g - d * i)", "b * (d * i - f * g)", LEIBNIZ_TEST, None),
+    # each difference of P' against the wrong column of row 0
+    ("gdet.py", "for h in _REPS[1:] * 3", "for h in _REPS[:3] * 3", "tests/test_gdet.py", None),
     ("gdet.py", "u = tuple(map(add, d, zd))", "u = tuple(map(sub, d, zd))",
      "tests/test_gdet.py", None),
-    # (1, 0) has order 4
-    ("gdet.py", "_Z = 2\n", "_Z = 1\n", "tests/test_gdet.py", None),
-    # same answers, as it negates all 8 rows of T and (-1)**8 == 1: only the
-    # test that reads the gathered blocks sees it
+    ("gdet.py", "p = tuple(map(add, u, uw))", "p = tuple(map(sub, u, uw))",
+     "tests/test_gdet.py", None),
+    # (1, 0) and (0, 1) have order 4
+    ("gdet.py", "_Z, _W = 2, 8\n", "_Z, _W = 1, 8\n", "tests/test_gdet.py", None),
+    ("gdet.py", "_Z, _W = 2, 8\n", "_Z, _W = 2, 4\n", "tests/test_gdet.py", None),
+    # same answers, as they negate a 4x4 block (or two) and (-1)**4 == 1:
+    # only the test that reads the gathered blocks sees them
+    ("gdet.py", "_BLOCK(tuple(map(sub, u, uw)))", "_BLOCK(tuple(map(sub, uw, u)))",
+     BLOCKS_TEST, None),
     ("gdet.py", "v = tuple(map(sub, d, zd))", "v = tuple(map(sub, zd, d))",
      BLOCKS_TEST, None),
-    # same answers, as S * 0 * det T == 0: only the test that refuses to
-    # gather T sees it
-    ("gdet.py", "    if det_q == 0:\n        return 0\n", "",
+    # same answers, as S * 0 * det B+- * det B-+ * det B-- == 0: only the
+    # test that refuses to gather the 4x4 blocks sees it
+    ("gdet.py", "    if det_p == 0:\n        return 0\n", "",
      "tests/test_gdet.py::TestDet16::test_a_singular_quotient_block_skips_t", None),
-    # same answers, one elimination per vector: only the eliminate-once tests see it
+    # same answers, one evaluation per vector: only the eliminate-once tests see it
     ("gdet.py", "_det_n(tuple(map(sub, a, repeat(a[0]))))", "_det_n(a)",
      "tests/test_gdet.py::TestDirectMemo", None),
     ("gdet.py", "@lru_cache(maxsize=_DET_N_CACHE_SIZE)", "@lru_cache(maxsize=None)",
      "tests/test_gdet.py::TestDirectMemo", None),
     ("gdet.py", "repeat(a[0])", "repeat(a[1])", "tests/test_gdet.py",
-     "Q' and T are offset-invariant: a - a[1] gives the same blocks and the same cache hits"),
+     "P' and the 4x4 blocks are offset-invariant: a - a[1] gives the same blocks and "
+     "the same cache hits"),
     ("numtheory.py", "m < _TRIAL_BOUND * _TRIAL_BOUND", "m < _TRIAL_BOUND ** 3",
      "tests/test_classifier.py", None),
     ("numtheory.py", "(341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17))",

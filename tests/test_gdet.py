@@ -2,7 +2,8 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from itertools import islice, product
+from itertools import combinations, islice, permutations, product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from oracles import (
     det2,
     det4,
     det4_gauss,
+    det_bareiss,
     gauss_add,
     gauss_mul,
     spectral_factors_gauss,
@@ -40,9 +42,9 @@ big_coeffs = st.tuples(*[st.integers(-10**12, 10**12)] * 16)
 
 
 @st.composite
-def degenerate_matrices(draw):
-    """n x n integer matrices, n = 1..9, often with repeated rows or zero columns."""
-    n = draw(st.integers(1, 9))
+def degenerate_matrices(draw, low=1, high=9):
+    """n x n integer matrices, n = low..high, often with repeated rows or zero columns."""
+    n = draw(st.integers(low, high))
     rows = draw(st.lists(st.lists(st.integers(-20, 20), min_size=n, max_size=n),
                          min_size=n, max_size=n))
     if n > 1 and draw(st.booleans()):
@@ -60,8 +62,8 @@ def degenerate_matrices(draw):
 def fresh_det_n():
     """_det_n with an empty cache, emptied again after the test.
 
-    A test that spies on _det_bareiss or the gathers sees every
-    elimination only from an empty cache, and no value a spy returned
+    A test that spies on _det3, _det4 or the gathers sees every
+    evaluation only from an empty cache, and no value a spy returned
     outlives it.
     """
     det_n = gdet._det_n
@@ -216,7 +218,21 @@ class TestDet16:
     @settings(max_examples=300)
     def test_bareiss_against_rational_elimination(self, rows):
         expected = det_gauss_slow(rows)
-        assert gdet._det_bareiss([list(r) for r in rows]) == expected
+        assert det_bareiss([list(r) for r in rows]) == expected
+
+    @given(degenerate_matrices(3, 4))
+    @settings(max_examples=300)
+    def test_cofactor_expansions_against_rational_elimination(self, rows):
+        expand = gdet._det3 if len(rows) == 3 else gdet._det4
+        assert expand(flat(rows)) == det_gauss_slow(rows)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_cofactor_expansions_are_the_leibniz_formula(self, n):
+        # on n*n free variables, so the expansion holds for every matrix
+        x = Poly.variables(n * n)
+        rows = [x[i:i + n] for i in range(0, n * n, n)]
+        expand = gdet._det3 if n == 3 else gdet._det4
+        assert expand(tuple(x)) == leibniz(rows)
 
     @given(big_coeffs)
     @settings(max_examples=200)
@@ -260,7 +276,7 @@ class TestDet16:
 
     def test_group_index_is_a_latin_square(self):
         # det16_direct relies on every row being a permutation of range(16):
-        # then every row of the coset-sum block Q sums to sum(a), which it
+        # then every row of the quotient block P sums to sum(a), which it
         # factors out.
         for line in (*gdet._GROUP_INDEX, *zip(*gdet._GROUP_INDEX)):
             assert sorted(line) == list(range(16))
@@ -289,90 +305,101 @@ class TestDet16:
     def test_coeffvec16_and_plain_tuple_agree(self, monkeypatch, fresh_det_n):
         # witness.emit hands det16_direct a CoeffVec16, and any iterable is
         # accepted; every gather reads a plain tuple of differences or of
-        # their coset sums or differences
+        # their signed sums over z and w
         seen = Counter()
-
-        def spy(gather):
-            return lambda a: seen.update([type(a)]) or gather(a)
-
-        monkeypatch.setattr(gdet, "_TIMES_Z", spy(gdet._TIMES_Z))
-        monkeypatch.setattr(gdet, "_Q_ROWS", tuple(map(spy, gdet._Q_ROWS)))
-        monkeypatch.setattr(gdet, "_T_ROWS", tuple(map(spy, gdet._T_ROWS)))
+        for name in ("_TIMES_Z", "_TIMES_W", "_P_ROWS", "_P_TOP", "_BLOCK"):
+            gather = getattr(gdet, name)
+            monkeypatch.setattr(gdet, name,
+                                lambda a, gather=gather: seen.update([type(a)]) or gather(a))
         rng = random.Random("coeffvec16")
         for _ in range(20):
             a = tuple(rng.randint(-10**6, 10**6) for _ in range(16))
             assert (det16_direct(CoeffVec16(a)) == det16_direct(iter(a))
                     == det16_direct(a) == det16_factored(a))
-        # 20 misses, each with one z-gather and 8 + 8 row gathers
-        assert seen == Counter({tuple: 20 * 17})
+        # 20 misses, each with one z-gather, two w-gathers, two gathers for
+        # P' and one for each 4x4 block
+        assert seen == Counter({tuple: 20 * 8})
 
     def test_gathered_blocks_are_the_coset_blocks_of_the_group_matrix(
             self, monkeypatch, fresh_det_n):
         # on free variables, so every entry names the coefficients it adds
         # and subtracts; a Poly is unhashable, so _det_n runs uncached
         x = Poly.variables(16)
-        m = coset_split(x)
-        assert all(e == 0 for row in m[8:] for e in row[:8])
+        splits = klein_split(x)
+        for m in splits:
+            n = len(m) // 2
+            assert all(e == 0 for row in m[n:] for e in row[:n])
+        # the quotient block P is a group matrix: every row sums to S
+        p = [row[:4] for row in splits[1][:4]]
+        assert all(sum(row) == sum(x) for row in p)
         a = tuple(random.Random("split").randint(-9, 9) for _ in range(16))
-        assert det_gauss_slow(coset_split(a)) == det_gauss_slow(group_matrix(a))
+        p_diff, *b = klein_blocks(a)
+        assert (sum(a) * det_gauss_slow(p_diff) * prod(map(det_gauss_slow, b))
+                == det_gauss_slow(group_matrix(a)))
         seen = []
         monkeypatch.setattr(gdet, "check_coefficients", lambda a: None)
         monkeypatch.setattr(gdet, "_det_n", gdet._det_n.__wrapped__)
-        monkeypatch.setattr(gdet, "_det_bareiss", lambda n: seen.append(n) or 1)
+        monkeypatch.setattr(gdet, "_det3", lambda m: seen.append(m) or 1)
+        monkeypatch.setattr(gdet, "_det4", lambda m: seen.append(m) or 1)
         assert det16_direct(x) == sum(x)
-        assert seen == list(coset_blocks(x))
+        assert seen == list(map(flat, klein_blocks(x)))
 
     def test_a_singular_quotient_block_skips_t(self, monkeypatch, fresh_det_n):
-        # every coset {g, g*z} of (1, 1, 0, 0) * 4 sums to 1, so every entry
-        # of Q is 1 and Q' is 0 while S = 8
+        # every coset of V in (1, 1, 0, 0) * 4 sums to 2, so every entry of
+        # P is 2 and P' is 0 while S = 8: no 4x4 block is gathered
         a = (1, 1, 0, 0) * 4
-        q, _ = coset_blocks(a)
-        assert sum(a) == 8 and not any(map(any, q))
+        p_diff, *_ = klein_blocks(a)
+        assert sum(a) == 8 and not any(map(any, p_diff))
 
         def refuse(v):
-            raise AssertionError("T was gathered")
+            raise AssertionError("a 4x4 block was gathered")
 
-        monkeypatch.setattr(gdet, "_T_ROWS", (refuse,) * 8)
+        monkeypatch.setattr(gdet, "_BLOCK", refuse)
         assert det16_direct(a) == det_gauss_slow(group_matrix(a)) == 0
 
     @pytest.mark.parametrize("entry", [2.5, 2.0, True, Fraction(5, 2)], ids=repr)
     def test_direct_rejects_entries_that_are_not_ints(self, entry):
-        # Bareiss's exact divisions floor on floats: (2.5, 1, ..., 1) gave 1053.0
+        # the route is exact only on ints: unchecked, (2.5, 1, ..., 1) would
+        # give a float
         a = (entry,) + (1,) * 15
         with pytest.raises(TypeError, match="must be exact integers"):
             det16_direct(a)
 
 
 class TestDirectMemo:
-    """det N is memoised on the differences a - a[0]."""
+    """det M / S is memoised on the differences a - a[0]."""
 
     @staticmethod
-    def count_eliminations(monkeypatch):
+    def count_expansions(monkeypatch):
+        # the order of each block whose determinant is expanded
         calls = []
-        bareiss = gdet._det_bareiss
-        monkeypatch.setattr(gdet, "_det_bareiss", lambda m: calls.append(len(m)) or bareiss(m))
+        for name, order in (("_det3", 3), ("_det4", 4)):
+            expand = getattr(gdet, name)
+            monkeypatch.setattr(gdet, name, lambda m, expand=expand, order=order:
+                                calls.append(order) or expand(m))
         return calls
 
     def test_a_one_parameter_family_is_eliminated_once(self, monkeypatch, fresh_det_n):
         # m * (1, ..., 1) plus one correction row: every witness has one d
-        calls = self.count_eliminations(monkeypatch)
+        calls = self.count_expansions(monkeypatch)
         for m in range(-500, 501):
             _, cls = witness(16 * m + 1)
             assert plan(cls).case is WitnessCase.ODD_16M_PLUS_1
         assert fresh_det_n.cache_info().misses == 1
-        assert calls == [7, 8]
+        assert calls == [3, 4, 4, 4]
 
     def test_each_pow2_16_case_is_eliminated_once(self, monkeypatch, fresh_det_n):
-        calls = self.count_eliminations(monkeypatch)
+        calls = self.count_expansions(monkeypatch)
         cases = {plan(witness(65536 * m)[1]).case for m in range(-60, 61) if m}
         assert cases == {WitnessCase.POW2_16_4M_PLUS_1, WitnessCase.POW2_16_4M_MINUS_1,
                          WitnessCase.POW2_16_EVEN}
         assert fresh_det_n.cache_info().misses == 3
-        assert calls == [7, 8] * 3
+        assert calls == [3, 4, 4, 4] * 3
 
     @given(coeffs, st.integers(-10**12, 10**12))
     def test_a_common_offset_moves_only_the_sum(self, a, c):
-        # det M = sum(a) * det Q' * det T, and neither block sees the offset
+        # det M = sum(a) * det P' * det B+- * det B-+ * det B--, and no block
+        # sees the offset
         shifted = tuple(x + c for x in a)
         assert det16_direct(shifted) * sum(a) == det16_direct(a) * (sum(a) + 16 * c)
 
@@ -550,36 +577,68 @@ def zero_diagonal_matrix(n, rng):
             for i in range(n)]
 
 
-# z = (2, 0) is flat 2, and g*z = (r + 2, s); one element of each coset
-# {g, g*z} has r in {0, 1}.
-COSET_REPS = [g for g in range(16) if g % 4 < 2]
+# z = (2, 0) is flat 2 and w = (0, 2) is flat 8: g*z = (r + 2, s) and
+# g*w = (r, s + 2).
 TIMES_Z = [(g + 2) % 4 + 4 * (g // 4) for g in range(16)]
+TIMES_W = [g % 4 + 4 * ((g // 4 + 2) % 4) for g in range(16)]
 
 
-def coset_split(a):
-    """group_matrix(a) split over the cosets of {e, z}: [[Q, X], [0, T]].
+def coset_split(m, labels, times):
+    """m split over an element t of order 2, and the representatives used.
 
-    For each representative h (and g), column h*z is added into column h
-    and row g is subtracted from row g*z; then the representatives go
-    first, rows and columns alike.  The steps are unimodular, so the
-    determinant is unchanged.
+    The rows and columns of m are labelled by the group elements in
+    labels, and times[g] is g*t.  For each representative h (and g), the
+    smaller of each coset {g, g*t}, column h*t is added into column h and
+    row g is subtracted from row g*t; then the representatives go first,
+    rows and columns alike.  The steps are unimodular, so the determinant
+    is unchanged.
     """
-    m = group_matrix(a)
-    for h in COSET_REPS:
+    pos = {g: i for i, g in enumerate(labels)}
+    reps = [g for g in labels if g < times[g]]
+    m = [list(row) for row in m]
+    for h in reps:
         for row in m:
-            row[h] = row[h] + row[TIMES_Z[h]]
-    for g in COSET_REPS:
-        m[TIMES_Z[g]] = [x - y for x, y in zip(m[TIMES_Z[g]], m[g])]
-    order = COSET_REPS + [TIMES_Z[g] for g in COSET_REPS]
-    return [[m[i][j] for j in order] for i in order]
+            row[pos[h]] = row[pos[h]] + row[pos[times[h]]]
+    for g in reps:
+        m[pos[times[g]]] = [x - y for x, y in zip(m[pos[times[g]]], m[pos[g]])]
+    order = [pos[g] for g in reps] + [pos[times[g]] for g in reps]
+    return [[m[i][j] for j in order] for i in order], reps
 
 
-def coset_blocks(a):
-    """Q' and T of coset_split(a): Q'[i][j] = Q[i][j] - Q[0][j], 1 <= i, j <= 7."""
-    m = coset_split(a)
-    q0 = m[0][1:8]
-    return ([[x - y for x, y in zip(row[1:8], q0)] for row in m[1:8]],
-            [row[8:] for row in m[8:]])
+def klein_split(a):
+    """group_matrix(a) split over z into [[Q, X], [0, T]], then Q and T over w.
+
+    Q and T are labelled by the representatives of {e, z}, and each splits
+    into [[A + B, B], [0, A - B]]: the quotient block P and B+- from Q,
+    B-+ and B-- from T.
+    """
+    m, reps = coset_split(group_matrix(a), range(16), TIMES_Z)
+    q, t = [row[:8] for row in m[:8]], [row[8:] for row in m[8:]]
+    return [m] + [coset_split(half, reps, TIMES_W)[0] for half in (q, t)]
+
+
+def klein_blocks(a):
+    """P', B+-, B-+ and B-- of klein_split(a): P'[i][j] = P[i][j] - P[0][j], 1 <= i, j <= 3."""
+    _, q, t = klein_split(a)
+    p, b_pm = [row[:4] for row in q[:4]], [row[4:] for row in q[4:]]
+    b_mp, b_mm = [row[:4] for row in t[:4]], [row[4:] for row in t[4:]]
+    p_diff = [[x - y for x, y in zip(row[1:], p[0][1:])] for row in p[1:]]
+    return p_diff, b_pm, b_mp, b_mm
+
+
+def flat(rows):
+    """A matrix row by row as one tuple, as _det3 and _det4 take it."""
+    return tuple(e for row in rows for e in row)
+
+
+def leibniz(rows):
+    """The determinant as the signed sum over permutations."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+        total = total + (-1) ** inversions * prod(rows[i][perm[i]] for i in range(n))
+    return total
 
 
 def leading_minor(mat, size):
@@ -587,29 +646,16 @@ def leading_minor(mat, size):
 
 
 def eliminate(mat):
-    """_det_bareiss on a copy of mat: the determinant and the final row order.
+    """det_bareiss on a copy of mat: the determinant and the final row order.
 
-    _det_bareiss reorders its list of rows in place, so order[p] is the input
+    det_bareiss reorders its list of rows in place, so order[p] is the input
     index of the row left at position p; list(range(n)) means no pivot search
     moved a row.
     """
     rows = [list(r) for r in mat]
     ids = [id(r) for r in rows]
-    det = gdet._det_bareiss(rows)
+    det = det_bareiss(rows)
     return det, [ids.index(id(r)) for r in rows]
-
-
-# Final row orders of the 7x7 Q' and the 8x8 T of CASE_VALUES witnesses
-# whose elimination meets a zero pivot minor; the other witnesses keep
-# list(range(7)) and list(range(8)).
-WITNESS_ROW_ORDERS = {
-    -999999999719: ([1, 3, 0, 5, 4, 2, 6], list(range(8))),
-    -999999999687: ([0, 1, 2, 4, 3, 5, 6], list(range(8))),
-    999999999625: ([1, 3, 0, 5, 4, 2, 6], [2, 3, 4, 5, 0, 1, 6, 7]),
-    -999999999575: ([1, 3, 0, 5, 4, 2, 6], list(range(8))),
-    -999999998855: ([1, 3, 0, 5, 4, 2, 6], list(range(8))),
-    999999930368: ([0, 1, 2, 4, 3, 5, 6], list(range(8))),
-}
 
 
 def check_hand_off(n, k, shape, rng):
@@ -642,6 +688,8 @@ def check_hand_off(n, k, shape, rng):
 
 
 class TestTwoStepBareiss:
+    """The fraction-free referee oracles.det_bareiss, and route agreement."""
+
     def test_zero_diagonal_needs_no_one_by_one_pivot(self):
         rng = random.Random(2024)
         for n in range(2, 10):
@@ -676,7 +724,7 @@ class TestTwoStepBareiss:
     @pytest.mark.parametrize("n", [7, 8])
     @pytest.mark.parametrize("shape", ["repeated", "zero"])
     def test_hand_off_at_each_pair_of_the_coset_blocks(self, n, shape):
-        # det16_direct eliminates the 7x7 Q' and the 8x8 T
+        # orders 7 and 8: an odd and an even order below the 15 and 16 above
         for k in range(0, n - 1, 2):
             check_hand_off(n, k, shape, random.Random(f"hand-off {n} {k}"))
 
@@ -742,29 +790,15 @@ class TestTwoStepBareiss:
         mat[0][:2], mat[1][:2], mat[4][:2] = [3, 1], [1, 2], list(pair)
         assert eliminate(mat) == (det_gauss_slow(mat), list(range(7)))
 
-    def test_small_witnesses_skip_or_rescale_their_updates(self):
-        # 17: Q' and T are identities, so every update leaves its row as it
-        # is; 65536: one update of Q' and two of T meet a zero pair, so they
-        # only rescale their rows
-        for n in (17, 65536):
-            vec, _ = witness(n)
-            q, t = coset_blocks(vec)
-            (det_q, q_order), (det_t, t_order) = eliminate(q), eliminate(t)
-            assert (q_order, t_order) == (list(range(7)), list(range(8)))
-            assert (det_q, det_t) == (det_gauss_slow(q), det_gauss_slow(t))
-            assert sum(vec) * det_q * det_t == n
-
     def test_three_routes_agree_on_every_witness_case(self):
         cases = set()
         for n in CASE_VALUES:
             vec, cls = witness(n)
             cases.add(plan(cls).case)
             assert det16_direct(vec) == det16_factored(vec) == det16_spectral(vec) == n
-            # the 7x7 Q' and the 8x8 T that det16_direct eliminates
-            q, t = coset_blocks(vec)
-            (det_q, q_order), (det_t, t_order) = eliminate(q), eliminate(t)
-            assert (det_q, det_t) == (det_gauss_slow(q), det_gauss_slow(t))
-            assert sum(vec) * det_q * det_t == n
-            assert (q_order, t_order) == WITNESS_ROW_ORDERS.get(
-                n, (list(range(7)), list(range(8)))), n
+            # the 3x3 P' and the three 4x4 blocks that det16_direct expands
+            p_diff, *b = klein_blocks(vec)
+            dets = [det_gauss_slow(p_diff), *map(det_gauss_slow, b)]
+            assert dets == [gdet._det3(flat(p_diff)), *(gdet._det4(flat(x)) for x in b)]
+            assert sum(vec) * prod(dets) == n
         assert cases == set(WitnessCase)
