@@ -4,8 +4,8 @@
   of a group index table.  Over the cosets of the Klein subgroup
   ``V = {e, z, w, z*w}``, ``z = (2, 0)``, ``w = (0, 2)``, it splits ``M``
   into four 4x4 blocks: ``P``, the group matrix of ``G/V`` on the coset
-  sums, and ``B+-``, ``B-+``, ``B--``, the parts of ``M`` on which ``z``,
-  ``w`` or both act as -1, so ``det M = sum(a) * det P' * det B+- *
+  sums, and ``B+-``, ``B-+``, ``B--``, the parts of ``M`` on which ``w``,
+  ``z`` or both act as -1, so ``det M = sum(a) * det P' * det B+- *
   det B-+ * det B--`` with ``P'`` the 3x3 matrix of row differences of
   ``P``.  It gathers each block straight from ``a`` and expands its
   determinant by cofactors, in exact integers, with no division and no
