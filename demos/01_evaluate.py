@@ -17,7 +17,7 @@ a = (2,) + (1,) * 15
 
 print("coefficients:", a)
 print()
-print("direct (fraction-free elimination):", det16_direct(a))
+print("direct (Klein-subgroup blocks):    ", det16_direct(a))
 print("factored (closed-form product):    ", det16_factored(a))
 print("spectral (character blocks):       ", det16_spectral(a))
 print()

@@ -7,10 +7,13 @@ Run from anywhere, with the standard library and pytest installed::
 Each entry of ``MUTANTS`` names a module under ``src/c4x4det``, a text that
 occurs in it exactly once, the text that replaces it, and the pytest target
 (a test file or one test in it) that should fail on the mutant.  The sweep
-copies ``src/``, ``tests/`` and ``pyproject.toml`` into a temporary
-directory, never editing the checkout, and runs ``pytest -x`` on each mutant
-there.  A mutant is *killed* when pytest reports a failing test (exit 1) or
-runs past ``TIMEOUT_S``, and *survived* when the target passes.  A mutant
+copies ``src/``, ``tests/``, ``demos/``, ``README.md`` and ``pyproject.toml``
+into a temporary directory, never editing the checkout.  There it first runs
+each distinct target once on the unmutated code: a target that fails
+without a mutation would count every mutant aimed at it as killed, so the
+sweep stops with exit status 1.  Then it runs ``pytest -x`` on each mutant.
+A mutant is *killed* when pytest reports a failing test (exit 1) or runs
+past ``TIMEOUT_S``, and *survived* when the target passes.  A mutant
 declared equivalent changes no answer any test can see; it is run and
 reported, but its survival is expected.  The exit status is 1 when a mutant
 that is not declared equivalent survives, or when pytest ends in any other
@@ -50,6 +53,13 @@ EIGENVECTOR_TEST = (
 SPECTRAL_TEST = (
     "tests/test_gdet.py::TestCharacterFactorization"
     "::test_spectral_blocks_are_products_of_eigenvalues"
+)
+BOUNDARY_TEST = (
+    "tests/test_verification.py::TestScanExhaustive::test_block_boundary_matches_brute_force"
+)
+ORDER_TEST = (
+    "tests/test_verification.py::TestScanFindsClassifierRegressions"
+    "::test_violations_match_brute_force_in_order"
 )
 
 # (module, old text, new text, pytest target, reason if declared equivalent)
@@ -122,14 +132,27 @@ MUTANTS = (
     ("witness.py", "(1, 1): (0, 0, 0, 0, 0, 0, -1, -1, 0, -1, 0, 0, -1, -1, -1, -1),",
      "(1, 1): (0, 0, 0, 0, 0, 0, -1, -1, 0, -1, 0, 0, -1, -1, -1, 0),",
      "tests/test_witness.py", None),
+    ("verification.py", "violations.extend(v)", "violations[:0] = v", ORDER_TEST, None),
+    ("verification.py", "factors = [(x,) for x in prefix] + [support] * (16 - len(prefix))",
+     "factors = [support] * (16 - len(prefix)) + [(x,) for x in prefix]", BOUNDARY_TEST, None),
+    ("verification.py", "tuples = islice(product(*factors), count)",
+     "tuples = islice(product(*factors), 1, count + 1)", ORDER_TEST, None),
+    ("verification.py", "seen |= s", "seen = s", BOUNDARY_TEST, None),
+    ("verification.py", "min(size, total - lo)", "size",
+     "tests/test_verification.py::TestScanExhaustive::test_binary_support_small_limit", None),
+    # the sample stream of scan_random: only its golden outputs pin it, and
+    # seed 0 draws the same stream either way
+    ("verification.py", "seed * (1 << 32) + block", "seed + block",
+     "tests/test_golden.py::test_output_matches_golden[scan-random-seed1]", None),
 )
 
 
 def _copy_tree(dest: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-    for name in ("src", "tests"):
+    for name in ("src", "tests", "demos"):
         shutil.copytree(ROOT / name, dest / name, ignore=ignore)
-    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+    for name in ("pyproject.toml", "README.md"):
+        shutil.copy2(ROOT / name, dest / name)
 
 
 def _environment(work: Path) -> dict:
@@ -146,15 +169,27 @@ def _environment(work: Path) -> dict:
     return env
 
 
-def _run(work: Path, env: dict, target: str) -> str:
+def _pytest(work: Path, env: dict, target: str) -> int | None:
+    """pytest's exit status on ``target``, or None when it runs past ``TIMEOUT_S``."""
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", target]
     try:
-        code = subprocess.run(
+        return subprocess.run(
             command, cwd=work, env=env, capture_output=True, timeout=TIMEOUT_S
         ).returncode
     except subprocess.TimeoutExpired:
-        return "killed"
-    return {0: "survived", 1: "killed"}.get(code, f"error (pytest exit {code})")
+        return None
+
+
+def _baseline(work: Path, env: dict) -> bool:
+    """Does every distinct target pass on the unmutated copy?"""
+    ok = True
+    for target in dict.fromkeys(mutant[3] for mutant in MUTANTS):
+        start = time.perf_counter()
+        code = _pytest(work, env, target)
+        outcome = {0: "passed", None: "timed out"}.get(code, f"FAILED (pytest exit {code})")
+        ok = ok and code == 0
+        print(f"{outcome:9} {time.perf_counter() - start:5.1f}s  unmutated  [{target}]", flush=True)
+    return ok
 
 
 def main() -> int:
@@ -163,6 +198,9 @@ def main() -> int:
         work = Path(tmp)
         _copy_tree(work)
         env = _environment(work)
+        if not _baseline(work, env):
+            print("a target fails without a mutation; no mutant was run")
+            return 1
         for module, old, new, target, equivalent in MUTANTS:
             path = work / "src" / "c4x4det" / module
             original = path.read_text()
@@ -171,9 +209,11 @@ def main() -> int:
             path.write_text(original.replace(old, new))
             start = time.perf_counter()
             try:
-                outcome = _run(work, env, target)
+                code = _pytest(work, env, target)
             finally:
                 path.write_text(original)
+            outcome = {None: "killed", 0: "survived", 1: "killed"}.get(
+                code, f"error (pytest exit {code})")
             if outcome == "survived" and equivalent:
                 outcome = f"declared-equivalent ({equivalent})"
             elif outcome != "killed":

@@ -11,11 +11,9 @@ library's walk (see its docstring).  ``spectral_factors_gauss``,
 ``beta_gamma_norms_alt`` are library-free as well: Gaussian integers here
 are plain ``(re, im)`` pairs, combined by ``gauss_add`` and ``gauss_mul``.
 ``det4`` and ``beta_gamma_norms`` are the closed forms whose products
-``gdet.factored_pieces`` splits into its ten integer pieces.  ``det_bareiss``
-evaluates any integer matrix, ``gdet.group_matrix`` among them, by
-fraction-free elimination, without the coset splits of
-``gdet.det16_direct``.  ``Poly`` runs integer code on free variables, so a
-formula can be checked as a polynomial identity.
+``gdet.factored_pieces`` splits into its ten integer pieces.  ``Poly`` runs
+integer code on free variables, so a formula can be checked as a polynomial
+identity.
 """
 
 from itertools import combinations_with_replacement
@@ -241,58 +239,6 @@ def det4_gauss(z0, z1, z2, z3) -> tuple:
     first = gauss_add(gauss_mul(s, s), gauss_mul(t, t), -1)
     second = gauss_add(gauss_mul(u, u), gauss_mul(v, v))
     return gauss_mul(first, second)
-
-
-def det_bareiss(m) -> int:
-    """Determinant of an integer matrix by two-step fraction-free elimination.
-
-    Bareiss (1968); reorders the rows of m in place.  Each pass eliminates
-    columns k, k+1 with the 2x2 pivot minor c0 of rows k, k+1, and each
-    lower row gets the two cofactors c1, c2 of its entries there.  Every
-    division by prev is exact by Sylvester's identity, in any row order.
-    Every lower row gets the same update, one that is 0 in columns k, k+1
-    too.  When c0 == 0, the first row i >= k with a nonzero pair in columns
-    k, k+1 and the first row j > i with a pair independent of it are swapped
-    into k and k+1 (so j > k + 1); without both, those columns are dependent
-    and the determinant is 0.
-    """
-    n = len(m)
-    prev = sign = 1
-    for k in range(0, n - 1, 2):
-        pk, pk1 = m[k], m[k + 1]
-        a, b, c, d = pk[k], pk[k + 1], pk1[k], pk1[k + 1]
-        c0 = (a * d - b * c) // prev
-        if c0 == 0:
-            for i in range(k, n):
-                a, b = m[i][k], m[i][k + 1]
-                if a or b:
-                    break
-            else:
-                return 0
-            for j in range(i + 1, n):
-                c, d = m[j][k], m[j][k + 1]
-                if a * d - b * c:
-                    break
-            else:
-                return 0
-            if i != k:
-                m[k], m[i] = m[i], m[k]
-                sign = -sign
-            m[k + 1], m[j] = m[j], m[k + 1]
-            sign = -sign
-            pk, pk1 = m[k], m[k + 1]
-            c0 = (a * d - b * c) // prev
-        cols = range(k + 2, n)
-        for ri in m[k + 2:]:
-            x0, x1 = ri[k], ri[k + 1]
-            c1 = (c * x1 - d * x0) // prev
-            c2 = (b * x0 - a * x1) // prev
-            for j in cols:
-                ri[j] = (ri[j] * c0 + pk[j] * c1 + pk1[j] * c2) // prev
-        prev = c0
-    # n even: the last pivot c0 is the whole determinant; n odd: the last
-    # row holds it.
-    return sign * (prev if n % 2 == 0 else m[n - 1][n - 1])
 
 
 def character_sums(a, k) -> tuple:

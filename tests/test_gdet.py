@@ -29,7 +29,6 @@ from oracles import (
     det2,
     det4,
     det4_gauss,
-    det_bareiss,
     gauss_add,
     gauss_mul,
     spectral_factors_gauss,
@@ -42,8 +41,8 @@ big_coeffs = st.tuples(*[st.integers(-10**12, 10**12)] * 16)
 
 
 @st.composite
-def degenerate_matrices(draw, low=1, high=9):
-    """n x n integer matrices, n = low..high, often with repeated rows or zero columns."""
+def degenerate_matrices(draw, low, high):
+    """n x n integer matrices, n = low..high, often singular: a repeated row or zero columns."""
     n = draw(st.integers(low, high))
     rows = draw(st.lists(st.lists(st.integers(-20, 20), min_size=n, max_size=n),
                          min_size=n, max_size=n))
@@ -53,7 +52,7 @@ def degenerate_matrices(draw, low=1, high=9):
     zero_cols = draw(st.integers(0, n))
     for row in rows:
         row[:zero_cols] = [0] * zero_cols
-    if draw(st.booleans()):  # a nonzero entry low in column 0 forces swaps
+    if draw(st.booleans()):  # a nonzero entry low in column 0 makes the referee swap rows
         rows[-1][0] = draw(st.integers(1, 20))
     return rows
 
@@ -207,18 +206,39 @@ class TestDet16:
     def test_direct_against_rational_elimination(self):
         rng = random.Random(12345)
         vectors = [tuple(rng.randint(-9, 9) for _ in range(16)) for _ in range(25)]
-        # zero pivots and singular matrices: all-zero, all-equal, a swap at
-        # step 0, and {0,1} vectors (many of them singular)
+        # the S == 0 exit (all-zero), the det P' == 0 exit (all-equal), a
+        # referee row swap at step 0 (a[0] == 0), and {0,1} vectors (many of
+        # them singular)
         vectors += [(0,) * 16, (7,) * 16, (0,) * 15 + (1,)]
         vectors += [tuple(rng.randint(0, 1) for _ in range(16)) for _ in range(200)]
         for a in vectors:
             assert det16_direct(a) == det_gauss_slow(group_matrix(a)), a
 
-    @given(degenerate_matrices())
-    @settings(max_examples=300)
-    def test_bareiss_against_rational_elimination(self, rows):
-        expected = det_gauss_slow(rows)
-        assert det_bareiss([list(r) for r in rows]) == expected
+    def test_direct_against_the_unsplit_group_matrix(self):
+        rng = random.Random(77)
+        for _ in range(36):
+            a = tuple(rng.randint(-9, 9) for _ in range(16))
+            assert det16_direct(a) == det_gauss_slow(group_matrix(a)), a
+
+    @pytest.mark.parametrize("low, high", [(-9, 9), (0, 1), (-1, 1), (-10**9, 10**9)])
+    def test_three_routes_agree_on_seeded_tuples(self, low, high):
+        rng = random.Random(f"routes {low} {high}")
+        for _ in range(3000):
+            a = tuple(rng.randint(low, high) for _ in range(16))
+            assert det16_direct(a) == det16_factored(a) == det16_spectral(a), a
+
+    def test_three_routes_agree_on_every_witness_case(self):
+        cases = set()
+        for n in CASE_VALUES:
+            vec, cls = witness(n)
+            cases.add(plan(cls).case)
+            assert det16_direct(vec) == det16_factored(vec) == det16_spectral(vec) == n
+            # the 3x3 P' and the three 4x4 blocks that det16_direct expands
+            p_diff, *b = klein_blocks(vec)
+            dets = [det_gauss_slow(p_diff), *map(det_gauss_slow, b)]
+            assert dets == [gdet._det3(flat(p_diff)), *(gdet._det4(flat(x)) for x in b)]
+            assert sum(vec) * prod(dets) == n
+        assert cases == set(WitnessCase)
 
     @given(degenerate_matrices(3, 4))
     @settings(max_examples=300)
@@ -554,29 +574,6 @@ CASE_VALUES = (
 )
 
 
-def zero_diagonal_matrix(n, rng):
-    """A random n x n matrix L * B whose eliminations meet a_kk == 0 at every even k.
-
-    B is block upper triangular with 2x2 diagonal blocks [[0, x], [y, z]]
-    (x, y nonzero; a trailing 1x1 block is nonzero) and L is block lower
-    unitriangular.  Every leading minor of even order is then a product of
-    block determinants, so nonzero, and every one of odd order below n is
-    zero.
-    """
-    b = [[rng.randint(-9, 9) if j // 2 > i // 2 else 0 for j in range(n)]
-         for i in range(n)]
-    for k in range(0, n - 1, 2):
-        b[k][k + 1] = rng.choice((-1, 1)) * rng.randint(1, 9)
-        b[k + 1][k] = rng.choice((-1, 1)) * rng.randint(1, 9)
-        b[k + 1][k + 1] = rng.randint(-9, 9)
-    if n % 2:
-        b[n - 1][n - 1] = rng.randint(1, 9)
-    low = [[1 if i == j else rng.randint(-9, 9) if i // 2 > j // 2 else 0
-            for j in range(n)] for i in range(n)]
-    return [[sum(low[i][t] * b[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)]
-
-
 # z = (2, 0) is flat 2 and w = (0, 2) is flat 8: g*z = (r + 2, s) and
 # g*w = (r, s + 2).
 TIMES_Z = [(g + 2) % 4 + 4 * (g // 4) for g in range(16)]
@@ -639,166 +636,3 @@ def leibniz(rows):
         inversions = sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
         total = total + (-1) ** inversions * prod(rows[i][perm[i]] for i in range(n))
     return total
-
-
-def leading_minor(mat, size):
-    return det_gauss_slow([row[:size] for row in mat[:size]])
-
-
-def eliminate(mat):
-    """det_bareiss on a copy of mat: the determinant and the final row order.
-
-    det_bareiss reorders its list of rows in place, so order[p] is the input
-    index of the row left at position p; list(range(n)) means no pivot search
-    moved a row.
-    """
-    rows = [list(r) for r in mat]
-    ids = [id(r) for r in rows]
-    det = det_bareiss(rows)
-    return det, [ids.index(id(r)) for r in rows]
-
-
-def check_hand_off(n, k, shape, rng):
-    """Random n x n matrices whose 2x2 pivot minor at pair k is zero.
-
-    "repeated": rows k and k+1 agree on columns 0..k+1, so a lower row moves
-    into k+1; "zero": both rows vanish there, so a lower row also moves into
-    k.  That takes one row below k+1 ("repeated") or two ("zero"); without
-    them the matrix is singular and no row moves (k = 14 at n = 16, and
-    "zero" at k = 12 for n = 15).  A draw whose pivot minor vanishes at an
-    earlier pair is drawn again, so the rows above k keep their places.
-    """
-    moves = k + (3 if shape == "repeated" else 4) <= n
-    for _ in range(5):
-        mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        while not all(leading_minor(mat, j) for j in range(2, k + 1, 2)):
-            mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        if shape == "repeated":
-            mat[k + 1][:k + 2] = mat[k][:k + 2]
-        else:
-            mat[k][:k + 2] = mat[k + 1][:k + 2] = [0] * (k + 2)
-        det, order = eliminate(mat)
-        assert det == det_gauss_slow(mat)
-        assert order[:k] == list(range(k))
-        if moves:
-            assert order[k:k + 2] != [k, k + 1]
-            assert shape == "repeated" or order[k] > k + 1
-        else:
-            assert (det, order) == (0, list(range(n)))
-
-
-class TestTwoStepBareiss:
-    """The fraction-free referee oracles.det_bareiss, and route agreement."""
-
-    def test_zero_diagonal_needs_no_one_by_one_pivot(self):
-        rng = random.Random(2024)
-        for n in range(2, 10):
-            for _ in range(20):
-                mat = zero_diagonal_matrix(n, rng)
-                assert mat[0][0] == 0
-                assert all(leading_minor(mat, k + 1) == 0 for k in range(0, n - 1, 2))
-                assert eliminate(mat) == (det_gauss_slow(mat), list(range(n)))
-
-    def test_group_matrices_with_nonzero_pivot_minors_stay_two_step(self):
-        rng = random.Random(77)
-        checked = 0
-        while checked < 30:
-            a = tuple(rng.randint(-9, 9) for _ in range(16))
-            mat = group_matrix(a)
-            if all(leading_minor(mat, k + 2) for k in range(0, 16, 2)):
-                assert det16_direct(a) == det_gauss_slow(mat)
-                assert eliminate(mat) == (det16_direct(a), list(range(16)))
-                checked += 1
-
-    @pytest.mark.parametrize("k", range(0, 16, 2))
-    @pytest.mark.parametrize("shape", ["repeated", "zero"])
-    def test_hand_off_at_each_pair(self, k, shape):
-        check_hand_off(16, k, shape, random.Random(1000 + k))
-
-    @pytest.mark.parametrize("k", range(0, 14, 2))
-    @pytest.mark.parametrize("shape", ["repeated", "zero"])
-    def test_hand_off_at_each_pair_15x15(self, k, shape):
-        # an odd order, whose last row holds the determinant
-        check_hand_off(15, k, shape, random.Random(f"hand-off 15 {k}"))
-
-    @pytest.mark.parametrize("n", [7, 8])
-    @pytest.mark.parametrize("shape", ["repeated", "zero"])
-    def test_hand_off_at_each_pair_of_the_coset_blocks(self, n, shape):
-        # orders 7 and 8: an odd and an even order below the 15 and 16 above
-        for k in range(0, n - 1, 2):
-            check_hand_off(n, k, shape, random.Random(f"hand-off {n} {k}"))
-
-    @pytest.mark.parametrize("n", [7, 8])
-    @pytest.mark.parametrize("shape", ["zero", "rank one"])
-    def test_dependent_pivot_columns_give_zero(self, n, shape):
-        # "zero": rows k.. vanish on columns 0..k+1, so no row at or below k
-        # has a nonzero pair; "rank one": column k+1 is twice column k, so
-        # every pair is a multiple of the first nonzero one.  Either way the
-        # search returns 0 before it moves a row.
-        rng = random.Random(f"dependent {n} {shape}")
-        for k in range(0, n - 1, 2):
-            mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-            for i, row in enumerate(mat):
-                if shape == "zero" and i >= k:
-                    row[:k + 2] = [0] * (k + 2)
-                elif shape == "rank one":
-                    row[k + 1] = 2 * row[k]
-            assert det_gauss_slow(mat) == 0
-            assert eliminate(mat) == (0, list(range(n)))
-
-    def test_lower_row_becomes_the_pivot(self):
-        # Row 0 has a zero pair, so row 1 moves into 0 and row 2, the first
-        # independent of it, into 1.
-        mat = [[0, 0, 1, 2], [1, 2, 3, 4], [2, 5, 1, 1], [3, 1, 4, 1]]
-        assert eliminate(mat) == (det_gauss_slow(mat), [1, 2, 0, 3])
-
-    @pytest.mark.parametrize("low, high", [(-9, 9), (0, 1), (-1, 1), (-10**9, 10**9)])
-    def test_three_routes_agree_on_seeded_tuples(self, low, high):
-        rng = random.Random(f"routes {low} {high}")
-        for _ in range(3000):
-            a = tuple(rng.randint(low, high) for _ in range(16))
-            assert det16_direct(a) == det16_factored(a) == det16_spectral(a), a
-
-    def test_rows_with_a_zero_pair_are_rescaled_or_left_alone(self):
-        # Block upper triangular with 2x2 diagonal blocks of determinant
-        # 3, 1, 5, 2: every row below a pass is zero in its pivot columns,
-        # so both its cofactors are 0 and the update scales it by c0 / prev.
-        # The pivot minors c0 are the leading minors 3, 3, 15: pass 0
-        # rescales six rows (c0 != prev = 1), pass 2 leaves four as they
-        # are (c0 == prev) and pass 4 rescales two.
-        rng = random.Random("zero pairs")
-        blocks = ([[2, 1], [1, 2]], [[2, 1], [1, 1]], [[3, 1], [1, 2]], [[1, 1], [-1, 1]])
-        mat = [[rng.randint(-9, 9) if j // 2 > i // 2 else 0 for j in range(8)]
-               for i in range(8)]
-        for t, block in enumerate(blocks):
-            for i in range(2):
-                mat[2 * t + i][2 * t:2 * t + 2] = block[i]
-        assert det_gauss_slow(mat) == 30
-        assert eliminate(mat) == (30, list(range(8)))
-
-    def test_zero_pair_at_a_pass_with_unit_pivot_minor_is_left_alone(self):
-        # pass 0: c0 == prev == 1, and row 3 is zero in columns 0 and 1
-        rng = random.Random("unit pivot")
-        mat = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(6)]
-        mat[0][:2], mat[1][:2], mat[3][:2] = [2, 1], [1, 1], [0, 0]
-        assert eliminate(mat) == (det_gauss_slow(mat), list(range(6)))
-
-    @pytest.mark.parametrize("pair", [(0, 5), (4, 0)])
-    def test_row_with_one_zero_in_the_pair_gets_the_full_update(self, pair):
-        rng = random.Random(f"one zero {pair}")
-        mat = [[rng.randint(-9, 9) for _ in range(7)] for _ in range(7)]
-        mat[0][:2], mat[1][:2], mat[4][:2] = [3, 1], [1, 2], list(pair)
-        assert eliminate(mat) == (det_gauss_slow(mat), list(range(7)))
-
-    def test_three_routes_agree_on_every_witness_case(self):
-        cases = set()
-        for n in CASE_VALUES:
-            vec, cls = witness(n)
-            cases.add(plan(cls).case)
-            assert det16_direct(vec) == det16_factored(vec) == det16_spectral(vec) == n
-            # the 3x3 P' and the three 4x4 blocks that det16_direct expands
-            p_diff, *b = klein_blocks(vec)
-            dets = [det_gauss_slow(p_diff), *map(det_gauss_slow, b)]
-            assert dets == [gdet._det3(flat(p_diff)), *(gdet._det4(flat(x)) for x in b)]
-            assert sum(vec) * prod(dets) == n
-        assert cases == set(WitnessCase)

@@ -372,12 +372,16 @@ class TestScanFindsClassifierRegressions:
         assert all(json.loads(line)["detail"] for line in report.json_lines())
 
     def test_violations_match_brute_force_in_order(self, monkeypatch):
+        # a block over {0, 1} fixes the first 4 entries and runs the last 12:
+        # 300 tuples stay in the first block, 2 * 4096 + 300 reach a third,
+        # so the order across blocks shows too
         monkeypatch.setattr(verification, "classify", _reject_odd)
-        expected = []
-        for a in islice(product((0, 1), repeat=16), 300):
-            value = det16_spectral(a)
-            cls = _reject_odd(value)
-            if isinstance(cls, NotInS):
-                expected.append((a, value, cls))
-        assert expected
-        assert list(scan_exhaustive((0, 1), limit=300).violations) == expected
+        for limit, blocks in ((300, 1), (2 * 4096 + 300, 3)):
+            expected = []
+            for a in islice(product((0, 1), repeat=16), limit):
+                value = det16_spectral(a)
+                cls = _reject_odd(value)
+                if isinstance(cls, NotInS):
+                    expected.append((a, value, cls))
+            assert len({a[:4] for a, _, _ in expected}) == blocks
+            assert list(scan_exhaustive((0, 1), limit=limit).violations) == expected
