@@ -21,7 +21,7 @@ from typing import Optional, Union
 
 from .core import _Record
 from .errors import InternalMismatchError, PreconditionError
-from .numtheory import ENVELOPE, Factorization, check_envelope, divisors_ascending, factorize
+from .numtheory import ENVELOPE, Factorization, check_envelope, factorize
 from .numtheory import is_in_P, is_prime
 # Not used here: the benchmark's trace wraps classifier.signed_divisors_1mod8 by name.
 from .numtheory import signed_divisors_1mod8  # noqa: F401
@@ -151,10 +151,14 @@ def a_decompose(n: int, envelope: Optional[int] = ENVELOPE) -> Optional[OddA]:
     The certificate takes the three smallest such primes and the smallest
     signed 1-mod-8 divisor d of c.  That is d = -|c|/e for the smallest
     positive divisor e of |c| with e == 7|c| (mod 8), or d = 1 when |c| has
-    no such divisor.  e is the first hit of one lazy ascending walk over the
-    divisors of |c| (:func:`~c4x4det.numtheory.divisors_ascending`), so the
-    cost follows the size of e, not the divisor count of |c|.  The fixed
-    order makes the certificate reproducible.  n is checked as an integer
+    no such divisor.  e needs no search over the divisors of |c|: the classes
+    mod 8 of odd numbers form (Z/8)^x = {1, 3, 5, 7}, where each class is its
+    own inverse and the product of two of 3, 5, 7 is the third.  A divisor
+    lies in the class r = 7|c| mod 8 (3 or 5) only if it has a prime factor
+    in r, or prime factors in both other classes of 3, 5, 7.  So e is the
+    smaller of the least prime factor of |c| in r and the product of the
+    least prime factors in the other two classes, whichever exist.  The
+    fixed order makes the certificate reproducible.  n is checked as an integer
     within the envelope before its residue, so a float or a bool raises
     TypeError.
     """
@@ -164,6 +168,10 @@ def a_decompose(n: int, envelope: Optional[int] = ENVELOPE) -> Optional[OddA]:
     return _a_certificate(n, factorize(n, envelope=envelope))
 
 
+# r -> the two classes of 3, 5, 7 other than r, whose product is r (mod 8)
+_OTHER_CLASSES = {3: (5, 7), 5: (3, 7)}
+
+
 def _a_certificate(n: int, fac: Factorization) -> Optional[OddA]:
     # a_decompose on the factorization of n
     triple = [p for p, e in fac.factors if p % 8 == 5 for _ in range(e)][:3]
@@ -171,9 +179,14 @@ def _a_certificate(n: int, fac: Factorization) -> Optional[OddA]:
         return None
     p1, p2, p3 = triple
     c = n // (p1 * p2 * p3)
-    rest = [(p, a - triple.count(p)) for p, a in fac.factors if a > triple.count(p)]
+    least: dict = {}  # class mod 8 -> least prime factor of |c| in it
+    for p, a in fac.factors:
+        if a > triple.count(p):
+            least.setdefault(p % 8, p)
     r = 7 * abs(c) % 8
-    e = next((e for e in divisors_ascending(rest) if e % 8 == r), None)
+    q, s = _OTHER_CLASSES[r]
+    # the least prime in r and the least pair across q and s; None or 0 where missing
+    e = min(filter(None, (least.get(r), least.get(q, 0) * least.get(s, 0))), default=None)
     d = 1 if e is None else -(abs(c) // e)
     return OddA((d - 1) // 8, (c // d + 3) // 8, p1, p2, p3)
 

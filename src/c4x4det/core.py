@@ -87,6 +87,9 @@ class _Record:
 
 def check_coefficients(entries) -> None:
     """Raise TypeError unless every entry is an ``int`` (a ``bool`` is not one)."""
+    if set(map(type, entries)) == {int}:
+        return
+    # an int subclass other than bool passes; the first bad entry is named
     for x in entries:
         if not isinstance(x, int) or isinstance(x, bool):
             raise TypeError(f"coefficients must be exact integers, got {x!r}")

@@ -99,14 +99,16 @@ def _random_block(args):
 
     The direct, factored and spectral routes must agree on each tuple before
     its value is classified.  The routes and ``classify`` are looked up as
-    module globals on each call, so they can be wrapped by name.
+    module globals on each call, so they can be wrapped by name.  The
+    entries are drawn by ``randrange(-bound, bound + 1)``, which is what
+    ``randint(-bound, bound)`` calls, so the sample stream is randint's.
     """
     seed, block, size, bound = args
     rng = random.Random(seed * (1 << 32) + block)
     violations = []
     seen = set()
-    for _ in range(size):
-        a = tuple(rng.randint(-bound, bound) for _ in range(16))
+    entries = map(rng.randrange, repeat(-bound, 16 * size), repeat(bound + 1, 16 * size))
+    for a in zip(*[entries] * 16):
         value = det16_factored(a)
         seen.add(value)
         direct = det16_direct(a)

@@ -57,6 +57,7 @@ SPECTRAL_TEST = (
 BOUNDARY_TEST = (
     "tests/test_verification.py::TestScanExhaustive::test_block_boundary_matches_brute_force"
 )
+CLOSED_FORM_TEST = "tests/test_classifier.py::TestADecompose::test_closed_form_divisor"
 ORDER_TEST = (
     "tests/test_verification.py::TestScanFindsClassifierRegressions"
     "::test_violations_match_brute_force_in_order"
@@ -106,7 +107,8 @@ MUTANTS = (
     # test that refuses to gather the 4x4 blocks sees it
     ("gdet.py", "    if det_p == 0:\n        return 0\n", "",
      "tests/test_gdet.py::TestDet16::test_a_singular_quotient_block_skips_t", None),
-    # same answers, one evaluation per vector: only the eliminate-once tests see it
+    # same answers, one evaluation per vector: only the tests that count
+    # evaluations of the blocks see it
     ("gdet.py", "_det_n(tuple(map(sub, a, repeat(a[0]))))", "_det_n(a)",
      "tests/test_gdet.py::TestDirectMemo", None),
     ("gdet.py", "@lru_cache(maxsize=_DET_N_CACHE_SIZE)", "@lru_cache(maxsize=None)",
@@ -118,13 +120,20 @@ MUTANTS = (
      "tests/test_classifier.py", None),
     ("numtheory.py", "(341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17))",
      "(341_550_071_728_321, (2, 3, 5, 7, 11, 13))", "tests/test_numtheory.py", None),
-    # not j + 1 -> j: that walk repeats a prime forever, so a search with no hit never ends
+    # not j + 1 -> j: that walk repeats a prime forever, so listing it never ends
     ("numtheory.py", "(d * primes[j], j + 1)", "(d * primes[j], j + 2)",
-     "tests/test_classifier.py", None),
-    # equivalent for test_classifier.py: a repeated divisor cannot change the first hit
+     "tests/test_numtheory.py", None),
+    # the walk then yields some divisors of a repeated prime more than once:
+    # only a test that lists every divisor sees the copies
     ("numtheory.py", "if j == i or primes[j] != primes[j - 1]:", "if True:",
      "tests/test_numtheory.py", None),
     ("classifier.py", ") > most:", ") > most + 1:", "tests/test_classifier.py", None),
+    # the set-A cofactor divisor e in closed form
+    ("classifier.py", "(least.get(r), least.get(q, 0) * least.get(s, 0))", "(least.get(r),)",
+     CLOSED_FORM_TEST, None),
+    ("classifier.py", "least.setdefault(p % 8, p)", "least[p % 8] = p", CLOSED_FORM_TEST, None),
+    ("classifier.py", "5: (3, 7)}", "5: (5, 7)}", CLOSED_FORM_TEST, None),
+    ("classifier.py", "e = min(filter(", "e = max(filter(", CLOSED_FORM_TEST, None),
     ("witness.py", "ODD_16M_PLUS_1: (_form_m, 1, (1, 0,", "ODD_16M_PLUS_1: (_form_m, 1, (2, 0,",
      "tests/test_witness.py", None),
     ("witness.py", "p + r + t - v + c[0], p + s + t + w + c[1],",
@@ -144,6 +153,8 @@ MUTANTS = (
     # seed 0 draws the same stream either way
     ("verification.py", "seed * (1 << 32) + block", "seed + block",
      "tests/test_golden.py::test_output_matches_golden[scan-random-seed1]", None),
+    ("verification.py", "repeat(bound + 1, 16 * size)", "repeat(bound, 16 * size)",
+     "tests/test_verification.py::TestScanRandom::test_draws_the_randint_stream", None),
 )
 
 

@@ -176,13 +176,15 @@ def brute_set_a_member(n: int) -> bool:
 def a_decompose_walk(n: int):
     """Reference set-A search: walk every signed 1-mod-8 divisor per triple.
 
-    This is the divisor walk the closed form in ``classifier.a_decompose``
-    replaced.  For each triple it tries the divisors d of the cofactor
+    This is the search that ``classifier.a_decompose`` replaces by two
+    closed forms: the three smallest 5-mod-8 primes, and the least divisor
+    of the cofactor in one class mod 8, read off its least prime factor per
+    class.  For each triple it tries the divisors d of the cofactor
     ascending and returns the first (j, k) that meets the parity constraint,
-    so it fixes the certificate the closed form must reproduce.  It takes
+    so it fixes the certificate the closed forms must reproduce.  It takes
     the library's factorization, which carries its own oracle tests, and
-    expands the divisors itself, so it checks the closed form and the
-    classifier's divisor walk, not the factoring.
+    expands the divisors itself, so it checks the closed forms, not the
+    factoring.
     """
     fac = factorize(n, envelope=None)
     mult = {p: e for p, e in fac.factors if p % 8 == 5}

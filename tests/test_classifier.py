@@ -1,4 +1,5 @@
 import random
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -20,8 +21,10 @@ from c4x4det.classifier import (
 )
 from c4x4det.errors import EnvelopeExceededError, InternalMismatchError, PreconditionError
 from c4x4det.gdet import det16_direct
-from c4x4det.numtheory import Factorization, is_in_P, signed_divisors_1mod8
+from c4x4det.numtheory import Factorization, is_in_P, is_prime, signed_divisors_1mod8
 from c4x4det.verification import scan_random
+
+PRIMES_MOD_8 = {r: [p for p in range(3, 200) if p % 8 == r and is_prime(p)] for r in (1, 3, 5, 7)}
 
 
 class TestValuation:
@@ -166,6 +169,52 @@ class TestADecompose:
             assert a_decompose(n, envelope=None) == expected, n
             cls = classify(n, envelope=None)
             assert cls == (expected or NotInS(Reason.ODD_A_NO_DECOMPOSITION)), n
+
+    @pytest.mark.parametrize(
+        "n, e",
+        [
+            # e a single prime, below the pair where there is one: e == 3 (mod 8)
+            # when c > 0, and e == 5 (mod 8) when c < 0, a prime beyond the triple
+            (5**3 * (3 * 5 * 5 * 7), 3),
+            (5**3 * -(3 * 3 * 5 * 31), 5),
+            (5**3 * (3 * 31), 3),
+            (-7057735655, 613),  # c = -(271 * 613), triple 5, 29, 293
+            # e the pair, below every single prime of its class, or with none
+            (5**3 * (5 * 5 * 7 * 67), 5 * 7),
+            (5**3 * -(3 * 3 * 7 * 29), 3 * 7),
+            (5**3 * (5 * 7 * 31), 5 * 7),
+            (-809264000935, 23 * 43),  # c = -(23 * 43 * 72767)
+            (-984503745575, 7 * 179),  # c = -(7 * 7 * 179)
+            # no e, so d == 1
+            (5**3 * 13, None),
+            (5**3 * -3, None),
+            (-7078317303, None),  # c = -3, triple 29, 4933, 16493
+        ],
+        ids=["single-c>0", "single-c<0-fourth-p", "single-alone", "single-613",
+             "pair-c>0", "pair-c<0", "pair-alone", "pair-23*43", "pair-7*179",
+             "none-c>0", "none-c<0", "none-7078317303"],
+    )
+    def test_closed_form_divisor(self, n, e):
+        # the certificate's d is -|c|/e for the least divisor e == 7|c| (mod 8)
+        # of |c|, or 1 when there is none
+        cert = a_decompose(n)
+        assert cert == a_decompose_walk(n)
+        c = n // (cert.p1 * cert.p2 * cert.p3)
+        assert 8 * cert.j + 1 == (1 if e is None else -(abs(c) // e))
+
+    @given(
+        st.lists(st.sampled_from(PRIMES_MOD_8[5]), min_size=3, max_size=5),
+        st.lists(st.sampled_from(PRIMES_MOD_8[1]), max_size=2),
+        st.lists(st.sampled_from(PRIMES_MOD_8[3]), max_size=3),
+        st.lists(st.sampled_from(PRIMES_MOD_8[7]), max_size=3),
+        st.sampled_from([1, -1]),
+    )
+    @settings(max_examples=300)
+    def test_closed_form_matches_the_walk(self, fives, ones, threes, sevens, sign):
+        n = sign * prod(fives + ones + threes + sevens)
+        # one more factor of 1, 3, 5, 7, 11, 13, 15 or 9 mod 16 makes n 9 mod 16
+        n *= next(q for q in (1, 3, 5, 7, 11, 13, 31, 41) if n * q % 16 == 9)
+        assert a_decompose(n, envelope=None) == a_decompose_walk(n), n
 
     @given(
         st.lists(st.sampled_from([p for p in range(5, 400, 8) if is_in_P(p)]),

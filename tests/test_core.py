@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from oracles import character_sums
 
-from c4x4det.core import CoeffVec16, derive
+from c4x4det.core import CoeffVec16, check_coefficients, derive
 
 coeffs = st.tuples(*[st.integers(-1000, 1000)] * 16)
 
@@ -25,6 +25,35 @@ class TestCoeffVec16:
     def test_is_a_tuple(self):
         v = CoeffVec16(range(16))
         assert v[3] == 3 and len(v) == 16
+
+
+class IntSubclass(int):
+    pass
+
+
+class TestCheckCoefficients:
+    def test_plain_ints_and_empty_input_pass(self):
+        check_coefficients(tuple(range(-8, 8)))
+        check_coefficients(())
+
+    @pytest.mark.parametrize("position", [0, 7, 15])
+    def test_an_int_subclass_passes(self, position):
+        entries = [1] * 16
+        entries[position] = IntSubclass(5)
+        check_coefficients(tuple(entries))
+
+    @pytest.mark.parametrize("position", [0, 7, 15])
+    @pytest.mark.parametrize("bad", [True, False, 2.0, 2.5], ids=repr)
+    def test_a_bool_or_a_float_anywhere_raises(self, bad, position):
+        entries = [1] * 16
+        entries[position] = bad
+        with pytest.raises(TypeError) as raised:
+            check_coefficients(tuple(entries))
+        assert str(raised.value) == f"coefficients must be exact integers, got {bad!r}"
+
+    def test_the_first_bad_entry_is_named(self):
+        with pytest.raises(TypeError, match=r"got 2\.5$"):
+            check_coefficients((IntSubclass(1), 2.5, True))
 
 
 class TestDerive:

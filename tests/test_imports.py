@@ -9,8 +9,9 @@ pool behind ``scan --jobs`` is loaded only by a scan on more than one
 process.  The records are not dataclasses, so no command loads
 ``dataclasses`` or the ``inspect`` module it imports, and the command line
 is parsed from one grammar table, so no command loads ``argparse``.  The
-set-A divisor walk imports ``heapq`` on first use, so only a command that
-decides a set-A value loads it.
+set-A certificate takes its cofactor divisor in closed form, so deciding a
+set-A value loads no ``heapq``; only the divisor walk behind
+``signed_divisors_1mod8`` imports it, on first use.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def cli_run(*argv) -> str:
 FOOTPRINTS = {
     "import": ("import c4x4det", set()),
     "classify": (cli_run("classify", "17"), set()),
-    "classify-set-a": (cli_run("classify", "-809264000935"), {"heapq"}),
+    "classify-set-a": (cli_run("classify", "-809264000935"), set()),
     "witness": (cli_run("witness", "17", "--json"), {"c4x4det.gdet", "c4x4det.witness", "json"}),
     "eval": (cli_run("eval", *"2 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1".split()), {"c4x4det.gdet"}),
     "scan": (

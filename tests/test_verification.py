@@ -2,6 +2,7 @@ import concurrent.futures
 import importlib
 import json
 import os
+import random
 from itertools import islice, product
 
 import identities
@@ -190,6 +191,22 @@ class TestScanRandom:
         serial = scan_random(600, 5, seed=7, jobs=1)
         parallel = scan_random(600, 5, seed=7, jobs=3)
         assert serial.seen_values == parallel.seen_values
+
+    @pytest.mark.parametrize("bound", [0, 1, 9, 10**9])
+    def test_draws_the_randint_stream(self, monkeypatch, bound):
+        # each block's generator, seeded by (seed, block), deals out 16 randint
+        # draws per tuple; the second block of 4096 + 37 tuples is short
+        drawn = []
+        monkeypatch.setattr(verification, "det16_factored", lambda a: drawn.append(a) or 0)
+        for route in ("det16_direct", "det16_spectral"):
+            monkeypatch.setattr(verification, route, lambda a: 0)
+        count, seed = 4096 + 37, 5
+        assert scan_random(count, bound, seed).tuples_checked == count
+        expected = []
+        for block, size in enumerate((4096, 37)):
+            rng = random.Random(seed * (1 << 32) + block)
+            expected += [tuple(rng.randint(-bound, bound) for _ in range(16)) for _ in range(size)]
+        assert drawn == expected
 
     def test_zero_bound(self):
         report = scan_random(1, 0, seed=0)
