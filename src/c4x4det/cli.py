@@ -161,6 +161,7 @@ def _cmd_scan(args) -> int:
         ("--bound", args.bound, 0),
         ("--limit", args.limit, 1),
         ("--jobs", args.jobs, 1),
+        ("--seed", args.seed, 0),
     )
     if not _within_floors("scan", floors):
         return EXIT_USAGE
@@ -193,7 +194,8 @@ def _cmd_scan(args) -> int:
 def _cmd_selfcheck(args) -> int:
     from .verification import scan_random, window_roundtrip
 
-    if not _within_floors("selfcheck", (("--samples", args.samples, 1),)):
+    floors = (("--samples", args.samples, 1), ("--seed", args.seed, 0))
+    if not _within_floors("selfcheck", floors):
         return EXIT_USAGE
     scan = scan_random(args.samples, 9, args.seed)
     print("oracle agreement:", scan.summary())

@@ -7,14 +7,17 @@
   sums, and ``B+-``, ``B-+``, ``B--``, the parts of ``M`` on which ``w``,
   ``z`` or both act as -1, so ``det M = sum(a) * det P' * det B+- *
   det B-+ * det B--`` with ``P'`` the 3x3 matrix of row differences of
-  ``P``.  It gathers each block straight from ``a`` and expands its
-  determinant by cofactors, in exact integers, with no division and no
-  pivot search.  The group facts it uses are that every row of the index
-  table is a permutation of ``range(16)`` and that ``z`` and ``w`` have
-  order 2; it uses no closed form, and it splits over ``V`` into literal
-  matrix determinants, not over characters.  The product of the four
-  block determinants is memoised on the differences ``a - a[0]`` (at most
-  256 entries), so a witness family's repeated shape is evaluated once.
+  ``P``.  It reads the differences ``d = a - a[0]`` once, coset by coset;
+  two butterflies, over ``z`` and then over ``w``, give the four signed
+  sums over ``V`` at the four coset representatives, and each block is
+  gathered from the four values of one of them and their negatives.  It
+  expands each block determinant by cofactors, in exact integers, with no
+  division and no pivot search.  The group facts it uses are that every
+  row of the index table is a permutation of ``range(16)`` and that ``z``
+  and ``w`` have order 2; it uses no closed form, and it splits over ``V``
+  into literal matrix determinants, not over characters.  The product of
+  the four block determinants is memoised on ``d`` (at most 256 entries),
+  so a witness family's repeated shape is evaluated once.
   This is the oracle every other route is checked against.
 * :func:`det16_factored` is the product of the ten integers of
   :func:`factored_pieces`, which split the closed form
@@ -40,7 +43,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import repeat
 from math import prod
-from operator import add, itemgetter, sub
+from operator import itemgetter, sub
 
 from .core import check_coefficients
 # Not used here: the benchmark's trace wraps gdet.derive by name.
@@ -75,16 +78,36 @@ _GROUP_INDEX = tuple(
 # the four (r, s) with r, s in {0, 1}.
 _Z, _W = 2, 8
 _REPS = tuple(g for g in range(16) if g < _GROUP_INDEX[g][_Z] and g < _GROUP_INDEX[g][_W])
-# _TIMES_Z(a)[g] is a[g*z] and _TIMES_W(a)[g] is a[g*w], as z and w are
-# their own inverses; gathered in C.
-_TIMES_Z = itemgetter(*(row[_Z] for row in _GROUP_INDEX))
-_TIMES_W = itemgetter(*(row[_W] for row in _GROUP_INDEX))
-# With R = _REPS, _BLOCK(x) is the 4x4 matrix x[R_i R_j^-1], row by row;
-# _P_ROWS(x) is its rows 1..3 and _P_TOP(x) its row 0 three times over,
-# both without column 0.
-_BLOCK = itemgetter(*(_GROUP_INDEX[r][h] for r in _REPS for h in _REPS))
-_P_ROWS = itemgetter(*(_GROUP_INDEX[r][h] for r in _REPS[1:] for h in _REPS[1:]))
-_P_TOP = itemgetter(*(_GROUP_INDEX[_REPS[0]][h] for h in _REPS[1:] * 3))
+# _COSETS lists the coset of each representative r as r, r*z, r*w, r*z*w
+# (z and w are their own inverses); _READ(d) reads d in that order.
+_COSETS = tuple(
+    h for r in _REPS for g in (r, _GROUP_INDEX[r][_W]) for h in (g, _GROUP_INDEX[g][_Z])
+)
+_READ = itemgetter(*_COSETS)
+
+
+def _gather(cells, char_z=1, char_w=1):
+    # The entries (i, j) in cells of the block x[R_i R_j^-1], where x is a
+    # signed sum over V on which z acts as char_z and w as char_w, as an
+    # itemgetter over (x_0..x_3, -x_0..-x_3), x_k its value at R_k: with
+    # R_i R_j^-1 = R_k * v, v in V, entry (i, j) reads k, plus 4 where the
+    # character is -1 on v.
+    index = []
+    for i, j in cells:
+        k, v = divmod(_COSETS.index(_GROUP_INDEX[_REPS[i]][_REPS[j]]), 4)
+        index.append(k + 4 * (char_z ** (v & 1) * char_w ** (v >> 1) < 0))
+    return itemgetter(*index)
+
+
+# From (p_0..p_3), _P_BODY gathers rows 1..3 of P and _P_HEAD its row 0
+# three times over, both without column 0, so P' is their difference;
+# _B_PM, _B_MP and _B_MM each gather a whole 4x4 block, row by row.
+_P_BODY = _gather((i, j) for i in (1, 2, 3) for j in (1, 2, 3))
+_P_HEAD = _gather((0, j) for i in (1, 2, 3) for j in (1, 2, 3))
+_B_PM, _B_MP, _B_MM = (
+    _gather([(i, j) for i in range(4) for j in range(4)], *char)
+    for char in ((1, -1), (-1, 1), (-1, -1))
+)
 # Distinct difference vectors whose det M / S is kept: enough for the witness
 # families' repeated shapes, small enough to leave the memory footprint flat.
 _DET_N_CACHE_SIZE = 256
@@ -125,20 +148,25 @@ def _det4(m) -> int:
 def _det_n(d) -> int:
     # det M / S = det P' * det B+- * det B-+ * det B-- from the differences
     # d = a - a[0]: every block depends on a only through them, so the
-    # cache is exact.  u and v are the sums and differences of d over z;
-    # P' is read off u + u*w, and B+-, B-+, B-- off u - u*w, v + v*w and
-    # v - v*w.  The 4x4 blocks are skipped when det P' is 0.
-    zd = _TIMES_Z(d)
-    u = tuple(map(add, d, zd))
-    uw = _TIMES_W(u)
-    p = tuple(map(add, u, uw))
-    det_p = _det3(tuple(map(sub, _P_ROWS(p), _P_TOP(p))))
+    # cache is exact.  d is read coset by coset; a butterfly over z, then
+    # one over w, gives the four signed sums over V at each representative
+    # R_k: p (P), x (B+-), y (B-+) and t (B--).  The 4x4 blocks are skipped
+    # when det P' is 0.
+    e0, z0, w0, zw0, e1, z1, w1, zw1, e2, z2, w2, zw2, e3, z3, w3, zw3 = _READ(d)
+    u0, u1, u2, u3 = e0 + z0, e1 + z1, e2 + z2, e3 + z3
+    uw0, uw1, uw2, uw3 = w0 + zw0, w1 + zw1, w2 + zw2, w3 + zw3
+    p = (u0 + uw0, u1 + uw1, u2 + uw2, u3 + uw3)
+    det_p = _det3(tuple(map(sub, _P_BODY(p), _P_HEAD(p))))
     if det_p == 0:
         return 0
-    v = tuple(map(sub, d, zd))
-    vw = _TIMES_W(v)
-    return (det_p * _det4(_BLOCK(tuple(map(sub, u, uw))))
-            * _det4(_BLOCK(tuple(map(add, v, vw)))) * _det4(_BLOCK(tuple(map(sub, v, vw)))))
+    v0, v1, v2, v3 = e0 - z0, e1 - z1, e2 - z2, e3 - z3
+    vw0, vw1, vw2, vw3 = w0 - zw0, w1 - zw1, w2 - zw2, w3 - zw3
+    x0, x1, x2, x3 = u0 - uw0, u1 - uw1, u2 - uw2, u3 - uw3
+    y0, y1, y2, y3 = v0 + vw0, v1 + vw1, v2 + vw2, v3 + vw3
+    t0, t1, t2, t3 = v0 - vw0, v1 - vw1, v2 - vw2, v3 - vw3
+    return (det_p * _det4(_B_PM((x0, x1, x2, x3, -x0, -x1, -x2, -x3)))
+            * _det4(_B_MP((y0, y1, y2, y3, -y0, -y1, -y2, -y3)))
+            * _det4(_B_MM((t0, t1, t2, t3, -t0, -t1, -t2, -t3))))
 
 
 def det16_direct(a) -> int:
@@ -172,15 +200,21 @@ def det16_direct(a) -> int:
     is exact: every distinct ``d`` is still evaluated in integers, and
     ``S`` is recomputed on every call.  The witnesses of one family
     (``16m+1``, say) share one ``d``, so re-checking all of them costs one
-    evaluation of the blocks.  ``M`` itself is never built: each block is
-    gathered from a signed sum of ``d`` by one ``itemgetter`` over the index
-    table.  ``det P'`` is expanded by cofactors along a row and each
-    ``det B`` over the 2x2 minors of its first two rows, with no division
-    and no pivot search; the tests prove the block identity and both
-    expansions on free variables.  The route is exact only on integers,
-    so an entry that is not an ``int`` (a ``bool`` or ``2.5`` is not one)
-    raises ``TypeError`` first, as :class:`CoeffVec16` does, and then a
-    length other than 16 raises ``ValueError``.
+    evaluation of the blocks.  ``M`` itself is never built.  A signed sum
+    ``x`` over ``V`` only changes sign under ``V``, so it has one value
+    ``x_k`` per coset, at the representative ``R_k``: ``d`` is read once,
+    coset by coset, and a butterfly over ``z`` and one over ``w`` give all
+    four sums at each ``R_k`` in 32 additions.  With
+    ``R_i R_j^-1 = R_k * v``, ``v`` in ``V``, entry ``(i, j)`` of a block
+    is ``x_k`` or ``-x_k`` by the block's sign on ``v``, so each 4x4 block
+    is one ``itemgetter``, derived from the index table at import, over
+    ``(x_0..x_3, -x_0..-x_3)``.  ``det P'`` is expanded by cofactors along
+    a row and each ``det B`` over the 2x2 minors of its first two rows,
+    with no division and no pivot search; the tests prove the block
+    identity and both expansions on free variables.  The route is exact
+    only on integers, so an entry that is not an ``int`` (a ``bool`` or
+    ``2.5`` is not one) raises ``TypeError`` first, as :class:`CoeffVec16`
+    does, and then a length other than 16 raises ``ValueError``.
     """
     # any iterable, a CoeffVec16 too, becomes a plain tuple
     a = tuple(a)

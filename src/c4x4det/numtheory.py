@@ -264,8 +264,8 @@ def divisors_ascending(factors) -> Iterator[int]:
     A lazy heap walk over the prime list with each p repeated e times.  A
     divisor extends only at list positions past its last factor, and only by
     the first remaining copy of each prime, so each divisor is pushed by one
-    parent.  A caller that stops at its first hit pays for the divisors
-    below that hit, not for all of them.
+    parent.  Its one caller, :func:`signed_divisors_1mod8`, lists every
+    divisor.
     """
     from heapq import heappop, heappush  # on first use: keeps `import c4x4det` lean
 

@@ -206,13 +206,17 @@ def scan_random(count: int, coeff_bound: int, seed: int, jobs: int = 1) -> ScanR
 
     Each sample additionally re-derives the determinant by all three routes
     and records any disagreement as a violation.  The sample stream depends
-    only on ``seed`` (not on ``jobs``).  A ``count`` below 1 or a negative
-    ``coeff_bound`` raises :class:`ValueError`.
+    only on ``seed`` (not on ``jobs``).  Seeds are non-negative: ``random``
+    seeds from the absolute value of an int, so ``-s`` would draw the
+    stream of ``s``.  A ``count`` below 1, a negative ``coeff_bound`` or a
+    negative ``seed`` raises :class:`ValueError`.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     if coeff_bound < 0:
         raise ValueError(f"coeff_bound must be at least 0, got {coeff_bound}")
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     blocks = (
         (seed, b, min(_BLOCK, count - lo), coeff_bound)
         for b, lo in enumerate(range(0, count, _BLOCK))

@@ -13,7 +13,12 @@ each distinct target once on the unmutated code: a target that fails
 without a mutation would count every mutant aimed at it as killed, so the
 sweep stops with exit status 1.  Then it runs ``pytest -x`` on each mutant.
 A mutant is *killed* when pytest reports a failing test (exit 1) or runs
-past ``TIMEOUT_S``, and *survived* when the target passes.  A mutant
+past ``TIMEOUT_S``, and *survived* when the target passes.  A mutant that
+leaves its module unable to import (a broken group index table stops
+``gdet`` at its import-time tables) makes pytest end in a collection or
+usage error instead; as every target passed unmutated, that error is the
+mutant's, so it counts as killed once a fresh interpreter confirms the
+mutated module fails to import.  A mutant
 declared equivalent changes no answer any test can see; it is run and
 reported, but its survival is expected.  The exit status is 1 when a mutant
 that is not declared equivalent survives, or when pytest ends in any other
@@ -76,11 +81,15 @@ MUTANTS = (
     # alike, and in both transposes it: det M is unchanged either way.  Not
     # equivalent, though: chi_(k,l) then has the eigenvalue of chi_(-k,l)
     # or chi_(-k,-l), and det16_direct's coset tables, built from the same
-    # index table, change too.
+    # index table at import, cannot be built: gdet no longer imports.
     ("gdet.py", "(((g & 3) - (h & 3)) & 3)", "(((h & 3) - (g & 3)) & 3)",
      EIGENVECTOR_TEST, None),
     ("gdet.py", "(((g & 3) - (h & 3)) & 3) + 4 * (((g >> 2) - (h >> 2)) & 3)",
      "(((h & 3) - (g & 3)) & 3) + 4 * (((h >> 2) - (g >> 2)) & 3)", EIGENVECTOR_TEST, None),
+    # the same transpose in group_matrix alone, so gdet still imports: only
+    # the eigenvector test sees it
+    ("gdet.py", "for t in row] for row in _GROUP_INDEX]",
+     "for t in row] for row in zip(*_GROUP_INDEX)]", EIGENVECTOR_TEST, None),
     ("gdet.py", "    check_coefficients(a)\n", "", "tests/test_gdet.py", None),
     ("gdet.py", "return s * _det_n(", "return _det_n(", "tests/test_gdet.py", None),
     ("gdet.py", "s = sum(a)\n", "s = sum(a[1:])\n", "tests/test_gdet.py", None),
@@ -89,20 +98,23 @@ MUTANTS = (
     ("gdet.py", "- s1 * c4", "+ s1 * c4", LEIBNIZ_TEST, None),
     ("gdet.py", "b * (f * g - d * i)", "b * (d * i - f * g)", LEIBNIZ_TEST, None),
     # each difference of P' against the wrong column of row 0
-    ("gdet.py", "for h in _REPS[1:] * 3", "for h in _REPS[:3] * 3", "tests/test_gdet.py", None),
-    ("gdet.py", "u = tuple(map(add, d, zd))", "u = tuple(map(sub, d, zd))",
+    ("gdet.py", "_gather((0, j) for i", "_gather((0, j - 1) for i", "tests/test_gdet.py", None),
+    # one sign of the butterfly over z, and one of the butterfly over w
+    ("gdet.py", "u0, u1, u2, u3 = e0 + z0,", "u0, u1, u2, u3 = e0 - z0,",
      "tests/test_gdet.py", None),
-    ("gdet.py", "p = tuple(map(add, u, uw))", "p = tuple(map(sub, u, uw))",
+    ("gdet.py", "y0, y1, y2, y3 = v0 + vw0,", "y0, y1, y2, y3 = v0 - vw0,",
      "tests/test_gdet.py", None),
-    # (1, 0) and (0, 1) have order 4
+    # B+- gathered as if w acted on it as +1
+    ("gdet.py", "for char in ((1, -1),", "for char in ((1, 1),", "tests/test_gdet.py", None),
+    # (1, 0) and (0, 1) have order 4: the coset tables cannot be built
     ("gdet.py", "_Z, _W = 2, 8\n", "_Z, _W = 1, 8\n", "tests/test_gdet.py", None),
     ("gdet.py", "_Z, _W = 2, 8\n", "_Z, _W = 2, 4\n", "tests/test_gdet.py", None),
     # same answers, as they negate a 4x4 block (or two) and (-1)**4 == 1:
     # only the test that reads the gathered blocks sees them
-    ("gdet.py", "_BLOCK(tuple(map(sub, u, uw)))", "_BLOCK(tuple(map(sub, uw, u)))",
-     BLOCKS_TEST, None),
-    ("gdet.py", "v = tuple(map(sub, d, zd))", "v = tuple(map(sub, zd, d))",
-     BLOCKS_TEST, None),
+    ("gdet.py", "_B_PM((x0, x1, x2, x3, -x0, -x1, -x2, -x3))",
+     "_B_PM((-x0, -x1, -x2, -x3, x0, x1, x2, x3))", BLOCKS_TEST, None),
+    ("gdet.py", "v0, v1, v2, v3 = e0 - z0, e1 - z1, e2 - z2, e3 - z3",
+     "v0, v1, v2, v3 = z0 - e0, z1 - e1, z2 - e2, z3 - e3", BLOCKS_TEST, None),
     # same answers, as S * 0 * det B+- * det B-+ * det B-- == 0: only the
     # test that refuses to gather the 4x4 blocks sees it
     ("gdet.py", "    if det_p == 0:\n        return 0\n", "",
@@ -155,6 +167,9 @@ MUTANTS = (
      "tests/test_golden.py::test_output_matches_golden[scan-random-seed1]", None),
     ("verification.py", "repeat(bound + 1, 16 * size)", "repeat(bound, 16 * size)",
      "tests/test_verification.py::TestScanRandom::test_draws_the_randint_stream", None),
+    # seed -1 would draw the sample of seed 1
+    ("verification.py", "if seed < 0:", "if seed < -1:",
+     "tests/test_verification.py::TestScanRandom::test_a_negative_seed_is_refused", None),
 )
 
 
@@ -191,6 +206,14 @@ def _pytest(work: Path, env: dict, target: str) -> int | None:
         return None
 
 
+def _imports(work: Path, env: dict, module: str) -> bool:
+    """Does the mutated ``module`` import in a fresh interpreter?"""
+    name = "c4x4det." + module.removesuffix(".py")
+    return subprocess.run(
+        [sys.executable, "-c", f"import {name}"], cwd=work, env=env, capture_output=True
+    ).returncode == 0
+
+
 def _baseline(work: Path, env: dict) -> bool:
     """Does every distinct target pass on the unmutated copy?"""
     ok = True
@@ -221,13 +244,16 @@ def main() -> int:
             start = time.perf_counter()
             try:
                 code = _pytest(work, env, target)
+                if code not in (None, 0, 1) and not _imports(work, env, module):
+                    code = "import"
             finally:
                 path.write_text(original)
-            outcome = {None: "killed", 0: "survived", 1: "killed"}.get(
+            outcome = {None: "killed", 0: "survived", 1: "killed",
+                       "import": "killed (fails to import)"}.get(
                 code, f"error (pytest exit {code})")
             if outcome == "survived" and equivalent:
                 outcome = f"declared-equivalent ({equivalent})"
-            elif outcome != "killed":
+            elif not outcome.startswith("killed"):
                 bad += 1
             print(f"{outcome:9} {time.perf_counter() - start:5.1f}s  {module}: "
                   f"{old!r} -> {new!r}  [{target}]", flush=True)

@@ -196,6 +196,14 @@ class TestScan:
         assert out == ""
         assert len(err.splitlines()) == 1 and argv[-2] in err
 
+    def test_negative_seed_exits_2(self, capsys):
+        # random.Random(-s) seeds as Random(s) does: seed -1 would repeat
+        # the sample of seed 1
+        code, out, err = run_cli(capsys, "scan", "--random", "5", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["scan: --seed must be at least 0, got -1"]
+
     def test_support_with_random_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "scan", "--support", "0,1", "--random", "3")
         assert code == 2
@@ -247,6 +255,12 @@ class TestSelfcheck:
         assert code == 2
         assert out == ""
         assert err.splitlines() == [f"selfcheck: --samples must be at least 1, got {samples}"]
+
+    def test_negative_seed_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "selfcheck", "--samples", "5", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["selfcheck: --seed must be at least 0, got -1"]
 
     def test_corrupted_build_exits_1(self, capsys, monkeypatch):
         # negative control: break one determinant route and watch selfcheck fail

@@ -215,9 +215,22 @@ class TestDet16:
             assert det16_direct(a) == det_gauss_slow(group_matrix(a)), a
 
     def test_direct_against_the_unsplit_group_matrix(self):
+        # inputs the other referee tests leave out: entries up to 2**40,
+        # {-1,0,1} vectors (where det P' == 0 is common), and a witness of
+        # every case moved by a 36-bit offset
         rng = random.Random(77)
-        for _ in range(36):
-            a = tuple(rng.randint(-9, 9) for _ in range(16))
+        vectors = [tuple(rng.randint(-2**40, 2**40) for _ in range(16)) for _ in range(11)]
+        ternary = [tuple(rng.randint(-1, 1) for _ in range(16)) for _ in range(11)]
+        assert any(det_gauss_slow(klein_blocks(a)[0]) == 0 for a in ternary)
+        cases = {}
+        for n in CASE_VALUES:
+            vec, cls = witness(n)
+            offset = rng.choice((-1, 1)) * rng.randint(2**35, 2**36)
+            cases[plan(cls).case] = tuple(x + offset for x in vec)
+        assert set(cases) == set(WitnessCase)
+        vectors += ternary + list(cases.values())
+        assert len(vectors) == 36
+        for a in vectors:
             assert det16_direct(a) == det_gauss_slow(group_matrix(a)), a
 
     @pytest.mark.parametrize("low, high", [(-9, 9), (0, 1), (-1, 1), (-10**9, 10**9)])
@@ -324,10 +337,10 @@ class TestDet16:
 
     def test_coeffvec16_and_plain_tuple_agree(self, monkeypatch, fresh_det_n):
         # witness.emit hands det16_direct a CoeffVec16, and any iterable is
-        # accepted; every gather reads a plain tuple of differences or of
-        # their signed sums over z and w
+        # accepted; every gather reads a plain tuple: of the differences, or
+        # of one signed sum over V at the coset representatives
         seen = Counter()
-        for name in ("_TIMES_Z", "_TIMES_W", "_P_ROWS", "_P_TOP", "_BLOCK"):
+        for name in ("_READ", "_P_BODY", "_P_HEAD", "_B_PM", "_B_MP", "_B_MM"):
             gather = getattr(gdet, name)
             monkeypatch.setattr(gdet, name,
                                 lambda a, gather=gather: seen.update([type(a)]) or gather(a))
@@ -336,9 +349,9 @@ class TestDet16:
             a = tuple(rng.randint(-10**6, 10**6) for _ in range(16))
             assert (det16_direct(CoeffVec16(a)) == det16_direct(iter(a))
                     == det16_direct(a) == det16_factored(a))
-        # 20 misses, each with one z-gather, two w-gathers, two gathers for
+        # 20 misses, each with one read of the differences, two gathers for
         # P' and one for each 4x4 block
-        assert seen == Counter({tuple: 20 * 8})
+        assert seen == Counter({tuple: 20 * 6})
 
     def test_gathered_blocks_are_the_coset_blocks_of_the_group_matrix(
             self, monkeypatch, fresh_det_n):
@@ -374,7 +387,8 @@ class TestDet16:
         def refuse(v):
             raise AssertionError("a 4x4 block was gathered")
 
-        monkeypatch.setattr(gdet, "_BLOCK", refuse)
+        for name in ("_B_PM", "_B_MP", "_B_MM"):
+            monkeypatch.setattr(gdet, name, refuse)
         assert det16_direct(a) == det_gauss_slow(group_matrix(a)) == 0
 
     @pytest.mark.parametrize("entry", [2.5, 2.0, True, Fraction(5, 2)], ids=repr)

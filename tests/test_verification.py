@@ -208,6 +208,12 @@ class TestScanRandom:
             expected += [tuple(rng.randint(-bound, bound) for _ in range(16)) for _ in range(size)]
         assert drawn == expected
 
+    def test_a_negative_seed_is_refused(self):
+        # random.Random(-s) seeds as Random(s) does, so seed -s would repeat
+        # the sample of seed s
+        with pytest.raises(ValueError, match=r"^seed must be at least 0, got -1$"):
+            scan_random(5, 9, seed=-1)
+
     def test_zero_bound(self):
         report = scan_random(1, 0, seed=0)
         assert report.seen_values == {0}
