@@ -59,6 +59,10 @@ SPECTRAL_TEST = (
     "tests/test_gdet.py::TestCharacterFactorization"
     "::test_spectral_blocks_are_products_of_eigenvalues"
 )
+FRAMES_TEST = (
+    "tests/test_gdet.py::TestFactoredKernel"
+    "::test_the_frame_is_the_product_of_the_pieces_on_hand_built_tuples"
+)
 BOUNDARY_TEST = (
     "tests/test_verification.py::TestScanExhaustive::test_block_boundary_matches_brute_force"
 )
@@ -68,12 +72,30 @@ ORDER_TEST = (
     "::test_violations_match_brute_force_in_order"
 )
 
+# The last lines of factored_pieces' beta and gamma forms, up to its return.
+PIECES_TAIL = (
+    "s, t, u, v = x + p, y + q, x - p, y - q\n"
+    "    x, y, p, q = d0 - d2, d4 - d6, d1 - d3, d5 - d7\n"
+    "    g, h, m, n = x - q, y + p, x + q, y - p\n"
+    "    return (\n"
+)
+
 # (module, old text, new text, pytest target, reason if declared equivalent)
 MUTANTS = (
+    # factored_pieces: det16_factored repeats its linear forms, so the texts
+    # run on to the lines only factored_pieces has
     ("gdet.py", "bs - bt, bs + bt,", "bs - bt, bs - bt,", PIECES_TEST, None),
-    ("gdet.py", "cu * cu + cv * cv", "cu * cu - cv * cv", PIECES_TEST, None),
-    ("gdet.py", "s, t, u, v = x + p, y + q,", "s, t, u, v = x + p, y - q,", PIECES_TEST, None),
-    ("gdet.py", "g, h, m, n = x - q,", "g, h, m, n = x + q,", PIECES_TEST, None),
+    ("gdet.py", "cs + ct, cu * cu + cv * cv", "cs + ct, cu * cu - cv * cv", PIECES_TEST, None),
+    ("gdet.py", PIECES_TAIL, PIECES_TAIL.replace("y + q,", "y - q,", 1), PIECES_TEST, None),
+    ("gdet.py", PIECES_TAIL, PIECES_TAIL.replace("g, h, m, n = x - q,", "g, h, m, n = x + q,"),
+     PIECES_TEST, None),
+    # det16_factored's own frame: its zero exit and its product
+    ("gdet.py", "if not lin:", "if lin:", FRAMES_TEST, None),
+    ("gdet.py", "lin = (bs - bt) * (bs + bt) * (cs - ct) * (cs + ct)",
+     "lin = (bs - bt) * (bs + bt) * (cs - ct)", FRAMES_TEST, None),
+    ("gdet.py", "(g * g + h * h)", "(g * g - h * h)", FRAMES_TEST, None),
+    ("gdet.py", "if not lin:\n        return 0\n", "if not lin:\n        return False\n",
+     FRAMES_TEST, None),
     ("gdet.py", "pr * qi + pi * qr", "pr * qi - pi * qr", SPECTRAL_TEST, None),
     ("gdet.py", "r0, -w0", "r0, w0", SPECTRAL_TEST, None),
     ("gdet.py", "+ 4 * (((g >> 2)", "+ 2 * (((g >> 2)", EIGENVECTOR_TEST, None),

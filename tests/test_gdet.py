@@ -488,6 +488,62 @@ class TestFactoredKernel:
         assert p[3] * p[4] * p[5] == det4(*c)
         assert (p[6] * p[7], p[8] * p[9]) == beta_gamma_norms(d) == beta_gamma_norms_alt(d)
 
+    # One tuple per piece i of factored_pieces that makes piece i, and no
+    # other, 0, and one tuple with no zero piece (key None); none has a
+    # piece of +-1, so a factor left out of the product changes it.  Found
+    # by a seeded search over entries -2..3; the test checks the pattern.
+    ONE_ZERO_PIECE = {
+        None: (3, 3, -1, -1, 3, -1, 1, 0, -2, 0, 1, -1, -1, 0, -2, 0),
+        0: (-2, -1, 1, 0, -1, 3, 0, 0, 1, 2, 1, 2, 3, 2, 3, -2),
+        1: (-1, 1, -2, 1, -2, 3, -1, 3, -2, 1, 1, -2, -2, 0, 1, 1),
+        2: (1, 2, 3, -1, -1, -1, 2, -1, 3, 2, 0, 2, 2, -1, 0, 2),
+        3: (-2, 3, -2, 1, 0, -1, -1, 3, 2, -1, 3, 1, -2, -1, 1, 0),
+        4: (-1, -2, 1, 0, -1, 1, 2, -1, 2, 1, 1, 3, 3, 0, 1, 0),
+        5: (-1, 3, -2, 3, 1, 0, 2, 1, -1, 1, -1, -2, 0, 2, -2, -2),
+        6: (1, -2, -1, 0, -1, 0, -1, 1, -2, 0, -1, 1, 1, -1, 0, -1),
+        7: (3, -2, -2, 2, 2, 1, -2, -1, 3, 2, 0, 0, 1, 3, 1, -1),
+        8: (-1, 0, 3, -1, -1, -1, -2, 2, 2, 2, 3, 3, 2, 1, -1, 1),
+        9: (3, 2, 0, 0, 0, 1, -1, 0, 0, -2, 1, -1, -1, 3, 1, -2),
+    }
+
+    @staticmethod
+    def check_frames(a):
+        # the zero exit too must return the int 0, not False or 0.0
+        value = det16_factored(a)
+        assert type(value) is int
+        assert value == prod(factored_pieces(a)) == det16_spectral(a), a
+
+    def test_the_frame_is_the_product_of_the_pieces_on_hand_built_tuples(self):
+        # pieces 0, 1, 3 and 4 are the linear pieces that take the zero exit;
+        # 2, 5 and 6-9 are the sums of two squares, reached past it
+        for zero, a in self.ONE_ZERO_PIECE.items():
+            pieces = factored_pieces(a)
+            assert [i for i, x in enumerate(pieces) if x == 0] == ([] if zero is None else [zero])
+            assert all(abs(x) != 1 for x in pieces)
+            self.check_frames(a)
+
+    @given(st.one_of(coeffs, st.tuples(*[st.integers(-1, 1)] * 16)))
+    def test_the_frame_is_the_product_of_the_pieces_on_bounded_ints(self, a):
+        self.check_frames(a)
+
+    def test_the_frame_is_the_product_of_the_pieces_at_large_entries(self):
+        """Seeded tuples with entries in [-2^40, 2^40] pin the non-exit path.
+
+        Past the exit, det16_factored returns a polynomial F in the 16
+        entries and prod(factored_pieces) another, G, of total degree 16.
+        Expanding them is out of reach, but if F != G and F too has degree
+        at most 16, then F - G is a nonzero polynomial of degree at most 16,
+        and by the Schwartz-Zippel
+        lemma a tuple drawn uniformly from S^16, |S| = 2^41 + 1, is a root
+        of it with probability at most 16 / |S| < 2^-37.  The exit itself
+        is taken with probability at most 4 / |S|, since lin has degree 4.
+        So each sample alone would show a wrong frame, bar odds below
+        2^-36, and all 300 fail to show it with probability below 2^-10800.
+        """
+        rng = random.Random("factored frames at 2^40")
+        for _ in range(300):
+            self.check_frames(tuple(rng.randint(-2**40, 2**40) for _ in range(16)))
+
     def test_scan_sees_the_reference_values(self):
         tuples = islice(product((-1, 0, 1), repeat=16), 20000)
         report = scan_exhaustive((-1, 0, 1), limit=20000)
