@@ -61,11 +61,19 @@ __all__ = [
     "spectral_factors",
 ]
 
+# No assignment in this module binds more than three names from new values:
+# for four or more, CPython builds a throwaway tuple and unpacks it again
+# (BUILD_TUPLE, UNPACK_SEQUENCE), for two or three it stores them directly.
+# So four-wide lines are written as two pairs; tests/test_gdet.py checks
+# the bytecode.
+
 
 def _det4_pairs(x0r, x0i, x1r, x1i, x2r, x2i, x3r, x3i):
     # The det4 closed form on Gaussian integers held as (re, im) int pairs.
-    sr, si, tr, ti = x0r + x2r, x0i + x2i, x1r + x3r, x1i + x3i
-    ur, ui, vr, vi = x0r - x2r, x0i - x2i, x1r - x3r, x1i - x3i
+    sr, si = x0r + x2r, x0i + x2i
+    tr, ti = x1r + x3r, x1i + x3i
+    ur, ui = x0r - x2r, x0i - x2i
+    vr, vi = x1r - x3r, x1i - x3i
     pr, pi = sr * sr - si * si - tr * tr + ti * ti, 2 * (sr * si - tr * ti)
     qr, qi = ur * ur - ui * ui + vr * vr - vi * vi, 2 * (ur * ui + vr * vi)
     return pr * qr - pi * qi, pr * qi + pi * qr
@@ -156,17 +164,24 @@ def _det_n(d) -> int:
     # R_k: p (P), x (B+-), y (B-+) and t (B--).  The 4x4 blocks are skipped
     # when det P' is 0.
     e0, z0, w0, zw0, e1, z1, w1, zw1, e2, z2, w2, zw2, e3, z3, w3, zw3 = _READ(d)
-    u0, u1, u2, u3 = e0 + z0, e1 + z1, e2 + z2, e3 + z3
-    uw0, uw1, uw2, uw3 = w0 + zw0, w1 + zw1, w2 + zw2, w3 + zw3
+    u0, u1 = e0 + z0, e1 + z1
+    u2, u3 = e2 + z2, e3 + z3
+    uw0, uw1 = w0 + zw0, w1 + zw1
+    uw2, uw3 = w2 + zw2, w3 + zw3
     p = (u0 + uw0, u1 + uw1, u2 + uw2, u3 + uw3)
     det_p = _det3(tuple(map(sub, _P_BODY(p), _P_HEAD(p))))
     if det_p == 0:
         return 0
-    v0, v1, v2, v3 = e0 - z0, e1 - z1, e2 - z2, e3 - z3
-    vw0, vw1, vw2, vw3 = w0 - zw0, w1 - zw1, w2 - zw2, w3 - zw3
-    x0, x1, x2, x3 = u0 - uw0, u1 - uw1, u2 - uw2, u3 - uw3
-    y0, y1, y2, y3 = v0 + vw0, v1 + vw1, v2 + vw2, v3 + vw3
-    t0, t1, t2, t3 = v0 - vw0, v1 - vw1, v2 - vw2, v3 - vw3
+    v0, v1 = e0 - z0, e1 - z1
+    v2, v3 = e2 - z2, e3 - z3
+    vw0, vw1 = w0 - zw0, w1 - zw1
+    vw2, vw3 = w2 - zw2, w3 - zw3
+    x0, x1 = u0 - uw0, u1 - uw1
+    x2, x3 = u2 - uw2, u3 - uw3
+    y0, y1 = v0 + vw0, v1 + vw1
+    y2, y3 = v2 + vw2, v3 + vw3
+    t0, t1 = v0 - vw0, v1 - vw1
+    t2, t3 = v2 - vw2, v3 - vw3
     return (det_p * _det4(_B_PM((x0, x1, x2, x3, -x0, -x1, -x2, -x3)))
             * _det4(_B_MP((y0, y1, y2, y3, -y0, -y1, -y2, -y3)))
             * _det4(_B_MM((t0, t1, t2, t3, -t0, -t1, -t2, -t3))))
@@ -249,19 +264,31 @@ def factored_pieces(a) -> tuple:
     a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 = a
     # b = e + o and c = e - o; det4 reads only the sums and differences of
     # entries 0, 2 and of entries 1, 3.
-    e0, e1, e2, e3 = a0 + a8, a1 + a9, a2 + a10, a3 + a11
-    o0, o1, o2, o3 = a4 + a12, a5 + a13, a6 + a14, a7 + a15
-    es, et, eu, ev = e0 + e2, e1 + e3, e0 - e2, e1 - e3
-    fs, ft, fu, fv = o0 + o2, o1 + o3, o0 - o2, o1 - o3
-    bs, bt, bu, bv = es + fs, et + ft, eu + fu, ev + fv
-    cs, ct, cu, cv = es - fs, et - ft, eu - fu, ev - fv
+    e0, e1 = a0 + a8, a1 + a9
+    e2, e3 = a2 + a10, a3 + a11
+    o0, o1 = a4 + a12, a5 + a13
+    o2, o3 = a6 + a14, a7 + a15
+    es, et = e0 + e2, e1 + e3
+    eu, ev = e0 - e2, e1 - e3
+    fs, ft = o0 + o2, o1 + o3
+    fu, fv = o0 - o2, o1 - o3
+    bs, bt = es + fs, et + ft
+    bu, bv = eu + fu, ev + fv
+    cs, ct = es - fs, et - ft
+    cu, cv = eu - fu, ev - fv
     # beta and gamma over d, through the sums and differences of d_i, d_{i+2}
-    d0, d1, d2, d3 = a0 - a8, a1 - a9, a2 - a10, a3 - a11
-    d4, d5, d6, d7 = a4 - a12, a5 - a13, a6 - a14, a7 - a15
-    x, y, p, q = d0 + d2, d4 + d6, d1 + d3, d5 + d7
-    s, t, u, v = x + p, y + q, x - p, y - q
-    x, y, p, q = d0 - d2, d4 - d6, d1 - d3, d5 - d7
-    g, h, m, n = x - q, y + p, x + q, y - p
+    d0, d1 = a0 - a8, a1 - a9
+    d2, d3 = a2 - a10, a3 - a11
+    d4, d5 = a4 - a12, a5 - a13
+    d6, d7 = a6 - a14, a7 - a15
+    x, y = d0 + d2, d4 + d6
+    p, q = d1 + d3, d5 + d7
+    s, t = x + p, y + q
+    u, v = x - p, y - q
+    x, y = d0 - d2, d4 - d6
+    p, q = d1 - d3, d5 - d7
+    g, h = x - q, y + p
+    m, n = x + q, y - p
     return (
         bs - bt, bs + bt, bu * bu + bv * bv,
         cs - ct, cs + ct, cu * cu + cv * cv,
@@ -280,26 +307,41 @@ def det16_factored(a) -> int:
     the six sums of two squares; otherwise it returns ``lin`` times them.
     On {-1, 0, 1} entries about a third of all tuples take that exit.  The
     tests pin this frame to ``prod(factored_pieces(a))`` and to
-    :func:`det16_spectral`.
+    :func:`det16_spectral`.  Unlike :func:`det16_direct`, it does not
+    type-check the entries (the check costs about as much as a whole
+    call): a ``bool`` or a ``float`` entry raises no ``TypeError``, and a
+    float gives a float, or the ``int`` 0 through the zero exit.
     """
     if len(a) != 16:
         raise ValueError(f"expected 16 coefficients, got {len(a)}")
     a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 = a
-    e0, e1, e2, e3 = a0 + a8, a1 + a9, a2 + a10, a3 + a11
-    o0, o1, o2, o3 = a4 + a12, a5 + a13, a6 + a14, a7 + a15
-    es, et, fs, ft = e0 + e2, e1 + e3, o0 + o2, o1 + o3
-    bs, bt, cs, ct = es + fs, et + ft, es - fs, et - ft
+    e0, e1 = a0 + a8, a1 + a9
+    e2, e3 = a2 + a10, a3 + a11
+    o0, o1 = a4 + a12, a5 + a13
+    o2, o3 = a6 + a14, a7 + a15
+    es, et = e0 + e2, e1 + e3
+    fs, ft = o0 + o2, o1 + o3
+    bs, bt = es + fs, et + ft
+    cs, ct = es - fs, et - ft
     lin = (bs - bt) * (bs + bt) * (cs - ct) * (cs + ct)
     if not lin:
         return 0
-    eu, ev, fu, fv = e0 - e2, e1 - e3, o0 - o2, o1 - o3
-    bu, bv, cu, cv = eu + fu, ev + fv, eu - fu, ev - fv
-    d0, d1, d2, d3 = a0 - a8, a1 - a9, a2 - a10, a3 - a11
-    d4, d5, d6, d7 = a4 - a12, a5 - a13, a6 - a14, a7 - a15
-    x, y, p, q = d0 + d2, d4 + d6, d1 + d3, d5 + d7
-    s, t, u, v = x + p, y + q, x - p, y - q
-    x, y, p, q = d0 - d2, d4 - d6, d1 - d3, d5 - d7
-    g, h, m, n = x - q, y + p, x + q, y - p
+    eu, ev = e0 - e2, e1 - e3
+    fu, fv = o0 - o2, o1 - o3
+    bu, bv = eu + fu, ev + fv
+    cu, cv = eu - fu, ev - fv
+    d0, d1 = a0 - a8, a1 - a9
+    d2, d3 = a2 - a10, a3 - a11
+    d4, d5 = a4 - a12, a5 - a13
+    d6, d7 = a6 - a14, a7 - a15
+    x, y = d0 + d2, d4 + d6
+    p, q = d1 + d3, d5 + d7
+    s, t = x + p, y + q
+    u, v = x - p, y - q
+    x, y = d0 - d2, d4 - d6
+    p, q = d1 - d3, d5 - d7
+    g, h = x - q, y + p
+    m, n = x + q, y - p
     return (lin * (bu * bu + bv * bv) * (cu * cu + cv * cv) * (s * s + t * t)
             * (u * u + v * v) * (g * g + h * h) * (m * m + n * n))
 
@@ -319,10 +361,14 @@ def spectral_factors(a) -> tuple:
     if len(a) != 16:
         raise ValueError(f"expected 16 coefficients, got {len(a)}")
     a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 = a
-    e0, e1, e2, e3 = a0 + a8, a1 + a9, a2 + a10, a3 + a11
-    o0, o1, o2, o3 = a4 + a12, a5 + a13, a6 + a14, a7 + a15
-    r0, r1, r2, r3 = a0 - a8, a1 - a9, a2 - a10, a3 - a11
-    w0, w1, w2, w3 = a4 - a12, a5 - a13, a6 - a14, a7 - a15
+    e0, e1 = a0 + a8, a1 + a9
+    e2, e3 = a2 + a10, a3 + a11
+    o0, o1 = a4 + a12, a5 + a13
+    o2, o3 = a6 + a14, a7 + a15
+    r0, r1 = a0 - a8, a1 - a9
+    r2, r3 = a2 - a10, a3 - a11
+    w0, w1 = a4 - a12, a5 - a13
+    w2, w3 = a6 - a14, a7 - a15
     return (
         _det4_pairs(e0 + o0, 0, e1 + o1, 0, e2 + o2, 0, e3 + o3, 0),
         _det4_pairs(r0, w0, r1, w1, r2, w2, r3, w3),
@@ -336,7 +382,9 @@ def det16_spectral(a) -> int:
 
     The product of the four Gaussian factors must be purely real; a nonzero
     imaginary part can only come from an index-convention bug, so it is a
-    hard failure rather than something to discard.
+    hard failure rather than something to discard.  Unlike
+    :func:`det16_direct`, it does not type-check the entries: a ``bool`` or
+    a ``float`` entry raises no ``TypeError``, and a float gives a float.
     """
     (re, im), (r1, i1), (r2, i2), (r3, i3) = spectral_factors(a)
     re, im = re * r1 - im * i1, re * i1 + im * r1

@@ -1,4 +1,6 @@
+import dis
 import random
+import types
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
@@ -633,6 +635,53 @@ class TestCharacterFactorization:
         assert f0 == (p[0] * p[1] * p[2], 0)
         assert f2 == (p[3] * p[4] * p[5], 0)
         assert gauss_mul(f1, f3) == (p[6] * p[7] * p[8] * p[9], 0)
+
+
+def packed_assignments(code):
+    """Where code, or code nested in it, builds a tuple only to unpack it.
+
+    CPython compiles an assignment of four or more new values to as many
+    names into BUILD_TUPLE followed at once by UNPACK_SEQUENCE; two or three
+    names compile to plain stores.  Returns (function name, offset) pairs.
+    """
+    ops = list(dis.get_instructions(code))
+    found = [(code.co_name, op.offset) for op, after in zip(ops, ops[1:])
+             if op.opname == "BUILD_TUPLE" and after.opname == "UNPACK_SEQUENCE"]
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            found += packed_assignments(const)
+    return found
+
+
+class TestNoTuplePacking:
+    """No function in gdet builds a throwaway tuple to bind four names at once."""
+
+    @staticmethod
+    def functions():
+        # the lru_cache wrapper of _det_n is not a function: walk what it wraps
+        values = (getattr(v, "__wrapped__", v) for v in vars(gdet).values())
+        return [f for f in values
+                if isinstance(f, types.FunctionType) and f.__module__ == gdet.__name__]
+
+    def test_no_function_in_gdet_packs_a_tuple_to_unpack_it(self):
+        functions = self.functions()
+        assert {f.__name__ for f in functions} >= {
+            "_det4_pairs", "_det_n", "det16_direct", "det16_factored",
+            "det16_spectral", "factored_pieces", "spectral_factors"}
+        assert [hit for f in functions for hit in packed_assignments(f.__code__)] == []
+
+    def test_a_four_name_assignment_is_flagged(self):
+        def four(a, b):
+            w, x, y, z = a + b, a - b, b - a, a * b
+            return w * x * y * z
+
+        def pairs(a, b):
+            w, x = a + b, a - b
+            y, z = b - a, a * b
+            return w * x * y * z
+
+        assert len(packed_assignments(four.__code__)) == 1
+        assert packed_assignments(pairs.__code__) == []
 
 
 # One value near the envelope per witness case, so the re-checked vectors
