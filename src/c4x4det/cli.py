@@ -2,7 +2,9 @@
 
 Exit codes are uniform across subcommands: 0 for success (value in S, scan
 clean), 1 for a semantic negative (value not in S, violations found), 2 for
-usage errors including out-of-envelope inputs.
+usage errors including out-of-envelope inputs, and for output that cannot
+be written (stdout on a full device or a closed pipe: one ``error: cannot
+write output:`` line on stderr, no traceback).
 
 The argument grammar is one table, ``_GRAMMAR``: per command, its integer
 positionals, its value options with their defaults, and its switches.
@@ -22,6 +24,7 @@ never squeeze them through a float.
 
 from __future__ import annotations
 
+import os
 import sys
 from types import SimpleNamespace
 
@@ -314,7 +317,26 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    """``main`` on ``sys.argv``, with stdout flushed before the exit status is set.
+
+    A failed write to stdout (a full device, a closed pipe) is one stderr
+    line and exit 2, never a traceback or the exit 1 of "not in S".  Stdout
+    is then pointed at ``os.devnull``, so the interpreter's own flush at
+    exit has nothing left to fail on.  A process started without a file
+    descriptor 1 has no ``sys.stdout``: ``print`` writes nothing, and the
+    exit status still gives the answer.
+    """
+    try:
+        try:
+            code = main()
+        finally:
+            if sys.stdout is not None:
+                sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_USAGE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

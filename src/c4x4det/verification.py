@@ -94,20 +94,43 @@ def _exhaustive_block(args):
     return len(values), violations, set(values)
 
 
+def _draw(rng, bound, count):
+    """``count`` draws of ``rng.randint(-bound, bound)``, as one list.
+
+    CPython's ``randint(-bound, bound)`` is ``-bound + _randbelow(n)`` with
+    ``n = 2 * bound + 1``, and ``_randbelow`` calls ``getrandbits(k)``,
+    ``k = n.bit_length()``, until a value falls below ``n``.  Each round
+    here maps ``getrandbits(k)`` over exactly as many draws as entries are
+    still missing, so it makes the same calls in the same order, keeps the
+    same values and leaves ``rng`` in the same state, for every ``k``.
+    CPython promises only ``random()``'s sequence across versions, so this
+    is randint's stream on the running Python; the tests pin it against
+    ``Random.randint``.
+    """
+    n = 2 * bound + 1
+    k = n.bit_length()
+    entries = []
+    while len(entries) < count:
+        draws = map(rng.getrandbits, repeat(k, count - len(entries)))
+        entries += [r - bound for r in draws if r < n]
+    return entries
+
+
 def _random_block(args):
     """(checked, violations, seen values) over one block of seeded random tuples.
 
     The direct, factored and spectral routes must agree on each tuple before
     its value is classified.  The routes and ``classify`` are looked up as
     module globals on each call, so they can be wrapped by name.  The
-    entries are drawn by ``randrange(-bound, bound + 1)``, which is what
-    ``randint(-bound, bound)`` calls, so the sample stream is randint's.
+    block's ``16 * size`` entries are drawn up front by :func:`_draw`, so
+    the sample stream is ``randint(-bound, bound)``'s, and ``zip`` cuts
+    them into 16-tuples.
     """
     seed, block, size, bound = args
     rng = random.Random(seed * (1 << 32) + block)
     violations = []
     seen = set()
-    entries = map(rng.randrange, repeat(-bound, 16 * size), repeat(bound + 1, 16 * size))
+    entries = iter(_draw(rng, bound, 16 * size))
     for a in zip(*[entries] * 16):
         value = det16_factored(a)
         seen.add(value)
@@ -206,10 +229,14 @@ def scan_random(count: int, coeff_bound: int, seed: int, jobs: int = 1) -> ScanR
 
     Each sample additionally re-derives the determinant by all three routes
     and records any disagreement as a violation.  The sample stream depends
-    only on ``seed`` (not on ``jobs``).  Seeds are non-negative: ``random``
-    seeds from the absolute value of an int, so ``-s`` would draw the
-    stream of ``s``.  A ``count`` below 1, a negative ``coeff_bound`` or a
-    negative ``seed`` raises :class:`ValueError`.
+    only on ``seed`` (not on ``jobs``): each block of ``_BLOCK`` tuples has
+    one ``random.Random`` seeded by ``(seed, block)``, and its entries are
+    that generator's ``randint(-coeff_bound, coeff_bound)`` draws on the
+    running Python (CPython fixes only ``random()``'s sequence across
+    versions).  Seeds are non-negative: ``random`` seeds from the absolute
+    value of an int, so ``-s`` would draw the stream of ``s``.  A ``count``
+    below 1, a negative ``coeff_bound`` or a negative ``seed`` raises
+    :class:`ValueError`.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")

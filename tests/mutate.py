@@ -71,6 +71,7 @@ PACKING_TEST = (
     "tests/test_gdet.py::TestNoTuplePacking"
     "::test_no_function_in_gdet_packs_a_tuple_to_unpack_it"
 )
+STREAM_TEST = "tests/test_verification.py::TestScanRandom::test_draws_the_randint_stream"
 ORDER_TEST = (
     "tests/test_verification.py::TestScanFindsClassifierRegressions"
     "::test_violations_match_brute_force_in_order"
@@ -199,8 +200,14 @@ MUTANTS = (
     # seed 0 draws the same stream either way
     ("verification.py", "seed * (1 << 32) + block", "seed + block",
      "tests/test_golden.py::test_output_matches_golden[scan-random-seed1]", None),
-    ("verification.py", "repeat(bound + 1, 16 * size)", "repeat(bound, 16 * size)",
-     "tests/test_verification.py::TestScanRandom::test_draws_the_randint_stream", None),
+    # the bulk draw against randint's rejection loop (not (n - 1).bit_length():
+    # n is odd, so that mutant is equivalent)
+    ("verification.py", "if r < n]", "if r <= n]", STREAM_TEST, None),
+    ("verification.py", "k = n.bit_length()\n", "k = n.bit_length() + 1\n", STREAM_TEST,
+     None),
+    # an unwritable stdout read as "not in S"
+    ("cli.py", "        code = EXIT_USAGE\n", "        code = EXIT_NEGATIVE\n",
+     "tests/test_cli.py::TestUnwritableOutput", None),
     # seed -1 would draw the sample of seed 1
     ("verification.py", "if seed < 0:", "if seed < -1:",
      "tests/test_verification.py::TestScanRandom::test_a_negative_seed_is_refused", None),

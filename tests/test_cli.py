@@ -1,4 +1,8 @@
+import errno
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -356,3 +360,52 @@ class TestArgv:
         usage, error = out.err.rstrip("\n").rsplit("\n", 1)
         assert usage.startswith("usage: c4x4det ")
         assert error == message
+
+
+SRC = Path(cli.__file__).resolve().parent.parent
+
+
+def run_with_stdout(stdout, unbuffered=False, **options):
+    """``python -m c4x4det classify 17`` with ``stdout`` as its stdout."""
+    path = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        [sys.executable, "-m", "c4x4det", "classify", "17"],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60, **options,
+    )
+
+
+class TestUnwritableOutput:
+    """A failed write to stdout is exit 2 with one stderr line, not the exit 1 of "not in S"."""
+
+    @staticmethod
+    def assert_refused(done, code):
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        reason = f"[Errno {code}] {os.strerror(code)}"
+        assert done.stderr.splitlines() == [f"error: cannot write output: {reason}"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_full_device_exits_2(self, unbuffered):
+        with open("/dev/full", "w") as full:
+            done = run_with_stdout(full, unbuffered)
+        self.assert_refused(done, errno.ENOSPC)
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_pipe_exits_2(self, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = run_with_stdout(write_end, unbuffered)
+        finally:
+            os.close(write_end)
+        self.assert_refused(done, errno.EPIPE)
+
+    def test_no_stdout_at_all_still_answers_by_exit_status(self):
+        # without a file descriptor 1, sys.stdout is None and print writes nothing
+        done = run_with_stdout(subprocess.DEVNULL, preexec_fn=lambda: os.close(1))
+        assert (done.returncode, done.stderr) == (0, "")

@@ -16,6 +16,12 @@ from c4x4det.verification import scan_exhaustive, scan_random, window_roundtrip
 
 witness_module = importlib.import_module("c4x4det.witness")
 
+# Bounds at the edges of randint's rejection loop, n = 2 * bound + 1 values
+# drawn k = n.bit_length() bits at a time: n = 1 and 3; n = 17, which keeps
+# 17 of 32 draws; n = 19; n = 31, which keeps 31 of 32; k = 32, one word a
+# draw; k = 33, two words a draw; and two wide multi-word bounds.
+STREAM_BOUNDS = [0, 1, 8, 9, 15, 2**31 - 1, 2**31, 10**9, 10**30]
+
 
 class TestScanExhaustive:
     def test_single_tuple_support(self):
@@ -192,7 +198,7 @@ class TestScanRandom:
         parallel = scan_random(600, 5, seed=7, jobs=3)
         assert serial.seen_values == parallel.seen_values
 
-    @pytest.mark.parametrize("bound", [0, 1, 9, 10**9])
+    @pytest.mark.parametrize("bound", STREAM_BOUNDS)
     def test_draws_the_randint_stream(self, monkeypatch, bound):
         # each block's generator, seeded by (seed, block), deals out 16 randint
         # draws per tuple; the second block of 4096 + 37 tuples is short
@@ -207,6 +213,17 @@ class TestScanRandom:
             rng = random.Random(seed * (1 << 32) + block)
             expected += [tuple(rng.randint(-bound, bound) for _ in range(16)) for _ in range(size)]
         assert drawn == expected
+
+    @pytest.mark.parametrize("count", [1, 16, 17, 65536])
+    @pytest.mark.parametrize("bound", STREAM_BOUNDS)
+    def test_bulk_draw_is_randrange_call_for_call(self, bound, count):
+        # equal states afterwards: the bulk draw consumed exactly the
+        # getrandbits calls that randrange makes
+        bulk, single = random.Random(bound + count), random.Random(bound + count)
+        assert verification._draw(bulk, bound, count) == [
+            single.randrange(-bound, bound + 1) for _ in range(count)
+        ]
+        assert bulk.getstate() == single.getstate()
 
     def test_a_negative_seed_is_refused(self):
         # random.Random(-s) seeds as Random(s) does, so seed -s would repeat
