@@ -1,9 +1,11 @@
 """Exact integer group determinants on the rank-two order-16 bicyclic group.
 
 The package evaluates the 16-coefficient group determinant three independent
-ways, decides exactly which integers are attainable as such a determinant
-(with a machine-checkable certificate either way), and synthesizes explicit
-coefficient vectors realizing every attainable value.
+ways, decides exactly which integers are attainable as such a determinant,
+and synthesizes explicit coefficient vectors realizing every attainable
+value.  A member gets a certificate, re-checked before it is returned; a
+non-member gets only a ``Reason``, and a rejection that rests on a
+factorization is returned once that factorization is re-checked.
 """
 
 import importlib

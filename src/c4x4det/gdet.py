@@ -23,11 +23,12 @@
   ``det4(b) * det4(c) * beta_norm * gamma_norm`` over the derived spectra;
   ``det4(x0, x1, x2, x3) = {(x0+x2)^2 - (x1+x3)^2} * {(x0-x2)^2 + (x1-x3)^2}``
   is the determinant of the 4x4 circulant.  :func:`factored_pieces` splits
-  it into ten integers: four linear forms and six sums of two squares.
-  The route is its own frame, not a call of :func:`factored_pieces`: it
-  forms the four linear pieces first and returns 0 at once when their
-  product is 0, before the sums of two squares.  The tests pin the two
-  frames together, value for value.
+  it into ten integers, four linear forms and six sums of two squares,
+  formed from the spectra of :func:`derive`.  The route is one inlined
+  frame, not a call of :func:`factored_pieces`: it forms the four linear
+  pieces first and returns 0 at once when their product is 0, before the
+  sums of two squares.  The tests pin it to the product of the pieces,
+  value for value.
 * :func:`det16_spectral` multiplies the four character-block determinants
   of :func:`spectral_factors` (the det4 closed form on the Gaussian
   arguments ``sum_s i^{k s} a[j+4s]``, k = 0..3) and checks that the
@@ -48,9 +49,7 @@ from functools import lru_cache
 from itertools import repeat
 from operator import itemgetter, sub
 
-from .core import check_coefficients
-# Not used here: the benchmark's trace wraps gdet.derive by name.
-from .core import derive  # noqa: F401
+from .core import check_coefficients, derive
 from .errors import InternalMismatchError
 
 __all__ = [
@@ -255,32 +254,15 @@ def factored_pieces(a) -> tuple:
     * 3-5: the same three of c, whose product is det4(c);
     * 6-7: the two sums of two squares whose product is the beta norm of d;
     * 8-9: the two sums of two squares whose product is the gamma norm of d.
-
-    One frame on the unpacked integers: the spectra of :func:`derive` are
-    inlined.
     """
-    if len(a) != 16:
-        raise ValueError(f"expected 16 coefficients, got {len(a)}")
-    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 = a
-    # b = e + o and c = e - o; det4 reads only the sums and differences of
-    # entries 0, 2 and of entries 1, 3.
-    e0, e1 = a0 + a8, a1 + a9
-    e2, e3 = a2 + a10, a3 + a11
-    o0, o1 = a4 + a12, a5 + a13
-    o2, o3 = a6 + a14, a7 + a15
-    es, et = e0 + e2, e1 + e3
-    eu, ev = e0 - e2, e1 - e3
-    fs, ft = o0 + o2, o1 + o3
-    fu, fv = o0 - o2, o1 - o3
-    bs, bt = es + fs, et + ft
-    bu, bv = eu + fu, ev + fv
-    cs, ct = es - fs, et - ft
-    cu, cv = eu - fu, ev - fv
+    b, c, d = derive(a)
+    pieces = ()
+    for x0, x1, x2, x3 in (b, c):
+        s, t = x0 + x2, x1 + x3
+        u, v = x0 - x2, x1 - x3
+        pieces += (s - t, s + t, u * u + v * v)
     # beta and gamma over d, through the sums and differences of d_i, d_{i+2}
-    d0, d1 = a0 - a8, a1 - a9
-    d2, d3 = a2 - a10, a3 - a11
-    d4, d5 = a4 - a12, a5 - a13
-    d6, d7 = a6 - a14, a7 - a15
+    d0, d1, d2, d3, d4, d5, d6, d7 = d
     x, y = d0 + d2, d4 + d6
     p, q = d1 + d3, d5 + d7
     s, t = x + p, y + q
@@ -289,12 +271,8 @@ def factored_pieces(a) -> tuple:
     p, q = d1 - d3, d5 - d7
     g, h = x - q, y + p
     m, n = x + q, y - p
-    return (
-        bs - bt, bs + bt, bu * bu + bv * bv,
-        cs - ct, cs + ct, cu * cu + cv * cv,
-        s * s + t * t, u * u + v * v,
-        g * g + h * h, m * m + n * n,
-    )
+    return (*pieces, s * s + t * t, u * u + v * v,
+            g * g + h * h, m * m + n * n)
 
 
 def det16_factored(a) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import compress
 from math import gcd, isqrt, prod
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .core import _Record
 from .errors import (
@@ -258,27 +258,6 @@ def factorize(n: int, envelope: Optional[int] = ENVELOPE) -> Factorization:
     return Factorization(sign, tuple(sorted(fac.items())))
 
 
-def divisors_ascending(factors) -> Iterator[int]:
-    """Each positive divisor of prod(p**e) once, ascending, from (p, e) pairs.
-
-    A lazy heap walk over the prime list with each p repeated e times.  A
-    divisor extends only at list positions past its last factor, and only by
-    the first remaining copy of each prime, so each divisor is pushed by one
-    parent.  Its one caller, :func:`signed_divisors_1mod8`, lists every
-    divisor.
-    """
-    from heapq import heappop, heappush  # on first use: keeps `import c4x4det` lean
-
-    primes = [p for p, e in factors for _ in range(e)]
-    heap = [(1, 0)]
-    while heap:
-        d, i = heappop(heap)
-        yield d
-        for j in range(i, len(primes)):
-            if j == i or primes[j] != primes[j - 1]:  # one branch per distinct prime
-                heappush(heap, (d * primes[j], j + 1))
-
-
 def is_in_P(p: int) -> bool:
     """True iff p is a positive prime congruent to 5 mod 8."""
     return is_prime(p) and p % 8 == 5
@@ -292,8 +271,10 @@ def signed_divisors_1mod8(c: int, envelope: Optional[int] = ENVELOPE) -> list:
     check_envelope(c, envelope)
     if c == 0:
         raise PreconditionError("zero has no divisor set here")
-    fac = factorize(abs(c), envelope=None)
-    return sorted([s for d in divisors_ascending(fac.factors) for s in (d, -d) if s % 8 == 1])
+    divisors = [1]
+    for p, e in factorize(abs(c), envelope=None).factors:
+        divisors = [d * p**k for d in divisors for k in range(e + 1)]
+    return sorted([s for d in divisors for s in (d, -d) if s % 8 == 1])
 
 
 class TwoSquaresRep(NamedTuple):

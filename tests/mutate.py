@@ -77,28 +77,18 @@ ORDER_TEST = (
     "::test_violations_match_brute_force_in_order"
 )
 
-# The last lines of factored_pieces' beta and gamma forms, up to its return.
-PIECES_TAIL = (
-    "s, t = x + p, y + q\n"
-    "    u, v = x - p, y - q\n"
-    "    x, y = d0 - d2, d4 - d6\n"
-    "    p, q = d1 - d3, d5 - d7\n"
-    "    g, h = x - q, y + p\n"
-    "    m, n = x + q, y - p\n"
-    "    return (\n"
-)
 # det16_factored's two pairs of even sums, written as the one four-name line
 # they replace: CPython builds and unpacks a tuple for it
 FACTORED_SUMS = "    es, et = e0 + e2, e1 + e3\n    fs, ft = o0 + o2, o1 + o3\n"
 
 # (module, old text, new text, pytest target, reason if declared equivalent)
 MUTANTS = (
-    # factored_pieces: det16_factored repeats its linear forms, so the texts
-    # run on to the lines only factored_pieces has
-    ("gdet.py", "bs - bt, bs + bt,", "bs - bt, bs - bt,", PIECES_TEST, None),
-    ("gdet.py", "cs + ct, cu * cu + cv * cv", "cs + ct, cu * cu - cv * cv", PIECES_TEST, None),
-    ("gdet.py", PIECES_TAIL, PIECES_TAIL.replace("y + q\n", "y - q\n", 1), PIECES_TEST, None),
-    ("gdet.py", PIECES_TAIL, PIECES_TAIL.replace("g, h = x - q,", "g, h = x + q,"),
+    # factored_pieces: the det4 pieces of b and c, then beta and gamma over d
+    ("gdet.py", "pieces += (s - t, s + t,", "pieces += (s - t, s - t,", PIECES_TEST, None),
+    ("gdet.py", "s + t, u * u + v * v)\n", "s + t, u * u - v * v)\n", PIECES_TEST, None),
+    ("gdet.py", "return (*pieces, s * s + t * t,", "return (*pieces, s * s - t * t,",
+     PIECES_TEST, None),
+    ("gdet.py", "g * g + h * h, m * m + n * n)", "g * g + h * h, m * m - n * n)",
      PIECES_TEST, None),
     # det16_factored's own frame: its zero exit and its product
     ("gdet.py", "if not lin:", "if lin:", FRAMES_TEST, None),
@@ -167,13 +157,11 @@ MUTANTS = (
      "tests/test_classifier.py", None),
     ("numtheory.py", "(341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17))",
      "(341_550_071_728_321, (2, 3, 5, 7, 11, 13))", "tests/test_numtheory.py", None),
-    # not j + 1 -> j: that walk repeats a prime forever, so listing it never ends
-    ("numtheory.py", "(d * primes[j], j + 1)", "(d * primes[j], j + 2)",
-     "tests/test_numtheory.py", None),
-    # the walk then yields some divisors of a repeated prime more than once:
-    # only a test that lists every divisor sees the copies
-    ("numtheory.py", "if j == i or primes[j] != primes[j - 1]:", "if True:",
-     "tests/test_numtheory.py", None),
+    # the expansion drops each prime's top power; then only positive divisors
+    ("numtheory.py", "for k in range(e + 1)]", "for k in range(e)]",
+     "tests/test_numtheory.py::TestSignedDivisors", None),
+    ("numtheory.py", "for s in (d, -d) if", "for s in (d,) if",
+     "tests/test_numtheory.py::TestSignedDivisors", None),
     ("classifier.py", ") > most:", ") > most + 1:", "tests/test_classifier.py", None),
     # the set-A cofactor divisor e in closed form
     ("classifier.py", "(least.get(r), least.get(q, 0) * least.get(s, 0))", "(least.get(r),)",

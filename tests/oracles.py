@@ -5,8 +5,8 @@ plain trial division, so disagreements point at the library, never at a
 shared bug.  ``expanded_divisors`` is library-free too: it lists the
 divisors of a factorization by product expansion.  ``a_decompose_walk`` is
 the one reference built on library parts: it takes the library's
-factorization, but lists divisors with ``expanded_divisors``, not with the
-library's walk (see its docstring).  ``spectral_factors_gauss``,
+factorization, but lists divisors with ``expanded_divisors``, not through
+``numtheory.signed_divisors_1mod8`` (see its docstring).  ``spectral_factors_gauss``,
 ``det4_gauss``, ``det2``, ``det4``, ``beta_gamma_norms`` and
 ``beta_gamma_norms_alt`` are library-free as well: Gaussian integers here
 are plain ``(re, im)`` pairs, combined by ``gauss_add`` and ``gauss_mul``.
@@ -46,7 +46,8 @@ def expanded_divisors(factors) -> list:
     """All positive divisors of prod(p**e) from (p, e) pairs, unsorted.
 
     The product expansion: each prime's powers multiply every divisor built
-    so far.  It shares no code with ``numtheory.divisors_ascending``.
+    so far.  ``numtheory.signed_divisors_1mod8`` makes the same expansion
+    but shares no code with it; an exhaustive enumeration referees that one.
     """
     out = [1]
     for p, e in factors:

@@ -9,9 +9,9 @@ pool behind ``scan --jobs`` is loaded only by a scan on more than one
 process.  The records are not dataclasses, so no command loads
 ``dataclasses`` or the ``inspect`` module it imports, and the command line
 is parsed from one grammar table, so no command loads ``argparse``.  The
-set-A certificate takes its cofactor divisor in closed form, so deciding a
-set-A value loads no ``heapq``; only the divisor walk behind
-``signed_divisors_1mod8`` imports it, on first use.
+set-A certificate takes its cofactor divisor in closed form, and
+``signed_divisors_1mod8`` expands the divisors of a factorization in a list,
+so neither loads ``heapq``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 
 import c4x4det
-from c4x4det import gdet, verification
+from c4x4det import gdet, numtheory, verification
 
 SRC = Path(c4x4det.__file__).resolve().parent.parent
 WATCHED = (
@@ -70,6 +70,9 @@ FOOTPRINTS = {
     "classify": (cli_run("classify", "17"), set()),
     "classify-set-a": (cli_run("classify", "-809264000935"), set()),
     "witness": (cli_run("witness", "17", "--json"), {"c4x4det.gdet", "c4x4det.witness", "json"}),
+    "signed-divisors": (
+        "from c4x4det import signed_divisors_1mod8\nsigned_divisors_1mod8(45)", set()
+    ),
     "eval": (cli_run("eval", *"2 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1".split()), {"c4x4det.gdet"}),
     "scan": (
         cli_run("scan", "--random", "5"),
@@ -137,6 +140,11 @@ class TestLazyExports:
         for module in (c4x4det, gdet):
             with pytest.raises(AttributeError, match=name):
                 getattr(module, name)
+
+    def test_removed_divisor_walk_raises(self):
+        # signed_divisors_1mod8 expands the divisors itself
+        with pytest.raises(AttributeError, match="divisors_ascending"):
+            numtheory.divisors_ascending
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError, match="no_such_name"):

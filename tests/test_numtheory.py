@@ -1,5 +1,4 @@
 import random
-from itertools import islice
 from math import prod
 
 import pytest
@@ -12,7 +11,6 @@ from c4x4det.errors import EnvelopeExceededError, InternalMismatchError, Precond
 from c4x4det.numtheory import (
     ENVELOPE,
     Factorization,
-    divisors_ascending,
     factorize,
     is_in_P,
     is_prime,
@@ -25,7 +23,6 @@ from oracles import (
     factor_unsigned_loop,
     is_prime_extended_bases,
     is_prime_trial,
-    positive_divisors,
     strong_probable_prime,
     two_squares_all,
 )
@@ -298,40 +295,6 @@ class TestMembershipInP:
     def test_matches_direct_definition_below_1000(self):
         for p in range(1000):
             assert is_in_P(p) == (is_prime(p) and p % 8 == 5)
-
-
-class _CountedPrime(int):
-    """A prime that counts the products the walk forms with it."""
-
-    products = 0
-
-    def __rmul__(self, other):
-        _CountedPrime.products += 1
-        return int(other) * int(self)
-
-
-class TestDivisorsAscending:
-    def test_empty_factorization_yields_one(self):
-        assert list(divisors_ascending([])) == [1]
-
-    def test_matches_trial_division_on_repeated_primes(self):
-        rng = random.Random(20)
-        checked = 0
-        while checked < 300:
-            factors = [(p, rng.randint(1, 6)) for p in (2, 3, 5, 7, 11, 13, 29, 37)
-                       if rng.random() < 0.5]
-            n = prod(p**e for p, e in factors)
-            if n > 10**7:
-                continue
-            assert list(divisors_ascending(factors)) == positive_divisors(n), factors
-            checked += 1
-
-    def test_lazy(self, monkeypatch):
-        # 3^400 * 7^400 has 160,801 divisors; the first ten take a few products
-        monkeypatch.setattr(_CountedPrime, "products", 0)
-        walk = divisors_ascending([(_CountedPrime(3), 400), (_CountedPrime(7), 400)])
-        assert list(islice(walk, 10)) == [1, 3, 7, 9, 21, 27, 49, 63, 81, 147]
-        assert 9 <= _CountedPrime.products <= 20
 
 
 class TestSignedDivisors:
