@@ -173,16 +173,22 @@ _OTHER_CLASSES = {3: (5, 7), 5: (3, 7)}
 
 
 def _a_certificate(n: int, fac: Factorization) -> Optional[OddA]:
-    # a_decompose on the factorization of n
-    triple = [p for p, e in fac.factors if p % 8 == 5 for _ in range(e)][:3]
+    # a_decompose on the factorization of n, in one pass over its ascending
+    # primes: the triple takes the first three primes 5 mod 8 with
+    # multiplicity, and what it leaves of each prime goes to |c|
+    triple: list = []
+    least: dict = {}  # class mod 8 -> least prime factor of |c| in it
+    for p, a in fac.factors:
+        if p % 8 == 5:
+            taken = min(a, 3 - len(triple))
+            triple += (p,) * taken
+            a -= taken
+        if a:
+            least.setdefault(p % 8, p)
     if len(triple) < 3:
         return None
     p1, p2, p3 = triple
     c = n // (p1 * p2 * p3)
-    least: dict = {}  # class mod 8 -> least prime factor of |c| in it
-    for p, a in fac.factors:
-        if a > triple.count(p):
-            least.setdefault(p % 8, p)
     r = 7 * abs(c) % 8
     q, s = _OTHER_CLASSES[r]
     # the least prime in r and the least pair across q and s; None or 0 where missing

@@ -8,6 +8,7 @@ same output, byte for byte.  The public factorization entry points support
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt, prod
 from typing import NamedTuple, Optional
@@ -39,17 +40,17 @@ def _sieve(limit: int) -> tuple:
 
 _TRIAL_PRIMES = _sieve(_TRIAL_BOUND)
 
-# The table in chunks of 64 primes, each with its product.  From
-# _SCREEN_FROM on, one gcd with a chunk's product skips a chunk that holds no
-# factor of n; below it the early break comes before the gcds pay off.  The
-# first chunk carries 0 (gcd(n, 0) == n), so it is never skipped: most n have
-# a factor below 313, and smooth n shrink there below the screen.  On random
-# n below 1e12 this halves the trial-division time.
+# The table in chunks of 64 primes, each with its product.  One gcd with a
+# chunk's product names the primes of the chunk that divide n, so trial
+# division skips a chunk that holds none and divides only by those it names.
 _TRIAL_CHUNKS = tuple(
-    (_TRIAL_PRIMES[i : i + 64], prod(_TRIAL_PRIMES[i : i + 64]) if i else 0)
+    (_TRIAL_PRIMES[i : i + 64], prod(_TRIAL_PRIMES[i : i + 64]))
     for i in range(0, len(_TRIAL_PRIMES), 64)
 )
-_SCREEN_FROM = 10**6
+
+# n shares a factor with this product exactly when a prime up to 37 divides it.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRODUCT = prod(_SMALL_PRIMES)
 
 # Deterministic Miller-Rabin witness sets, keyed by the bound below which
 # they are exhaustive (the last one is proven up to ~3.3e24, Sorenson and
@@ -134,9 +135,8 @@ def is_prime(n: int) -> bool:
     check_envelope(n, None)
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
+    if gcd(n, _SMALL_PRODUCT) != 1:
+        return n in _SMALL_PRIMES
     d = n - 1
     r = (d & -d).bit_length() - 1
     d >>= r
@@ -203,22 +203,27 @@ def _factor_unsigned(n: int) -> dict:
     """Complete factorization of n >= 1 as a prime -> exponent dict."""
     out: dict = {}
     for chunk, product in _TRIAL_CHUNKS:
-        if chunk[0] * chunk[0] > n:
+        square = chunk[0] * chunk[0]
+        if square > n:
             break
-        # No prime of a skipped chunk divides n, so n comes out as from the
-        # plain loop over every prime; where that loop would stop inside a
-        # skipped chunk, n is a prime and stays the survivor.
-        if n >= _SCREEN_FROM and gcd(n, product) == 1:
+        # g is the product of the chunk's primes that divide n.  Where the
+        # plain loop over every prime would stop inside the chunk, what is
+        # left of n is a prime of the chunk or beyond it, so dividing it out
+        # here or keeping it as the survivor gives the same dict.
+        g = gcd(n, product)
+        if g == 1:
             continue
-        for p in chunk:
-            if p * p > n:
-                break
-            if n % p == 0:
+        # two primes of the chunk multiply to more than square: below it, g is one
+        for p in (g,) if g < square else chunk:
+            if g % p == 0:
                 e = 0
                 while n % p == 0:
                     n //= p
                     e += 1
                 out[p] = e
+                g //= p
+                if g == 1:
+                    break
     if n == 1:
         return out
     stack = [n]
@@ -320,6 +325,11 @@ def _fix_sign(value: int, residue: int) -> int:
     raise PreconditionError(f"neither sign of {value} is {residue} mod 8")
 
 
+# Both constrained representations are memoised per prime, 1024 entries each.
+# lru_cache keeps no exception, so a pair is cached only once its checks have
+# passed.  typed=True keys on the type too: a float or an int subclass equal
+# to a cached prime gets its own call (a float still raises TypeError).
+@lru_cache(maxsize=1024, typed=True)
 def two_squares_prime_5mod8(p: int) -> TwoSquaresRep:
     """Write p = x^2 + y^2 with y == 2 (mod 8) and x == 1 or 3 (mod 8).
 
@@ -337,6 +347,7 @@ def two_squares_prime_5mod8(p: int) -> TwoSquaresRep:
     return TwoSquaresRep(x, y, p)
 
 
+@lru_cache(maxsize=1024, typed=True)
 def two_squares_2p(p: int) -> TwoSquaresRep:
     """Write 2*p = x^2 + y^2 with x == 3 (mod 8) and y == 1 (mod 8).
 

@@ -71,6 +71,19 @@ PACKING_TEST = (
     "tests/test_gdet.py::TestNoTuplePacking"
     "::test_no_function_in_gdet_packs_a_tuple_to_unpack_it"
 )
+TRIAL_TEST = "tests/test_numtheory.py::TestTrialScreen::test_constructed_values"
+WALK_TEST = (
+    "tests/test_numtheory.py::TestTrialScreen"
+    "::test_the_walk_stops_at_the_last_prime_the_gcd_names"
+)
+SCREEN_TEST = (
+    "tests/test_numtheory.py::TestPrimality"
+    "::test_the_small_prime_screen_runs_no_miller_rabin_round"
+)
+MEMO_TEST = (
+    "tests/test_numtheory.py::TestTwoSquaresMemo"
+    "::test_a_float_equal_to_a_cached_prime_still_raises"
+)
 STREAM_TEST = "tests/test_verification.py::TestScanRandom::test_draws_the_randint_stream"
 ORDER_TEST = (
     "tests/test_verification.py::TestScanFindsClassifierRegressions"
@@ -153,6 +166,15 @@ MUTANTS = (
     ("gdet.py", "repeat(a[0])", "repeat(a[1])", "tests/test_gdet.py",
      "P' and the 4x4 blocks are offset-invariant: a - a[1] gives the same blocks and "
      "the same cache hits"),
+    # trial division: the walk over the primes a chunk's gcd names, and the
+    # shortcut for a gcd that is one prime
+    ("numtheory.py", "                g //= p\n", "", WALK_TEST, None),
+    ("numtheory.py", "if g < square else", "if g < chunk[-1] * chunk[-1] else", TRIAL_TEST, None),
+    # is_prime's screen: 37 would reach Miller-Rabin, which answers alike
+    ("numtheory.py", "prod(_SMALL_PRIMES)", "prod(_SMALL_PRIMES[:-1])", SCREEN_TEST, None),
+    # an untyped memo answers a float equal to a cached int subclass
+    ("numtheory.py", "@lru_cache(maxsize=1024, typed=True)\ndef two_squares_2p",
+     "@lru_cache(maxsize=1024, typed=False)\ndef two_squares_2p", MEMO_TEST, None),
     ("numtheory.py", "m < _TRIAL_BOUND * _TRIAL_BOUND", "m < _TRIAL_BOUND ** 3",
      "tests/test_classifier.py", None),
     ("numtheory.py", "(341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17))",
@@ -168,6 +190,8 @@ MUTANTS = (
      CLOSED_FORM_TEST, None),
     ("classifier.py", "least.setdefault(p % 8, p)", "least[p % 8] = p", CLOSED_FORM_TEST, None),
     ("classifier.py", "5: (3, 7)}", "5: (5, 7)}", CLOSED_FORM_TEST, None),
+    # the triple takes one prime too few
+    ("classifier.py", "3 - len(triple)", "2 - len(triple)", CLOSED_FORM_TEST, None),
     ("classifier.py", "e = min(filter(", "e = max(filter(", CLOSED_FORM_TEST, None),
     ("witness.py", "ODD_16M_PLUS_1: (_form_m, 1, (1, 0,", "ODD_16M_PLUS_1: (_form_m, 1, (2, 0,",
      "tests/test_witness.py", None),

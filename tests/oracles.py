@@ -94,9 +94,10 @@ def strong_probable_prime(n: int, a: int) -> bool:
 def factor_unsigned_loop(n: int) -> dict:
     """Reference for ``numtheory._factor_unsigned``: trial division by every table prime.
 
-    This is the loop the gcd screen replaced, with the same early break and
-    the same primality test and rho for the survivor, so it fixes the dict,
-    insertion order included, that the screened version must return.
+    It tries every prime in turn, where ``_factor_unsigned`` divides only by
+    the primes each chunk's gcd names.  It keeps the same early break and the
+    same primality test and rho for the survivor, so it fixes the dict,
+    insertion order included, that ``_factor_unsigned`` must return.
     """
     out: dict = {}
     for p in _TRIAL_PRIMES:

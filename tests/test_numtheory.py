@@ -87,6 +87,20 @@ class TestPrimality:
         for n in PSI:
             assert not is_prime(n), n
 
+    def test_the_small_prime_screen_runs_no_miller_rabin_round(self, monkeypatch):
+        # one gcd decides every n with a prime factor up to 37: n is prime
+        # exactly when it is that prime
+        rounds = []
+        monkeypatch.setattr(
+            numtheory, "pow", lambda *args: rounds.append(args) or pow(*args), raising=False
+        )
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+            assert is_prime(p)
+            for k in (p, 41, 999999999989, BPSW_FROM):
+                assert not is_prime(p * k)
+        assert rounds == []
+        assert is_prime(41) and rounds  # the spy sees the rounds that do run
+
     def test_large_prime_pair(self):
         # 10^12 +- a twin prime pair around the envelope
         assert is_prime(999999999989)
@@ -233,8 +247,7 @@ class TestTrialTable:
         chunks = numtheory._TRIAL_CHUNKS
         assert tuple(p for chunk, _ in chunks for p in chunk) == numtheory._TRIAL_PRIMES
         assert all(len(chunk) == 64 for chunk, _ in chunks[:-1])
-        assert chunks[0][1] == 0  # gcd(n, 0) == n: the first chunk is never skipped
-        for chunk, product in chunks[1:]:
+        for chunk, product in chunks:
             assert product == prod(chunk)
 
 
@@ -252,9 +265,17 @@ class TestTrialScreen:
             self.assert_same(rng.randint(1, 10**12))
 
     def test_constructed_values(self):
+        # one value for each path a chunk can take: no prime of the chunk
+        # divides n, one does (its gcd is that prime), or two or more do
+        # (the walk); each also times a survivor above the trial bound
+        values = [317 * 349]
+        for chunk, _product in numtheory._TRIAL_CHUNKS:
+            first, last = chunk[0], chunk[-1]
+            values += [first**e for e in (1, 2, 3)] + [last**e for e in (1, 2, 3)]
+            values += [first * last, first * chunk[1], chunk[1] * chunk[2] * chunk[-2]]
+            values += [first**2 * last, first * last**2]
+        values += [n * s for n in values for s in (11003, 1000003, 999999000001)]
         primes = numtheory._TRIAL_PRIMES
-        screen_from = numtheory._SCREEN_FROM
-        values = list(range(screen_from - 300, screen_from + 300))
         values += [p * p for p in primes] + [p**3 for p in primes[-40:]]
         values += [primes[i] * primes[-1 - i] for i in range(0, len(primes), 7)]
         values += [p * 1000003 for p in primes[::11]] + [p * 999999000001 for p in primes[::97]]
@@ -264,6 +285,29 @@ class TestTrialScreen:
         values += [11003 * 11027 * 11047, 11003**2 * 1000003, 11027 * 1000003 * 999999000001]
         for n in values:
             self.assert_same(n)
+
+    def test_the_walk_stops_at_the_last_prime_the_gcd_names(self, monkeypatch):
+        walked = []
+
+        class Walked(tuple):
+            def __iter__(self):
+                for p in tuple.__iter__(self):
+                    walked.append(p)
+                    yield p
+
+        chunks = tuple((Walked(chunk), product) for chunk, product in numtheory._TRIAL_CHUNKS)
+        monkeypatch.setattr(numtheory, "_TRIAL_CHUNKS", chunks)
+        chunk = numtheory._TRIAL_PRIMES[64:128]
+        assert chunk[:2] == (313, 317)
+        for i, j in ((0, 1), (0, 63), (5, 9), (62, 63)):
+            walked.clear()
+            n = chunk[i] * chunk[j] ** 2
+            assert numtheory._factor_unsigned(n) == {chunk[i]: 1, chunk[j]: 2}
+            assert walked == list(chunk[: j + 1]), (i, j)
+        # a gcd that is one prime is divided out without a walk
+        walked.clear()
+        assert numtheory._factor_unsigned(317**3 * 1000003) == {317: 3, 1000003: 1}
+        assert walked == []
 
     def test_values_the_scans_factorize(self, monkeypatch):
         seen = []
@@ -389,8 +433,46 @@ class TestTwoSquares:
             assert cofactor % 8 == 1
 
 
+class TestTwoSquaresMemo:
+    """Each prime's constrained pair is derived once; the memo changes no answer."""
+
+    pytestmark = pytest.mark.parametrize(
+        "rep", [two_squares_prime_5mod8, two_squares_2p], ids=lambda f: f.__name__
+    )
+
+    def test_cached_pairs_are_the_derived_pairs(self, rep):
+        for p in primes_in_P_below(30_000):
+            assert rep(p) == rep.__wrapped__(p)
+            assert rep(p) == rep.__wrapped__(p), "on a cache hit"
+
+    def test_a_float_equal_to_a_cached_prime_still_raises(self, rep):
+        class Int(int):
+            pass
+
+        # an untyped cache would answer 5.0 with the pair it keeps for Int(5)
+        for cached in (5, Int(5)):
+            assert rep(cached) == rep.__wrapped__(5)
+            with pytest.raises(TypeError):
+                rep(5.0)
+
+    def test_bad_values_raise_on_every_call(self, rep):
+        for _ in range(3):
+            for bad in (7, 25):
+                with pytest.raises(PreconditionError):
+                    rep(bad)
+
+    def test_the_memo_is_bounded_and_typed(self, rep):
+        assert rep.cache_parameters() == {"maxsize": 1024, "typed": True}
+
+
 class TestRepresentationChecks:
     """A bad pair from a representation helper raises, also under ``python -O``."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_memos(self):
+        # a pair cached by an earlier test would answer without the patched helper
+        two_squares_prime_5mod8.cache_clear()
+        two_squares_2p.cache_clear()
 
     def test_descent_rejects_bad_root(self, monkeypatch):
         monkeypatch.setattr(numtheory, "_sqrt_minus_one_mod", lambda p: 1)
