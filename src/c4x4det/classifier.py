@@ -9,7 +9,9 @@ The attainable values are exactly
 
 :func:`classify` returns a certificate for members (enough named parameters
 to reconstruct the value) and a reason for everything else.  Certificates
-are deterministic: the same input always yields the same certificate.
+are deterministic: the same input always yields the same certificate.  It
+reads the prime factors of a value in ascending order and stops once the
+certificate is fixed, so a member need not be factored to the end.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ from __future__ import annotations
 import enum
 from functools import lru_cache
 from math import prod
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .core import _Record
 from .errors import InternalMismatchError, PreconditionError
-from .numtheory import ENVELOPE, Factorization, check_envelope, factorize
+from .numtheory import ENVELOPE, _prime_powers, check_envelope, factorize
 from .numtheory import is_in_P, is_prime
 # Not used here: the benchmark's trace wraps classifier.signed_divisors_1mod8 by name.
 from .numtheory import signed_divisors_1mod8  # noqa: F401
@@ -157,39 +159,50 @@ def a_decompose(n: int, envelope: Optional[int] = ENVELOPE) -> Optional[OddA]:
     lies in the class r = 7|c| mod 8 (3 or 5) only if it has a prime factor
     in r, or prime factors in both other classes of 3, 5, 7.  So e is the
     smaller of the least prime factor of |c| in r and the product of the
-    least prime factors in the other two classes, whichever exist.  The
-    fixed order makes the certificate reproducible.  n is checked as an integer
+    least prime factors in the other two classes, whichever exist.  Once
+    the triple and the least prime of |c| in r are known, no larger prime
+    can change e, so :func:`classify` stops factoring there.  The fixed
+    order makes the certificate reproducible.  n is checked as an integer
     within the envelope before its residue, so a float or a bool raises
     TypeError.
     """
     check_envelope(n, envelope)
     if n % 16 != 9:
         raise PreconditionError(f"{n} is not an odd value congruent to 9 mod 16")
-    return _a_certificate(n, factorize(n, envelope=envelope))
+    return _a_certificate(n, factorize(n, envelope=envelope).factors, [])
 
 
 # r -> the two classes of 3, 5, 7 other than r, whose product is r (mod 8)
 _OTHER_CLASSES = {3: (5, 7), 5: (3, 7)}
 
 
-def _a_certificate(n: int, fac: Factorization) -> Optional[OddA]:
-    # a_decompose on the factorization of n, in one pass over its ascending
-    # primes: the triple takes the first three primes 5 mod 8 with
-    # multiplicity, and what it leaves of each prime goes to |c|
+def _a_certificate(n: int, powers: Iterable, read: list) -> Optional[OddA]:
+    # a_decompose on the ascending prime powers of n, read in one pass and
+    # each appended to ``read``: the triple takes the first three primes
+    # 5 mod 8 with multiplicity, and what it leaves of each prime goes to |c|.
+    # Reading stops once the triple is complete and the least prime of |c| in
+    # r = 7|c| mod 8 is known: every unread prime is larger, so neither it nor
+    # a product that contains it can give a smaller e.  So a None comes only
+    # after every pair is read.
     triple: list = []
     least: dict = {}  # class mod 8 -> least prime factor of |c| in it
-    for p, a in fac.factors:
-        if p % 8 == 5:
+    r = 0
+    for p, a in powers:
+        read.append((p, a))
+        if p % 8 == 5 and len(triple) < 3:
             taken = min(a, 3 - len(triple))
             triple += (p,) * taken
             a -= taken
+            if len(triple) == 3:
+                p1, p2, p3 = triple
+                c = n // (p1 * p2 * p3)
+                r = 7 * abs(c) % 8
         if a:
             least.setdefault(p % 8, p)
-    if len(triple) < 3:
+        if r in least:
+            break
+    if not r:
         return None
-    p1, p2, p3 = triple
-    c = n // (p1 * p2 * p3)
-    r = 7 * abs(c) % 8
     q, s = _OTHER_CLASSES[r]
     # the least prime in r and the least pair across q and s; None or 0 where missing
     e = min(filter(None, (least.get(r), least.get(q, 0) * least.get(s, 0))), default=None)
@@ -197,35 +210,37 @@ def _a_certificate(n: int, fac: Factorization) -> Optional[OddA]:
     return OddA((d - 1) // 8, (c // d + 3) // 8, p1, p2, p3)
 
 
-def _check_rejection(m: int, fac: Factorization, most: int) -> None:
+def _check_rejection(m: int, pairs, most: int) -> None:
     """Re-check the factorization a rejection rests on.
 
-    ``fac`` must be a complete factorization of ``m`` into primes with at
-    most ``most`` factors 5 mod 8, counted with multiplicity.  Raises
-    :class:`InternalMismatchError` otherwise, so a splitting defect cannot
-    turn an attainable value into a silent "not attainable".
+    ``pairs`` must be the (prime, exponent) pairs of a complete factorization
+    of ``m`` with at most ``most`` primes 5 mod 8, counted with multiplicity.
+    Raises :class:`InternalMismatchError` otherwise, so a splitting defect
+    cannot turn an attainable value into a silent "not attainable".
     """
-    if prod(p**e for p, e in fac.factors) != abs(m):
-        raise InternalMismatchError(f"{fac} does not multiply back to |{m}|")
-    for p, _e in fac.factors:
+    if prod(p**e for p, e in pairs) != abs(m):
+        raise InternalMismatchError(f"{pairs} does not multiply back to |{m}|")
+    for p, _e in pairs:
         if not is_prime(p):
             raise InternalMismatchError(f"factor {p} of {m} is not prime")
-    if sum(e for p, e in fac.factors if p % 8 == 5) > most:
+    if sum(e for p, e in pairs if p % 8 == 5) > most:
         raise InternalMismatchError(f"{m} has more than {most} prime factors 5 mod 8")
 
 
 def _decide(n: int) -> SClassification:
     # The cold decision: a certificate, not yet validated, or a rejection
-    # whose factorization has been re-checked.
+    # whose factorization has been re-checked.  Both factoring branches read
+    # the prime powers lazily and stop once the certificate is fixed; a
+    # rejection follows only an exhausted reading, which is then complete.
     if n % 2 == 1:
         r = n % 16
         if r == 1:
             return OddOne((n - 1) // 16)
         if r == 9:
-            fac = factorize(n, envelope=None)
-            cert = _a_certificate(n, fac)
+            read: list = []
+            cert = _a_certificate(n, _prime_powers(abs(n)), read)
             if cert is None:
-                _check_rejection(n, fac, 2)
+                _check_rejection(n, read, 2)
                 return NotInS(Reason.ODD_A_NO_DECOMPOSITION)
             return cert
         return NotInS(Reason.ODD_BAD_RESIDUE)
@@ -237,12 +252,14 @@ def _decide(n: int) -> SClassification:
     if v >= 16:
         return Even16(n // 2**16)
     odd = n >> 15
-    fac = factorize(abs(odd), envelope=None)
-    p = next((q for q, _e in fac.factors if q % 8 == 5), None)
-    if p is None:
-        _check_rejection(odd, fac, 0)
-        return NotInS(Reason.EVEN15_NO_PRIME_IN_P)
-    return Even15(p, odd // p)
+    read = []
+    # the first prime 5 mod 8 is the least, so reading stops there
+    for p, e in _prime_powers(abs(odd)):
+        if p % 8 == 5:
+            return Even15(p, odd // p)
+        read.append((p, e))
+    _check_rejection(odd, read, 0)
+    return NotInS(Reason.EVEN15_NO_PRIME_IN_P)
 
 
 @lru_cache(maxsize=1 << 16)

@@ -3,7 +3,9 @@
 Everything here is deterministic: repeated calls on the same input give the
 same output, byte for byte.  The public factorization entry points support
 |n| <= 10**12; ``envelope=None`` lifts the cap (scans lift it through
-``classify``), and the algorithms keep working well beyond it.
+``classify``), and the algorithms keep working well beyond it.  The prime
+powers come from one lazy generator in ascending order, so a caller that has
+what it needs stops reading, and the larger primes are never searched for.
 """
 
 from __future__ import annotations
@@ -199,9 +201,13 @@ class Factorization(_Record):
     factors: tuple  # ordered tuple of (prime, exponent)
 
 
-def _factor_unsigned(n: int) -> dict:
-    """Complete factorization of n >= 1 as a prime -> exponent dict."""
-    out: dict = {}
+def _prime_powers(n: int):
+    """The prime powers of n >= 1 as (p, e) pairs, p ascending, found lazily.
+
+    Trial division yields each table prime as its chunk's gcd names it; what
+    survives it is split by rho where composite, and its primes follow, sorted.
+    A caller that stops reading skips the chunks and the rho work not yet done.
+    """
     for chunk, product in _TRIAL_CHUNKS:
         square = chunk[0] * chunk[0]
         if square > n:
@@ -209,7 +215,7 @@ def _factor_unsigned(n: int) -> dict:
         # g is the product of the chunk's primes that divide n.  Where the
         # plain loop over every prime would stop inside the chunk, what is
         # left of n is a prime of the chunk or beyond it, so dividing it out
-        # here or keeping it as the survivor gives the same dict.
+        # here or keeping it as the survivor gives the same pairs.
         g = gcd(n, product)
         if g == 1:
             continue
@@ -220,23 +226,24 @@ def _factor_unsigned(n: int) -> dict:
                 while n % p == 0:
                     n //= p
                     e += 1
-                out[p] = e
+                yield p, e
                 g //= p
                 if g == 1:
                     break
     if n == 1:
-        return out
+        return
+    rest: dict = {}
     stack = [n]
     while stack:
         m = stack.pop()
         # trial division leaves no composite piece below the bound squared
         if m < _TRIAL_BOUND * _TRIAL_BOUND or is_prime(m):
-            out[m] = out.get(m, 0) + 1
+            rest[m] = rest.get(m, 0) + 1
             continue
         d = _brent_rho(m)
         stack.append(d)
         stack.append(m // d)
-    return out
+    yield from sorted(rest.items())
 
 
 def check_envelope(n: int, envelope: Optional[int] = ENVELOPE) -> None:
@@ -258,9 +265,7 @@ def factorize(n: int, envelope: Optional[int] = ENVELOPE) -> Factorization:
     check_envelope(n, envelope)
     if n == 0:
         return Factorization(0, ())
-    sign = 1 if n > 0 else -1
-    fac = _factor_unsigned(abs(n))
-    return Factorization(sign, tuple(sorted(fac.items())))
+    return Factorization(1 if n > 0 else -1, tuple(_prime_powers(abs(n))))
 
 
 def is_in_P(p: int) -> bool:

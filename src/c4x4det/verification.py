@@ -180,7 +180,8 @@ def _merge(results, start: float) -> ScanReport:
 def _run_blocks(block_fn, blocks: Iterable, jobs: int) -> ScanReport:
     """Run ``block_fn`` over ``blocks`` on at most ``os.cpu_count()`` processes."""
     start = time.perf_counter()
-    jobs = min(jobs, os.cpu_count() or 1)
+    if jobs > 1:  # a serial scan never asks for os.cpu_count()
+        jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
         return _merge(map(block_fn, blocks), start)
     # imported here: it loads multiprocessing, which a serial scan never needs

@@ -84,6 +84,7 @@ MEMO_TEST = (
     "tests/test_numtheory.py::TestTwoSquaresMemo"
     "::test_a_float_equal_to_a_cached_prime_still_raises"
 )
+STOP_TEST = "tests/test_classifier.py::TestStopRule"
 STREAM_TEST = "tests/test_verification.py::TestScanRandom::test_draws_the_randint_stream"
 ORDER_TEST = (
     "tests/test_verification.py::TestScanFindsClassifierRegressions"
@@ -193,6 +194,14 @@ MUTANTS = (
     # the triple takes one prime too few
     ("classifier.py", "3 - len(triple)", "2 - len(triple)", CLOSED_FORM_TEST, None),
     ("classifier.py", "e = min(filter(", "e = max(filter(", CLOSED_FORM_TEST, None),
+    # the stop rule: reading stops at the complete triple whatever the class;
+    # the 2^15 branch takes the first prime of any class; a set-A rejection
+    # re-checks the pairs read so far minus the last
+    ("classifier.py", "        if r in least:\n", "        if r:\n", STOP_TEST, None),
+    ("classifier.py", "        if p % 8 == 5:\n            return Even15(",
+     "        if True:\n            return Even15(", STOP_TEST, None),
+    ("classifier.py", "_check_rejection(n, read, 2)", "_check_rejection(n, read[:-1], 2)",
+     STOP_TEST, None),
     ("witness.py", "ODD_16M_PLUS_1: (_form_m, 1, (1, 0,", "ODD_16M_PLUS_1: (_form_m, 1, (2, 0,",
      "tests/test_witness.py", None),
     ("witness.py", "p + r + t - v + c[0], p + s + t + w + c[1],",

@@ -92,12 +92,13 @@ def strong_probable_prime(n: int, a: int) -> bool:
 
 
 def factor_unsigned_loop(n: int) -> dict:
-    """Reference for ``numtheory._factor_unsigned``: trial division by every table prime.
+    """Reference for ``numtheory._prime_powers``: trial division by every table prime.
 
-    It tries every prime in turn, where ``_factor_unsigned`` divides only by
+    It tries every prime in turn, where ``_prime_powers`` divides only by
     the primes each chunk's gcd names.  It keeps the same early break and the
-    same primality test and rho for the survivor, so it fixes the dict,
-    insertion order included, that ``_factor_unsigned`` must return.
+    same primality test and rho for the survivor, whose primes it inserts
+    sorted, so its items fix the pairs, in order, that ``_prime_powers``
+    must yield.
     """
     out: dict = {}
     for p in _TRIAL_PRIMES:
@@ -114,15 +115,17 @@ def factor_unsigned_loop(n: int) -> dict:
     if n < _TRIAL_BOUND * _TRIAL_BOUND or is_prime(n):
         out[n] = out.get(n, 0) + 1
         return out
+    rest: dict = {}
     stack = [n]
     while stack:
         m = stack.pop()
         if is_prime(m):
-            out[m] = out.get(m, 0) + 1
+            rest[m] = rest.get(m, 0) + 1
             continue
         d = _brent_rho(m)
         stack.append(d)
         stack.append(m // d)
+    out.update(sorted(rest.items()))
     return out
 
 

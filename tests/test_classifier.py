@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import a_decompose_walk, brute_set_a_member
 
-from c4x4det import classifier
+from c4x4det import classifier, numtheory
 from c4x4det.classifier import (
     Even15,
     Even16,
@@ -21,7 +21,7 @@ from c4x4det.classifier import (
 )
 from c4x4det.errors import EnvelopeExceededError, InternalMismatchError, PreconditionError
 from c4x4det.gdet import det16_direct
-from c4x4det.numtheory import Factorization, is_in_P, is_prime, signed_divisors_1mod8
+from c4x4det.numtheory import factorize, is_in_P, is_prime, signed_divisors_1mod8
 from c4x4det.verification import scan_random
 
 PRIMES_MOD_8 = {r: [p for p in range(3, 200) if p % 8 == r and is_prime(p)] for r in (1, 3, 5, 7)}
@@ -199,6 +199,9 @@ class TestADecompose:
         # of |c|, or 1 when there is none
         cert = a_decompose(n)
         assert cert == a_decompose_walk(n)
+        # classify stops reading primes once e is fixed, or reads them all
+        classifier._classify_unbounded.cache_clear()
+        assert classify(n) == cert
         c = n // (cert.p1 * cert.p2 * cert.p3)
         assert 8 * cert.j + 1 == (1 if e is None else -(abs(c) // e))
 
@@ -326,16 +329,16 @@ class TestValidateOnce:
 @pytest.fixture
 def merged_primes(monkeypatch):
     """Factor as if 11069 * 11093 (both 5 mod 8) were one prime (1 mod 8)."""
-    real = classifier.factorize
+    real = classifier._prime_powers
 
-    def merged(n, envelope=None):
-        exps = dict(real(n, envelope=envelope).factors)
+    def merged(n):
+        exps = dict(real(n))
         if exps.get(11069) == exps.get(11093) == 1:
             del exps[11069], exps[11093]
             exps[11069 * 11093] = 1
-        return Factorization(1 if n > 0 else -1, tuple(sorted(exps.items())))
+        yield from sorted(exps.items())
 
-    monkeypatch.setattr(classifier, "factorize", merged)
+    monkeypatch.setattr(classifier, "_prime_powers", merged)
     classifier._classify_unbounded.cache_clear()
     yield
     classifier._classify_unbounded.cache_clear()
@@ -358,17 +361,116 @@ class TestRejectionCheck:
 
     def test_each_condition(self):
         n = 3069710425
-        whole = Factorization(1, ((5, 2), (11069, 1), (11093, 1)))
+        whole = [(5, 2), (11069, 1), (11093, 1)]
         classifier._check_rejection(n, whole, 4)
         classifier._check_rejection(-n, whole, 4)
         cases = [
-            (Factorization(1, ((5, 2), (11069, 1))), 4, "multiply back"),
-            (Factorization(1, ((5, 2), (11069 * 11093, 1))), 4, "not prime"),
+            ([(5, 2), (11069, 1)], 4, "multiply back"),
+            ([(5, 2), (11069 * 11093, 1)], 4, "not prime"),
             (whole, 3, "more than 3"),
         ]
-        for fac, most, message in cases:
+        for pairs, most, message in cases:
             with pytest.raises(InternalMismatchError, match=message):
-                classifier._check_rejection(n, fac, most)
+                classifier._check_rejection(n, pairs, most)
+
+
+def classify_on_the_whole_factorization(n: int):
+    """What classify must return for n, read off the complete factorization."""
+    if n % 16 == 9:
+        cert = classifier._a_certificate(n, factorize(n, envelope=None).factors, [])
+        return cert or NotInS(Reason.ODD_A_NO_DECOMPOSITION)
+    if n % 2:
+        return OddOne((n - 1) // 16) if n % 16 == 1 else NotInS(Reason.ODD_BAD_RESIDUE)
+    if n == 0 or v2(n) >= 16:
+        return Even16(n // 2**16)
+    if v2(n) < 15:
+        return NotInS(Reason.EVEN_BAD_VALUATION)
+    odd = n >> 15
+    p = next((p for p, _e in factorize(odd, envelope=None).factors if p % 8 == 5), None)
+    return NotInS(Reason.EVEN15_NO_PRIME_IN_P) if p is None else Even15(p, odd // p)
+
+
+P_BELOW_2000 = [p for p in range(5, 2000, 8) if is_prime(p)]
+P_BELOW_30000 = [p for p in range(5, 30000, 8) if is_prime(p)]
+
+
+def stop_rule_values(source: str, rng) -> list:
+    """Seeded determinants at one coefficient bound, or values drawn as in one
+    witness_mix stratum of the benchmark (set A and 2^15 with small primes 5 mod 8)."""
+    if source.startswith("bound-"):
+        bound = int(source[len("bound-"):])
+        return [det16_direct([rng.randint(-bound, bound) for _ in range(16)]) for _ in range(400)]
+    values = []
+    for _ in range(400):
+        if source == "odd_16m_plus_1":
+            n = 16 * rng.randint(-(10**12 // 16), 10**12 // 16) + 1
+        elif source == "set_a":
+            p1, p2, p3 = (rng.choice(P_BELOW_2000) for _ in range(3))
+            n = (8 * rng.randint(-500, 500) + 1) * (8 * rng.randint(-500, 500) - 3) * p1 * p2 * p3
+            n = n if n % 16 == 9 else 9 * n  # 9 * (8j+1) is 8j'+1 with the other parity
+        elif source == "pow2_15":
+            n = 2**15 * rng.choice(P_BELOW_30000) * (2 * rng.randint(-500, 500) + 1)
+        elif source == "pow2_16":
+            n = 2**16 * rng.randint(-(10**12 >> 16), 10**12 >> 16)
+        else:
+            n = rng.randint(-(10**12), 10**12)
+        values.append(n)
+    return values
+
+
+# primes above 2**40: a cofactor holding two of them is out of reach of trial
+# division, so its split needs rho
+BIG_P = (1099511627791, 1099511627803, 1099511627831, 1099511627873)
+
+
+class TestStopRule:
+    """classify reads the ascending primes only until the certificate is fixed."""
+
+    @pytest.mark.parametrize(
+        "source",
+        ["bound-9", "bound-1000", "odd_16m_plus_1", "set_a", "pow2_15", "pow2_16", "uniform"],
+    )
+    def test_classify_matches_the_whole_factorization(self, source):
+        rng = random.Random(source)
+        values = stop_rule_values(source, rng)
+        classifier._classify_unbounded.cache_clear()
+        for n in values:
+            assert classify(n, envelope=None) == classify_on_the_whole_factorization(n), n
+
+    @pytest.fixture
+    def no_rho(self, monkeypatch):
+        def refused(n):
+            raise AssertionError(f"rho asked to split {n}")
+
+        monkeypatch.setattr(numtheory, "_brent_rho", refused)
+        classifier._classify_unbounded.cache_clear()
+        yield
+        classifier._classify_unbounded.cache_clear()
+
+    @pytest.mark.parametrize(
+        "small, big, e",
+        [
+            (3 * 5 * 13 * 29, (BIG_P[0], BIG_P[3]), 3),  # r = 3, read before the triple
+            (-(5 * 13 * 29 * 37), (BIG_P[2], BIG_P[3]), 37),  # r = 5, a fourth prime
+            (-(3 * 7 * 5 * 13 * 29 * 37), (BIG_P[1], BIG_P[3]), 3 * 7),  # the pair, below 37
+        ],
+        ids=["single-3", "fourth-p-37", "pair-3*7"],
+    )
+    def test_set_a_needs_no_rho_past_the_class_r_prime(self, small, big, e, no_rho):
+        n = small * big[0] * big[1]
+        assert n % 16 == 9 and all(is_prime(p) for p in big)
+        c = n // (5 * 13 * 29)
+        d = -(abs(c) // e)
+        assert classify(n, envelope=None) == OddA((d - 1) // 8, (c // d + 3) // 8, 5, 13, 29)
+
+    @pytest.mark.parametrize(
+        "small, p",
+        [(5, 5), (3 * 5, 5), (-7 * 13, 13)],
+        ids=["5", "3*5", "-7*13"],
+    )
+    def test_even15_needs_no_rho_past_the_first_prime_5_mod_8(self, small, p, no_rho):
+        odd = small * BIG_P[0] * BIG_P[1]
+        assert classify(2**15 * odd, envelope=None) == Even15(p, odd // p)
 
 
 class TestConsistencyWithDeterminants:

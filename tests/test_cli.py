@@ -87,19 +87,21 @@ class TestClassify:
         }
 
     def test_factorization_failure_exits_2(self, capsys, monkeypatch):
-        from c4x4det import classifier
+        from c4x4det import classifier, numtheory
         from c4x4det.errors import FactorizationError
 
-        def gave_up(n, envelope=None):
+        def gave_up(n):
             raise FactorizationError(f"rho failed to split {n}")
 
-        monkeypatch.setattr(classifier, "factorize", gave_up)
+        monkeypatch.setattr(numtheory, "_brent_rho", gave_up)
         classifier._classify_unbounded.cache_clear()
-        code, out, err = run_cli(capsys, "classify", "4188009")  # 9 mod 16: set A
+        # 9 mod 16 with no prime 5 mod 8: the rejection reads every prime, so
+        # the survivor 11003 * 11083 above the trial bound squared goes to rho
+        code, out, err = run_cli(capsys, "classify", "121946249")
         classifier._classify_unbounded.cache_clear()
         assert code == 2
         assert out == ""
-        assert err.splitlines() == ["error: rho failed to split 4188009"]
+        assert err.splitlines() == ["error: rho failed to split 121946249"]
 
     def test_envelope_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "classify", str(10**13))
@@ -240,6 +242,17 @@ class TestScan:
             cli.main(["scan", "--support", "0,x,1"])
         assert exc.value.code == 2
 
+    def test_bound_1e7_scan_finishes(self):
+        # set-A cofactors at this bound often hold two primes above the trial
+        # bound; classify fixes the certificate before rho would split them
+        done = subprocess.run(
+            [sys.executable, "-m", "c4x4det", "scan", "--random", "50", "--bound", "10000000",
+             "--seed", "0"],
+            capture_output=True, text=True, env=cli_env(), timeout=20,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("PASS: 50 tuples, 50 distinct values, 0 violations, ")
+
 
 class TestSelfcheck:
     def test_small_clean_run(self, capsys):
@@ -365,10 +378,15 @@ class TestArgv:
 SRC = Path(cli.__file__).resolve().parent.parent
 
 
+def cli_env() -> dict:
+    """The environment, with this checkout's package first on ``PYTHONPATH``."""
+    path = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
 def run_with_stdout(stdout, unbuffered=False, **options):
     """``python -m c4x4det classify 17`` with ``stdout`` as its stdout."""
-    path = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    env = cli_env()
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from c4x4det import numtheory
-from c4x4det.classifier import _classify_unbounded
+from c4x4det import classifier, numtheory
 from c4x4det.errors import EnvelopeExceededError, InternalMismatchError, PreconditionError
 from c4x4det.numtheory import (
     ENVELOPE,
@@ -252,12 +251,12 @@ class TestTrialTable:
 
 
 class TestTrialScreen:
-    """The gcd-screened trial division returns what the plain loop returns."""
+    """The gcd-screened trial division yields what the plain loop returns."""
 
     @staticmethod
     def assert_same(n):
-        got = numtheory._factor_unsigned(n)
-        assert list(got.items()) == list(factor_unsigned_loop(n).items()), n
+        got = list(numtheory._prime_powers(n))
+        assert got == list(factor_unsigned_loop(n).items()), n
 
     def test_seeded_values_below_1e12(self):
         rng = random.Random(31337)
@@ -302,23 +301,23 @@ class TestTrialScreen:
         for i, j in ((0, 1), (0, 63), (5, 9), (62, 63)):
             walked.clear()
             n = chunk[i] * chunk[j] ** 2
-            assert numtheory._factor_unsigned(n) == {chunk[i]: 1, chunk[j]: 2}
+            assert list(numtheory._prime_powers(n)) == [(chunk[i], 1), (chunk[j], 2)]
             assert walked == list(chunk[: j + 1]), (i, j)
         # a gcd that is one prime is divided out without a walk
         walked.clear()
-        assert numtheory._factor_unsigned(317**3 * 1000003) == {317: 3, 1000003: 1}
+        assert list(numtheory._prime_powers(317**3 * 1000003)) == [(317, 3), (1000003, 1)]
         assert walked == []
 
     def test_values_the_scans_factorize(self, monkeypatch):
         seen = []
-        screened = numtheory._factor_unsigned
+        screened = classifier._prime_powers
 
         def recording(n):
             seen.append(n)
             return screened(n)
 
-        monkeypatch.setattr(numtheory, "_factor_unsigned", recording)
-        _classify_unbounded.cache_clear()
+        monkeypatch.setattr(classifier, "_prime_powers", recording)
+        classifier._classify_unbounded.cache_clear()
         for seed in range(10):
             scan_random(32, 9, seed=seed)
         assert len(seen) > 50

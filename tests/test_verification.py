@@ -147,6 +147,14 @@ class TestPool:
         assert [p.max_workers for p in fake_pool] == [4]
         assert report.tuples_checked == 100 and report.ok
 
+    def test_a_serial_scan_never_asks_for_the_cpu_count(self, monkeypatch):
+        def refused():
+            raise AssertionError("os.cpu_count() called")
+
+        monkeypatch.setattr(os, "cpu_count", refused)
+        assert scan_random(10, 3, seed=0).ok
+        assert scan_exhaustive((0, 1), limit=100).ok
+
     def test_jobs_within_cpu_count_kept(self, fake_pool):
         scan_random(10, 3, seed=0, jobs=3)
         assert [p.max_workers for p in fake_pool] == [3]
