@@ -11,7 +11,7 @@ spectral route multiplies the four Gaussian character-block determinants.
 """
 
 from c4x4det import derive, det16_direct, det16_factored, det16_spectral
-from c4x4det.gdet import factored_pieces, group_matrix, spectral_factors
+from c4x4det.gdet import factored_pieces, spectral_factors
 
 a = (2,) + (1,) * 15
 
@@ -37,5 +37,6 @@ print()
 print("spectral factors:", spectral_factors(a))
 print()
 
-row = group_matrix(a)[0]
+# row g = 0 of M[g][h] = a[g*h^-1]: entry h reads a at h^-1, (-r, -s) mod 4
+row = [a[(-h & 3) + 4 * (-(h >> 2) & 3)] for h in range(16)]
 print("first matrix row (idx g=0):", row)

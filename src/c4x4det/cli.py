@@ -14,12 +14,15 @@ Options and positionals may come in any order, ``--`` ends the options, and
 a token that ``int()`` accepts is a positional even when it starts with
 ``-`` (``classify -375``).  Option names are spelled in full.  ``-h`` or
 ``--help`` prints ``USAGE`` and exits 0; any other bad argv prints usage and
-one ``c4x4det <command>: error:`` line on stderr and exits 2.
+one ``c4x4det <command>: error:`` line on stderr and exits 2.  The least
+value of each integer option is one table, ``_FLOORS``, which ``main``
+checks before any command runs.
 
 JSON output is line oriented, one document per line, with stable field
 names: value, status, class, params, witness, verified (plus reason on
 rejections).  Integer values are rendered as decimal strings so consumers
-never squeeze them through a float.
+never squeeze them through a float.  Each record class maps to its document
+class and param names in one table, ``_DOCUMENTS``.
 """
 
 from __future__ import annotations
@@ -54,44 +57,29 @@ def witness(n):
     return synthesize(n)
 
 
-def _certificate_fields(cls):
-    if isinstance(cls, OddOne):
-        return "odd_16m_plus_1", {"m": str(cls.m)}
-    if isinstance(cls, OddA):
-        return "set_A", {
-            "j": str(cls.j),
-            "k": str(cls.k),
-            "p1": str(cls.p1),
-            "p2": str(cls.p2),
-            "p3": str(cls.p3),
-        }
-    if isinstance(cls, Even15):
-        return "pow2_15", {"p": str(cls.p), "cofactor": str(cls.odd_cofactor)}
-    if isinstance(cls, Even16):
-        return "pow2_16", {"m": str(cls.m)}
-    raise TypeError(f"no document form for {cls!r}")
+# record class: (document class, param names in the order of the record's fields)
+_DOCUMENTS = {
+    OddOne: ("odd_16m_plus_1", ("m",)),
+    OddA: ("set_A", ("j", "k", "p1", "p2", "p3")),
+    Even15: ("pow2_15", ("p", "cofactor")),
+    Even16: ("pow2_16", ("m",)),
+    NotInS: (None, ()),
+}
 
 
 def _document(n, cls, witness_vec=None) -> dict:
-    if isinstance(cls, NotInS):
-        return {
-            "value": str(n),
-            "status": "not_in_S",
-            "class": None,
-            "params": {},
-            "reason": str(cls.reason),
-            "witness": None,
-            "verified": False,
-        }
-    klass, params = _certificate_fields(cls)
-    return {
+    klass, names = _DOCUMENTS[type(cls)]
+    doc = {
         "value": str(n),
-        "status": "in_S",
+        "status": "not_in_S" if klass is None else "in_S",
         "class": klass,
-        "params": params,
-        "witness": list(witness_vec) if witness_vec is not None else None,
+        "params": dict(zip(names, map(str, cls._values()))),
+        "witness": None if witness_vec is None else list(witness_vec),
         "verified": witness_vec is not None,
     }
+    if klass is None:
+        doc["reason"] = str(cls.reason)
+    return doc
 
 
 def _emit_document(doc: dict, as_json: bool) -> None:
@@ -105,7 +93,7 @@ def _emit_document(doc: dict, as_json: bool) -> None:
         print(f"in_S {doc['class']} {params}".rstrip())
         if doc["witness"] is not None:
             print("witness:", " ".join(str(x) for x in doc["witness"]))
-            print("verified:", "true" if doc["verified"] else "false")
+            print("verified: true")
     else:
         print(f"not_in_S {doc['reason']}")
 
@@ -130,44 +118,25 @@ def _cmd_eval(args) -> int:
 def _cmd_classify(args) -> int:
     cls = classify(args.value)
     _emit_document(_document(args.value, cls), args.json)
-    return EXIT_OK if not isinstance(cls, NotInS) else EXIT_NEGATIVE
+    return EXIT_NEGATIVE if isinstance(cls, NotInS) else EXIT_OK
 
 
 def _cmd_witness(args) -> int:
     try:
         vec, cls = witness(args.value)
     except NotAttainableError as exc:
-        _emit_document(_document(args.value, NotInS(exc.reason)), args.json)
-        return EXIT_NEGATIVE
+        vec, cls = None, NotInS(exc.reason)
     _emit_document(_document(args.value, cls, witness_vec=vec), args.json)
-    return EXIT_OK
+    return EXIT_NEGATIVE if vec is None else EXIT_OK
 
 
 def _parse_support(text: str):
     return tuple(int(part) for part in text.split(","))
 
 
-def _within_floors(command: str, floors) -> bool:
-    """False, after one stderr line, if some (flag, value, least) has value < least."""
-    for flag, value, least in floors:
-        if value is not None and value < least:
-            print(f"{command}: {flag} must be at least {least}, got {value}", file=sys.stderr)
-            return False
-    return True
-
-
 def _cmd_scan(args) -> int:
     from .verification import scan_exhaustive, scan_random
 
-    floors = (
-        ("--random", args.random, 1),
-        ("--bound", args.bound, 0),
-        ("--limit", args.limit, 1),
-        ("--jobs", args.jobs, 1),
-        ("--seed", args.seed, 0),
-    )
-    if not _within_floors("scan", floors):
-        return EXIT_USAGE
     if args.random is not None and args.support is not None:
         print("scan: --support and --random cannot be combined", file=sys.stderr)
         return EXIT_USAGE
@@ -197,16 +166,11 @@ def _cmd_scan(args) -> int:
 def _cmd_selfcheck(args) -> int:
     from .verification import scan_random, window_roundtrip
 
-    floors = (("--samples", args.samples, 1), ("--seed", args.seed, 0))
-    if not _within_floors("selfcheck", floors):
-        return EXIT_USAGE
     scan = scan_random(args.samples, 9, args.seed)
     print("oracle agreement:", scan.summary())
     window = window_roundtrip(range(-args.samples, args.samples + 1))
     print("witness round-trip:", window.summary())
-    for line in scan.json_lines():
-        print(line)
-    for line in window.json_lines():
+    for line in [*scan.json_lines(), *window.json_lines()]:
         print(line)
     return EXIT_OK if scan.ok and window.ok else EXIT_NEGATIVE
 
@@ -226,6 +190,10 @@ _GRAMMAR = {
     ),
     "selfcheck": (_cmd_selfcheck, None, 0, {"samples": 1000, "seed": 0}, ()),
 }
+
+# The least value of each integer option, checked in this order: the first
+# option below its floor is named in one stderr line, and the exit is 2.
+_FLOORS = {"random": 1, "bound": 0, "limit": 1, "jobs": 1, "samples": 1, "seed": 0}
 
 
 def _usage_error(command, message):
@@ -257,7 +225,7 @@ def _is_option(token) -> bool:
 
 
 def _parse(argv):
-    """(handler, namespace of its arguments) for ``argv``, or SystemExit.
+    """(command, namespace of its arguments) for ``argv``, or SystemExit.
 
     Help exits 0 with ``USAGE`` on stdout; any other bad argv exits 2 with
     nothing on stdout.
@@ -269,7 +237,7 @@ def _parse(argv):
         raise SystemExit(EXIT_OK)
     if command not in _GRAMMAR:
         _usage_error(None, "missing command" if command is None else f"unknown command {command!r}")
-    handler, name, count, options, switches = _GRAMMAR[command]
+    _, name, count, options, switches = _GRAMMAR[command]
     values = dict(options, **dict.fromkeys(switches, False))
     positionals = []
     options_done = False
@@ -304,13 +272,18 @@ def _parse(argv):
                               f"got {len(positionals)}")
     if count:
         values[name] = positionals[0] if count == 1 else positionals
-    return handler, SimpleNamespace(**values)
+    return command, SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
-    handler, args = _parse(sys.argv[1:] if argv is None else argv)
+    command, args = _parse(sys.argv[1:] if argv is None else argv)
+    for key, least in _FLOORS.items():
+        value = getattr(args, key, None)
+        if value is not None and value < least:
+            print(f"{command}: --{key} must be at least {least}, got {value}", file=sys.stderr)
+            return EXIT_USAGE
     try:
-        return handler(args)
+        return _GRAMMAR[command][0](args)
     except (EnvelopeExceededError, FactorizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -123,18 +123,6 @@ _B_PM, _B_MP, _B_MM = (
 _DET_N_CACHE_SIZE = 256
 
 
-def group_matrix(a):
-    """The 16x16 matrix M[g][h] = a[g*h^-1] with elements (r, s) at r + 4*s.
-
-    g*h^-1 is componentwise subtraction mod 4, spelled out once in
-    ``_GROUP_INDEX``; :func:`det16_direct` gathers from the same table, and
-    the demo and the tests use this builder.
-    """
-    if len(a) != 16:
-        raise ValueError(f"expected 16 coefficients, got {len(a)}")
-    return [[a[t] for t in row] for row in _GROUP_INDEX]
-
-
 def _det3(m) -> int:
     # Cofactor expansion of the 3x3 matrix m, row by row, along row 0.
     a, b, c, d, e, f, g, h, i = m

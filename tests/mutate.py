@@ -51,10 +51,6 @@ LEIBNIZ_TEST = (
     "tests/test_gdet.py::TestDet16"
     "::test_cofactor_expansions_are_the_leibniz_formula"
 )
-EIGENVECTOR_TEST = (
-    "tests/test_gdet.py::TestCharacterFactorization"
-    "::test_each_character_is_an_eigenvector_of_the_group_matrix"
-)
 SPECTRAL_TEST = (
     "tests/test_gdet.py::TestCharacterFactorization"
     "::test_spectral_blocks_are_products_of_eigenvalues"
@@ -90,6 +86,7 @@ ORDER_TEST = (
     "tests/test_verification.py::TestScanFindsClassifierRegressions"
     "::test_violations_match_brute_force_in_order"
 )
+GROUP_INDEX_TEST = "tests/test_gdet.py::TestDet16::test_group_index_is_g_times_h_inverse"
 
 # det16_factored's two pairs of even sums, written as the one four-name line
 # they replace: CPython builds and unpacks a tuple for it
@@ -115,20 +112,19 @@ MUTANTS = (
      "    es, et, fs, ft = e0 + e2, e1 + e3, o0 + o2, o1 + o3\n", PACKING_TEST, None),
     ("gdet.py", "pr * qi + pi * qr", "pr * qi - pi * qr", SPECTRAL_TEST, None),
     ("gdet.py", "r0, -w0", "r0, w0", SPECTRAL_TEST, None),
-    ("gdet.py", "+ 4 * (((g >> 2)", "+ 2 * (((g >> 2)", EIGENVECTOR_TEST, None),
-    # Swapping g and h in one coordinate permutes the rows and columns of M
-    # alike, and in both transposes it: det M is unchanged either way.  Not
-    # equivalent, though: chi_(k,l) then has the eigenvalue of chi_(-k,l)
-    # or chi_(-k,-l), and det16_direct's coset tables, built from the same
-    # index table at import, cannot be built: gdet no longer imports.
+    ("gdet.py", "+ 4 * (((g >> 2)", "+ 2 * (((g >> 2)", GROUP_INDEX_TEST, None),
+    # The index table with g and h swapped in one coordinate, or in both
+    # (its transpose): det16_direct's coset tables, built from it at
+    # import, cannot be built, so gdet no longer imports.
     ("gdet.py", "(((g & 3) - (h & 3)) & 3)", "(((h & 3) - (g & 3)) & 3)",
-     EIGENVECTOR_TEST, None),
+     GROUP_INDEX_TEST, None),
     ("gdet.py", "(((g & 3) - (h & 3)) & 3) + 4 * (((g >> 2) - (h >> 2)) & 3)",
-     "(((h & 3) - (g & 3)) & 3) + 4 * (((h >> 2) - (g >> 2)) & 3)", EIGENVECTOR_TEST, None),
-    # the same transpose in group_matrix alone, so gdet still imports: only
-    # the eigenvector test sees it
-    ("gdet.py", "for t in row] for row in _GROUP_INDEX]",
-     "for t in row] for row in zip(*_GROUP_INDEX)]", EIGENVECTOR_TEST, None),
+     "(((h & 3) - (g & 3)) & 3) + 4 * (((h >> 2) - (g >> 2)) & 3)", GROUP_INDEX_TEST, None),
+    # the table of g*h: gdet imports and every determinant is unchanged, as
+    # M has its columns h and h^-1 swapped, an even permutation; the test
+    # that pins the table and the one that reads the gathered blocks see it
+    ("gdet.py", "(((g & 3) - (h & 3)) & 3) + 4 * (((g >> 2) - (h >> 2)) & 3)",
+     "(((g & 3) + (h & 3)) & 3) + 4 * (((g >> 2) + (h >> 2)) & 3)", GROUP_INDEX_TEST, None),
     ("gdet.py", "    check_coefficients(a)\n", "", "tests/test_gdet.py", None),
     ("gdet.py", "return s * _det_n(", "return _det_n(", "tests/test_gdet.py", None),
     ("gdet.py", "s = sum(a)\n", "s = sum(a[1:])\n", "tests/test_gdet.py", None),
@@ -210,6 +206,9 @@ MUTANTS = (
      "(1, 1): (0, 0, 0, 0, 0, 0, -1, -1, 0, -1, 0, 0, -1, -1, -1, 0),",
      "tests/test_witness.py", None),
     ("verification.py", "violations.extend(v)", "violations[:0] = v", ORDER_TEST, None),
+    # a random scan that drops every classifier rejection
+    ("verification.py", "            violations.append((a, value, cls))\n", "            pass\n",
+     "tests/test_verification.py::TestScanFindsClassifierRegressions", None),
     ("verification.py", "factors = [(x,) for x in prefix] + [support] * (16 - len(prefix))",
      "factors = [support] * (16 - len(prefix)) + [(x,) for x in prefix]", BOUNDARY_TEST, None),
     ("verification.py", "tuples = islice(product(*factors), count)",
@@ -226,6 +225,15 @@ MUTANTS = (
     ("verification.py", "if r < n]", "if r <= n]", STREAM_TEST, None),
     ("verification.py", "k = n.bit_length()\n", "k = n.bit_length() + 1\n", STREAM_TEST,
      None),
+    # the option floors: seed -1 passes the command line (scan_random then
+    # raises), and --seed is named before --samples
+    ("cli.py", '"samples": 1, "seed": 0}', '"samples": 1, "seed": -1}', "tests/test_golden.py",
+     None),
+    ("cli.py", '"samples": 1, "seed": 0}', '"seed": 0, "samples": 1}', "tests/test_golden.py",
+     None),
+    # the set-A document names j's value k and k's value j
+    ("cli.py", '("j", "k", "p1", "p2", "p3")', '("k", "j", "p1", "p2", "p3")',
+     "tests/test_golden.py", None),
     # an unwritable stdout read as "not in S"
     ("cli.py", "        code = EXIT_USAGE\n", "        code = EXIT_NEGATIVE\n",
      "tests/test_cli.py::TestUnwritableOutput", None),

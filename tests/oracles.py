@@ -11,7 +11,9 @@ factorization, but lists divisors with ``expanded_divisors``, not through
 ``beta_gamma_norms_alt`` are library-free as well: Gaussian integers here
 are plain ``(re, im)`` pairs, combined by ``gauss_add`` and ``gauss_mul``.
 ``det4`` and ``beta_gamma_norms`` are the closed forms whose products
-``gdet.factored_pieces`` splits into its ten integer pieces.  ``Poly`` runs
+``gdet.factored_pieces`` splits into its ten integer pieces.
+``group_matrix`` spells out ``g*h^-1`` itself, so the literal-matrix
+referee shares no index table with ``gdet.det16_direct``.  ``Poly`` runs
 integer code on free variables, so a formula can be checked as a polynomial
 identity.
 """
@@ -208,6 +210,16 @@ def a_decompose_walk(n: int):
             if (j - k - l - m - nn) % 2 != 0:
                 return OddA(j, k, p1, p2, p3)
     return None
+
+
+def group_matrix(a) -> list:
+    """The 16x16 matrix M[g][h] = a[g*h^-1] of C4 x C4, element (r, s) at r + 4*s.
+
+    g*h^-1 is componentwise subtraction mod 4.
+    """
+    if len(a) != 16:
+        raise ValueError(f"expected 16 coefficients, got {len(a)}")
+    return [[a[(g - h) % 4 + 4 * ((g // 4 - h // 4) % 4)] for h in range(16)] for g in range(16)]
 
 
 def gauss_add(x, y, sign=1) -> tuple:

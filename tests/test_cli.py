@@ -86,6 +86,15 @@ class TestClassify:
             "verified": False,
         }
 
+    @pytest.mark.parametrize("value, line", [
+        ("17", "in_S odd_16m_plus_1 m=1"),
+        ("-922179077671", "in_S set_A j=0 k=-13 p1=2029 p2=2053 p3=2069"),
+        ("491520", "in_S pow2_15 p=5 cofactor=3"),
+        ("131072", "in_S pow2_16 m=2"),
+    ])
+    def test_params_follow_the_certificate_fields(self, capsys, value, line):
+        assert run_cli(capsys, "classify", "--", value) == (0, line + "\n", "")
+
     def test_factorization_failure_exits_2(self, capsys, monkeypatch):
         from c4x4det import classifier, numtheory
         from c4x4det.errors import FactorizationError
@@ -348,6 +357,16 @@ class TestArgv:
         assert exc.value.code == 0
         assert out.out == cli.USAGE and out.err == ""
         assert "c4x4det classify N [--json]" in out.out
+
+    @pytest.mark.parametrize("argv, line", [
+        (("scan", "--jobs", "0", "--bound", "-1"), "scan: --bound must be at least 0, got -1"),
+        (("scan", "--seed", "-1", "--random", "0"), "scan: --random must be at least 1, got 0"),
+        (("selfcheck", "--seed", "-1", "--samples", "0"),
+         "selfcheck: --samples must be at least 1, got 0"),
+    ])
+    def test_the_first_floor_in_table_order_is_named(self, capsys, argv, line):
+        # the floors are checked in one order, whatever the order of the argv
+        assert run_cli(capsys, *argv) == (2, "", line + "\n")
 
     def test_readme_shows_the_help_text(self):
         assert f"```\n{cli.USAGE}```" in README.read_text()

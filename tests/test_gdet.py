@@ -19,7 +19,6 @@ from c4x4det.gdet import (
     det16_factored,
     det16_spectral,
     factored_pieces,
-    group_matrix,
     spectral_factors,
 )
 from c4x4det.verification import scan_exhaustive
@@ -33,6 +32,7 @@ from oracles import (
     det4_gauss,
     gauss_add,
     gauss_mul,
+    group_matrix,
     spectral_factors_gauss,
 )
 
@@ -199,6 +199,12 @@ class TestDet16:
                         for sh in range(4) for rh in range(4)]
         # diagonal carries the identity coefficient
         assert all(m[g][g] == a[0] for g in range(16))
+
+    def test_group_index_is_g_times_h_inverse(self):
+        # det16_direct's gathers are built from _GROUP_INDEX; the table of
+        # g*h (columns h and h^-1 swapped, an even permutation) gives the
+        # same determinants, so no determinant test pins the table
+        assert [list(row) for row in gdet._GROUP_INDEX] == group_matrix(range(16))
 
     @given(coeffs)
     @settings(max_examples=150)

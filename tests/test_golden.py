@@ -1,4 +1,4 @@
-"""Golden outputs: stdout and exit code of fixed CLI runs and of the four demos.
+"""Golden outputs: stdout, stderr and exit code of fixed CLI runs and of the four demos.
 
 Every case runs in this process (the CLI through ``cli.main``, the demos
 through ``runpy``), so a ``python -O`` test run checks the same outputs
@@ -82,6 +82,24 @@ def _cases() -> dict:
             "cli", ["scan", "--random", "300", "--seed", str(seed)]
         )
     cases["selfcheck-50"] = ("cli", ["selfcheck", "--samples", "50"])
+    # every option floor, two bad floors in one argv (the first in floor
+    # order is named), each scan-mode error and one parse error: stderr only
+    for name, argv in (
+        ("scan-floor-random", ["--random", "0"]),
+        ("scan-floor-bound", ["--random", "5", "--bound", "-1"]),
+        ("scan-floor-limit", ["--support", "0,1", "--limit", "0"]),
+        ("scan-floor-jobs", ["--random", "5", "--jobs", "0"]),
+        ("scan-floor-seed", ["--random", "5", "--seed", "-1"]),
+        ("scan-floor-two", ["--jobs", "0", "--bound", "-1"]),
+        ("scan-mode-missing", []),
+        ("scan-mode-both", ["--support", "0,1", "--random", "5"]),
+        ("scan-mode-random-limit", ["--random", "5", "--limit", "3"]),
+        ("scan-mode-support-bound", ["--support", "0,1", "--bound", "3"]),
+        ("scan-mode-support-seed", ["--support", "0,1", "--seed", "3"]),
+    ):
+        cases[name] = ("cli", ["scan", *argv])
+    cases["selfcheck-floor-two"] = ("cli", ["selfcheck", "--samples", "0", "--seed", "-1"])
+    cases["parse-error"] = ("cli", ["classify", "seventeen"])
     for demo in sorted(DEMOS.glob("*.py")):
         cases[f"demo-{demo.stem}"] = ("demo", [demo.name])
     return cases
@@ -94,8 +112,8 @@ _ELAPSED = re.compile(r", \d+\.\d\ds$", re.MULTILINE)
 
 
 def run_case(kind: str, argv: list) -> dict:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         if kind == "cli":
             try:
                 code = cli.main(argv)
@@ -104,7 +122,11 @@ def run_case(kind: str, argv: list) -> dict:
         else:
             runpy.run_path(str(DEMOS / argv[0]), run_name="__main__")
             code = 0
-    return {"code": code, "stdout": _ELAPSED.sub(", <elapsed>s", out.getvalue())}
+    return {
+        "code": code,
+        "stdout": _ELAPSED.sub(", <elapsed>s", out.getvalue()),
+        "stderr": err.getvalue(),
+    }
 
 
 @pytest.fixture(scope="module")

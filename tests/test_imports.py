@@ -141,6 +141,11 @@ class TestLazyExports:
             with pytest.raises(AttributeError, match=name):
                 getattr(module, name)
 
+    def test_removed_group_matrix_raises(self):
+        # the literal 16x16 matrix is a test referee in tests/oracles.py
+        with pytest.raises(AttributeError, match="group_matrix"):
+            gdet.group_matrix
+
     def test_removed_divisor_walk_raises(self):
         # signed_divisors_1mod8 expands the divisors itself
         with pytest.raises(AttributeError, match="divisors_ascending"):

@@ -9,7 +9,7 @@ import identities
 import pytest
 from oracles import Poly
 
-from c4x4det import verification
+from c4x4det import cli, verification
 from c4x4det.classifier import NotInS, Reason, classify
 from c4x4det.gdet import det16_spectral
 from c4x4det.verification import scan_exhaustive, scan_random, window_roundtrip
@@ -433,3 +433,40 @@ class TestScanFindsClassifierRegressions:
                     expected.append((a, value, cls))
             assert len({a[:4] for a, _, _ in expected}) == blocks
             assert list(scan_exhaustive((0, 1), limit=limit).violations) == expected
+
+    @staticmethod
+    def drawn_violations(count, bound, seed):
+        """(a, value, reason) for each drawn tuple that ``_reject_odd`` refuses, in draw order."""
+        expected = []
+        for block, lo in enumerate(range(0, count, 4096)):
+            rng = random.Random(seed * (1 << 32) + block)
+            for _ in range(min(4096, count - lo)):
+                a = tuple(rng.randint(-bound, bound) for _ in range(16))
+                value = det16_spectral(a)
+                cls = _reject_odd(value)
+                if isinstance(cls, NotInS):
+                    expected.append((a, value, cls))
+        return expected
+
+    def test_random_violations_are_the_drawn_tuples_in_order(self, monkeypatch):
+        # 4096 + 50 tuples: the second block's violations follow the first's
+        monkeypatch.setattr(verification, "classify", _reject_odd)
+        expected = self.drawn_violations(4096 + 50, 9, 2)
+        first = self.drawn_violations(4096, 9, 2)
+        assert first and len(expected) > len(first)
+        report = scan_random(4096 + 50, 9, 2)
+        assert not report.ok
+        assert list(report.violations) == expected
+
+    def test_random_scan_prints_each_violation(self, capsys, monkeypatch):
+        monkeypatch.setattr(verification, "classify", _reject_odd)
+        expected = self.drawn_violations(40, 9, 0)
+        assert expected
+        assert cli.main(["scan", "--random", "40"]) == 1
+        summary, *lines = capsys.readouterr().out.splitlines()
+        assert summary.startswith("FAIL: 40 tuples, ")
+        assert f", {len(expected)} violations, " in summary
+        assert [json.loads(line) for line in lines] == [
+            {"coefficients": list(a), "value": str(value), "detail": str(cls)}
+            for a, value, cls in expected
+        ]
