@@ -6,14 +6,13 @@ two-square equations where needed), and re-checks the emitted tuple with
 the direct determinant before handing it back.
 """
 
-from c4x4det import classify, det16_direct, witness
+from c4x4det import classify, witness
 from c4x4det.witness import emit, plan
 
 for n in (17, -375, 1625, 163840, 2**16 * 7, 0):
     vec, cert = witness(n)
     print(f"{n:>8}  {cert}")
     print(f"          witness {tuple(vec)}")
-    assert det16_direct(vec) == n
 
 print()
 print("under the hood: certificate -> plan -> table")

@@ -231,6 +231,12 @@ MUTANTS = (
      None),
     ("cli.py", '"samples": 1, "seed": 0}', '"seed": 0, "samples": 1}', "tests/test_golden.py",
      None),
+    # the text renderer: only the text-mode goldens pin its bytes
+    ("cli.py", 'print("verified: true")', 'print("verified: yes")', "tests/test_golden.py",
+     None),
+    ("cli.py", "print(f\"not_in_S {doc['reason']}\")", "print(f\"not_in_S {doc['value']}\")",
+     "tests/test_golden.py", None),
+    ("cli.py", '" ".join(f"{k}={v}"', '", ".join(f"{k}={v}"', "tests/test_golden.py", None),
     # the set-A document names j's value k and k's value j
     ("cli.py", '("j", "k", "p1", "p2", "p3")', '("k", "j", "p1", "p2", "p3")',
      "tests/test_golden.py", None),

@@ -30,15 +30,6 @@ class TestEval:
         code, out, _ = run_cli(capsys, "eval", *["1"] * 16)
         assert code == 0 and out.strip() == "0"
 
-    def test_explain_factors_multiply_out(self, capsys):
-        args = "3 1 1 1 1 1 2 1 2 1 1 1 1 1 1 1".split()
-        code, out, _ = run_cli(capsys, "eval", "--explain", *args)
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[0] == "327680"
-        assert any("det4(b) = 320" in line for line in lines)
-        assert any("beta_norm = 4" in line for line in lines)
-
     def test_wrong_arity_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["eval", "1", "2", "3"])
@@ -72,19 +63,6 @@ class TestClassify:
         code, out, _ = run_cli(capsys, "classify", "9")
         assert code == 1
         assert out.strip() == "not_in_S odd_a_no_decomposition"
-
-    def test_set_a_json(self, capsys):
-        code, out, _ = run_cli(capsys, "classify", "--json", "--", "-375")
-        assert code == 0
-        doc = json.loads(out)
-        assert doc == {
-            "value": "-375",
-            "status": "in_S",
-            "class": "set_A",
-            "params": {"j": "0", "k": "0", "p1": "5", "p2": "5", "p3": "5"},
-            "witness": None,
-            "verified": False,
-        }
 
     @pytest.mark.parametrize("value, line", [
         ("17", "in_S odd_16m_plus_1 m=1"),
@@ -168,14 +146,6 @@ class TestWitness:
         out = capsys.readouterr()
         assert out.out == ""
         assert "--no-verify" in out.err
-
-    def test_text_output_shape(self, capsys):
-        code, out, _ = run_cli(capsys, "witness", "163840")
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[0] == "in_S pow2_15 p=5 cofactor=1"
-        assert lines[1].startswith("witness: ")
-        assert lines[2] == "verified: true"
 
 
 class TestScan:
@@ -314,9 +284,6 @@ class TestSelfcheck:
         assert '"detail": "witness failed: witness for 1 is wrong"' in out
 
 
-README = Path(__file__).resolve().parent.parent / "README.md"
-
-
 class TestArgv:
     """The grammar table's parser: option forms, ``--``, help and usage errors."""
 
@@ -367,9 +334,6 @@ class TestArgv:
     def test_the_first_floor_in_table_order_is_named(self, capsys, argv, line):
         # the floors are checked in one order, whatever the order of the argv
         assert run_cli(capsys, *argv) == (2, "", line + "\n")
-
-    def test_readme_shows_the_help_text(self):
-        assert f"```\n{cli.USAGE}```" in README.read_text()
 
     @pytest.mark.parametrize("argv, message", [
         ((), "c4x4det: error: missing command"),

@@ -5,10 +5,18 @@ through ``runpy``), so a ``python -O`` test run checks the same outputs
 without ``assert`` statements.  Only the elapsed-seconds fields of scan
 summaries are masked; everything else must match byte for byte.
 
-The goldens live in ``tests/golden.json``.  Re-record them only when a change
-is meant to alter these outputs, and say so in the change:
+The goldens live in ``tests/golden.json``; they are the one pinned copy of
+the command line's bytes.  Re-record them only when a change is meant to
+alter these outputs, and say so in the change:
 
     PYTHONPATH=src python tests/test_golden.py --record
+
+``--replay CMD...`` runs every ``cli`` case again as a process ``CMD argv``,
+so through ``cli.run``, the console script's entry with its flush and exit
+status, prints each mismatch and exits 1 on any:
+
+    python tests/test_golden.py --replay c4x4det
+    PYTHONPATH=src python tests/test_golden.py --replay python -m c4x4det
 """
 
 from __future__ import annotations
@@ -16,8 +24,10 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import re
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -72,10 +82,25 @@ VALUES = (
 def _cases() -> dict:
     cases = {}
     for k, coeffs in enumerate(EVAL_TUPLES):
+        cases[f"eval-{k}"] = ("cli", ["eval", *coeffs.split()])
         cases[f"eval-explain-{k}"] = ("cli", ["eval", "--explain", *coeffs.split()])
     for n in VALUES:
-        cases[f"classify-json-{n}"] = ("cli", ["classify", "--json", "--", str(n)])
-        cases[f"witness-json-{n}"] = ("cli", ["witness", "--json", "--", str(n)])
+        for command in ("classify", "witness"):
+            cases[f"{command}-json-{n}"] = ("cli", [command, "--json", "--", str(n)])
+            cases[f"{command}-text-{n}"] = ("cli", [command, "--", str(n)])
+    # argv forms the cases above do not use: help, no "--" (below, also
+    # before a negative value), an option after the positional
+    cases["help"] = ("cli", ["--help"])
+    cases["classify-17"] = ("cli", ["classify", "17"])
+    # the largest-offset witness in the envelope (36-bit entries)
+    cases["witness-json-999999999985"] = ("cli", ["witness", "999999999985", "--json"])
+    # -(5^3 * 317 * 349 * 11003): two primes named by one chunk's gcd, a
+    # survivor above the trial bound, a composite cofactor
+    cases["witness-json--152161862375"] = ("cli", ["witness", "--json", "--", "-152161862375"])
+    # set-A certificates whose least cofactor divisor e is composite (23*43),
+    # a fourth prime 5 mod 8 (613), or absent (d = 1)
+    for n in (-809264000935, -7057735655, -7078317303):
+        cases[f"classify-{n}"] = ("cli", ["classify", str(n)])
     cases["scan-support"] = ("cli", ["scan", "--support=-1,0,1", "--limit", "4096"])
     for seed in range(4):
         cases[f"scan-random-seed{seed}"] = (
@@ -111,6 +136,10 @@ CASES = _cases()
 _ELAPSED = re.compile(r", \d+\.\d\ds$", re.MULTILINE)
 
 
+def _masked(code, out: str, err: str) -> dict:
+    return {"code": code, "stdout": _ELAPSED.sub(", <elapsed>s", out), "stderr": err}
+
+
 def run_case(kind: str, argv: list) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -122,11 +151,24 @@ def run_case(kind: str, argv: list) -> dict:
         else:
             runpy.run_path(str(DEMOS / argv[0]), run_name="__main__")
             code = 0
-    return {
-        "code": code,
-        "stdout": _ELAPSED.sub(", <elapsed>s", out.getvalue()),
-        "stderr": err.getvalue(),
-    }
+    return _masked(code, out.getvalue(), err.getvalue())
+
+
+def replay(command: list, golden: dict, names=None) -> list:
+    """One line per field in which the process ``[*command, *argv]`` differs from its golden.
+
+    ``names`` defaults to every ``cli`` case.
+    """
+    if names is None:
+        names = sorted(name for name, (kind, _) in CASES.items() if kind == "cli")
+    mismatches = []
+    for name in names:
+        done = subprocess.run([*command, *CASES[name][1]], capture_output=True, text=True,
+                              timeout=120)
+        got = _masked(done.returncode, done.stdout, done.stderr)
+        mismatches += [f"{name}: {field} {got[field]!r}, golden {want!r}"
+                       for field, want in golden[name].items() if got[field] != want]
+    return mismatches
 
 
 @pytest.fixture(scope="module")
@@ -144,13 +186,47 @@ def test_output_matches_golden(golden, name):
     assert run_case(kind, argv) == golden[name]
 
 
+@pytest.fixture
+def module_command(monkeypatch) -> list:
+    """``python -m c4x4det``, importing the package these tests import."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, (src, os.getenv("PYTHONPATH")))))
+    return [sys.executable, "-m", "c4x4det"]
+
+
+def test_replay_agrees_on_each_exit_code(golden, module_command):
+    # exit 0 with an elapsed field to mask, then exit 1 and exit 2
+    names = ["scan-random-seed0", "witness-text-3", "parse-error"]
+    assert [golden[name]["code"] for name in names] == [0, 1, 2]
+    assert replay(module_command, golden, names) == []
+
+
+def test_replay_reports_an_altered_document(golden, module_command):
+    # negative control: one wrong byte in the expected stdout is one mismatch
+    altered = {"classify-17": dict(golden["classify-17"], stdout="in_S odd_16m_plus_1 m=2\n")}
+    assert replay(module_command, altered, ["classify-17"]) == [
+        "classify-17: stdout 'in_S odd_16m_plus_1 m=1\\n', golden 'in_S odd_16m_plus_1 m=2\\n'"
+    ]
+
+
 def _record() -> None:
     doc = {name: run_case(kind, argv) for name, (kind, argv) in CASES.items()}
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(doc)} cases to {GOLDEN}")
 
 
+def _replay(command: list) -> int:
+    mismatches = replay(command, json.loads(GOLDEN.read_text()))
+    for line in mismatches:
+        print(line)
+    print(f"{len(mismatches)} mismatches replaying through {' '.join(command)}")
+    return 1 if mismatches else 0
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
+    if sys.argv[1:] == ["--record"]:
+        _record()
+    elif sys.argv[1:2] == ["--replay"] and sys.argv[2:]:
+        sys.exit(_replay(sys.argv[2:]))
+    else:
         sys.exit(__doc__)
-    _record()
