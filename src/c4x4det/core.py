@@ -133,7 +133,8 @@ def derive(a) -> DerivedSpectra:
 
     and derive is linear in ``a`` componentwise.  The pairs
     ``(d[i], d[i+4])`` are the arguments of spectral block 1 (see
-    :func:`c4x4det.gdet.spectral_factors`).
+    :func:`c4x4det.gdet.spectral_factors`).  The entries are not checked:
+    derive only adds and subtracts them, so it runs on polynomials too.
     """
     if len(a) != 16:
         raise ValueError(f"expected 16 coefficients, got {len(a)}")

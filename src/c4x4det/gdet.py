@@ -36,6 +36,14 @@
   integer pairs throughout; the route calls neither :func:`derive` nor
   :func:`factored_pieces`.
 
+Each public route checks that every entry is an ``int`` (``TypeError``
+otherwise), then runs its kernel: ``_direct``, ``_factored`` or
+``_spectral``.  The scans of :mod:`c4x4det.verification` build their tuples
+of ints and call the kernels, which check nothing; ``_direct`` reads ``a``
+itself and evaluates the blocks unmemoised, as random tuples rarely repeat
+their differences.  :func:`factored_pieces` and :func:`spectral_factors`
+check nothing either: they only add, subtract and multiply.
+
 All three agree exactly on every input; the test suite enforces this both on
 fixed examples and on randomized sweeps.  It proves the pieces against
 reference copies of det4 and the two norms, and the block identity and
@@ -142,15 +150,15 @@ def _det4(m) -> int:
     return s0 * c5 - s1 * c4 + s2 * c3 + s3 * c2 - s4 * c1 + s5 * c0
 
 
-@lru_cache(maxsize=_DET_N_CACHE_SIZE)
-def _det_n(d) -> int:
-    # det M / S = det P' * det B+- * det B-+ * det B-- from the differences
-    # d = a - a[0]: every block depends on a only through them, so the
-    # cache is exact.  d is read coset by coset; a butterfly over z, then
-    # one over w, gives the four signed sums over V at each representative
-    # R_k: p (P), x (B+-), y (B-+) and t (B--).  The 4x4 blocks are skipped
-    # when det P' is 0.
-    e0, z0, w0, zw0, e1, z1, w1, zw1, e2, z2, w2, zw2, e3, z3, w3, zw3 = _READ(d)
+def _blocks(a) -> int:
+    # det M / S = det P' * det B+- * det B-+ * det B-- for the group matrix
+    # M of a.  Every block holds only differences of entries, so a plus an
+    # offset common to every entry, a - a[0] say, gives the same product.
+    # a is read coset by coset; a butterfly over z, then one over w, gives
+    # the four signed sums over V at each representative R_k: p (P),
+    # x (B+-), y (B-+) and t (B--).  The 4x4 blocks are skipped when det P'
+    # is 0.
+    e0, z0, w0, zw0, e1, z1, w1, zw1, e2, z2, w2, zw2, e3, z3, w3, zw3 = _READ(a)
     u0, u1 = e0 + z0, e1 + z1
     u2, u3 = e2 + z2, e3 + z3
     uw0, uw1 = w0 + zw0, w1 + zw1
@@ -172,6 +180,21 @@ def _det_n(d) -> int:
     return (det_p * _det4(_B_PM((x0, x1, x2, x3, -x0, -x1, -x2, -x3)))
             * _det4(_B_MP((y0, y1, y2, y3, -y0, -y1, -y2, -y3)))
             * _det4(_B_MM((t0, t1, t2, t3, -t0, -t1, -t2, -t3))))
+
+
+# det16_direct's memo, keyed on the differences d = a - a[0], so every
+# witness of one family hits the entry of its first.
+_det_n = lru_cache(maxsize=_DET_N_CACHE_SIZE)(_blocks)
+
+
+def _direct(a) -> int:
+    # det16_direct's kernel for the scans: a is a 16-tuple of ints, which is
+    # not checked, and the blocks read a itself, unmemoised, since random
+    # tuples rarely repeat their differences.
+    s = sum(a)
+    if s == 0:
+        return 0
+    return s * _blocks(a)
 
 
 def det16_direct(a) -> int:
@@ -242,6 +265,9 @@ def factored_pieces(a) -> tuple:
     * 3-5: the same three of c, whose product is det4(c);
     * 6-7: the two sums of two squares whose product is the beta norm of d;
     * 8-9: the two sums of two squares whose product is the gamma norm of d.
+
+    The entries are not checked: the pieces are sums, differences and
+    products of them, so the tests expand them on polynomials.
     """
     b, c, d = derive(a)
     pieces = ()
@@ -263,21 +289,8 @@ def factored_pieces(a) -> tuple:
             g * g + h * h, m * m + n * n)
 
 
-def det16_factored(a) -> int:
-    """det4(b) * det4(c) * beta_norm * gamma_norm, the product of :func:`factored_pieces`.
-
-    One frame of its own, with the same linear forms as
-    :func:`factored_pieces`: it multiplies the four real linear pieces
-    ``s-t`` and ``s+t`` of b and of c (``s+t`` of b is ``sum(a)``) into
-    ``lin`` and returns the ``int`` 0 when ``lin`` is 0, without forming
-    the six sums of two squares; otherwise it returns ``lin`` times them.
-    On {-1, 0, 1} entries about a third of all tuples take that exit.  The
-    tests pin this frame to ``prod(factored_pieces(a))`` and to
-    :func:`det16_spectral`.  Unlike :func:`det16_direct`, it does not
-    type-check the entries (the check costs about as much as a whole
-    call): a ``bool`` or a ``float`` entry raises no ``TypeError``, and a
-    float gives a float, or the ``int`` 0 through the zero exit.
-    """
+def _factored(a) -> int:
+    # det16_factored's kernel for the scans: the entries are not checked.
     if len(a) != 16:
         raise ValueError(f"expected 16 coefficients, got {len(a)}")
     a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 = a
@@ -312,6 +325,24 @@ def det16_factored(a) -> int:
             * (u * u + v * v) * (g * g + h * h) * (m * m + n * n))
 
 
+def det16_factored(a) -> int:
+    """det4(b) * det4(c) * beta_norm * gamma_norm, the product of :func:`factored_pieces`.
+
+    One frame of its own, with the same linear forms as
+    :func:`factored_pieces`: it multiplies the four real linear pieces
+    ``s-t`` and ``s+t`` of b and of c (``s+t`` of b is ``sum(a)``) into
+    ``lin`` and returns the ``int`` 0 when ``lin`` is 0, without forming
+    the six sums of two squares; otherwise it returns ``lin`` times them.
+    On {-1, 0, 1} entries about a third of all tuples take that exit.  The
+    tests pin this frame to ``prod(factored_pieces(a))`` and to
+    :func:`det16_spectral`.  As in :func:`det16_direct`, an entry that is
+    not an ``int`` (a ``bool`` or ``2.5`` is not one) raises ``TypeError``
+    first, and then a length other than 16 raises ``ValueError``.
+    """
+    check_coefficients(a)
+    return _factored(a)
+
+
 def spectral_factors(a) -> tuple:
     """The four Gaussian character-block determinants, k = 0..3, as (re, im) pairs.
 
@@ -319,7 +350,9 @@ def spectral_factors(a) -> tuple:
     the arguments ``z_j = sum_s i^{k s} * a[j + 4 s]``.  Block 0 sees the b
     vector and block 2 the c vector of :func:`derive`; block 1 sees the
     pairs ``(d[j], d[j+4])``, and blocks 1 and 3 are complex conjugates of
-    one another.
+    one another.  The entries are not checked: the blocks are sums,
+    differences and products of them, so the tests expand them on
+    polynomials.
     """
     # With e_j/o_j the sums and r_j/w_j the differences of the s-even and
     # s-odd coefficients, z_j is (e+o, 0), (r, w), (e-o, 0) and (r, -w) for
@@ -343,15 +376,8 @@ def spectral_factors(a) -> tuple:
     )
 
 
-def det16_spectral(a) -> int:
-    """Product of the four character-block determinants.
-
-    The product of the four Gaussian factors must be purely real; a nonzero
-    imaginary part can only come from an index-convention bug, so it is a
-    hard failure rather than something to discard.  Unlike
-    :func:`det16_direct`, it does not type-check the entries: a ``bool`` or
-    a ``float`` entry raises no ``TypeError``, and a float gives a float.
-    """
+def _spectral(a) -> int:
+    # det16_spectral's kernel for the scans: the entries are not checked.
     (re, im), (r1, i1), (r2, i2), (r3, i3) = spectral_factors(a)
     re, im = re * r1 - im * i1, re * i1 + im * r1
     re, im = re * r2 - im * i2, re * i2 + im * r2
@@ -361,3 +387,16 @@ def det16_spectral(a) -> int:
             f"spectral product has nonzero imaginary part: {re}{im:+d}i"
         )
     return re
+
+
+def det16_spectral(a) -> int:
+    """Product of the four character-block determinants.
+
+    The product of the four Gaussian factors must be purely real; a nonzero
+    imaginary part can only come from an index-convention bug, so it is a
+    hard failure rather than something to discard.  As in
+    :func:`det16_direct`, an entry that is not an ``int`` (a ``bool`` or
+    ``2.5`` is not one) raises ``TypeError`` first.
+    """
+    check_coefficients(a)
+    return _spectral(a)

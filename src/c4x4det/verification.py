@@ -5,11 +5,18 @@ Two directions are exercised:
 * membership scans (:func:`scan_exhaustive`, :func:`scan_random`) evaluate
   determinants of many coefficient vectors and insist the classifier accepts
   every one of them.  An exhaustive block builds its tuples in C and runs
-  the factored route and :func:`classify` over them as two mapped passes,
+  the factored route and the classifier over them as two mapped passes,
   one call each per tuple; a random block also runs the direct and
   spectral routes on each tuple and requires all three to agree;
 * :func:`window_roundtrip` walks a window of integers, synthesizing and
   re-verifying a witness for every value the classifier accepts.
+
+The scans build their tuples of ints themselves (an exhaustive scan checks
+its support once, up front), so they call the unchecked route kernels of
+:mod:`c4x4det.gdet` and the classifier's unbounded cache directly.  They
+are bound here under the public names ``det16_direct``, ``det16_factored``,
+``det16_spectral`` and ``classify``, and looked up as module globals on
+each call, so a test or a tracer can replace them by name.
 
 Reports are plain data; violations render as one JSON object per line so a
 harness can diff them.  The sampled identity checks of the paper's lemmas
@@ -26,10 +33,13 @@ from collections import deque
 from itertools import islice, product, repeat
 from typing import Iterable, Iterator, Optional
 
-from .classifier import NotInS, classify
-from .core import _Record
+from .classifier import NotInS
+from .classifier import _classify_unbounded as classify
+from .core import _Record, check_coefficients
 from .errors import InternalMismatchError, NotAttainableError
-from .gdet import det16_direct, det16_factored, det16_spectral
+from .gdet import _direct as det16_direct
+from .gdet import _factored as det16_factored
+from .gdet import _spectral as det16_spectral
 from .witness import witness
 
 # Tuples per block (an exhaustive block over a wider support runs its last
@@ -82,7 +92,7 @@ def _exhaustive_block(args):
     support, prefix, count = args
     factors = [(x,) for x in prefix] + [support] * (16 - len(prefix))
     values = list(map(det16_factored, islice(product(*factors), count)))
-    classes = list(map(classify, values, repeat(None)))
+    classes = list(map(classify, values))
     violations = []
     if NotInS in map(type, classes):
         tuples = islice(product(*factors), count)
@@ -120,8 +130,10 @@ def _random_block(args):
     """(checked, violations, seen values) over one block of seeded random tuples.
 
     The direct, factored and spectral routes must agree on each tuple before
-    its value is classified.  The routes and ``classify`` are looked up as
-    module globals on each call, so they can be wrapped by name.  The
+    its value is classified.  The route kernels and the unbounded
+    classifier are bound under the names ``det16_direct``,
+    ``det16_factored``, ``det16_spectral`` and ``classify`` and looked up
+    as module globals on each call, so they can be wrapped by name.  The
     block's ``16 * size`` entries are drawn up front by :func:`_draw`, so
     the sample stream is ``randint(-bound, bound)``'s, and ``zip`` cuts
     them into 16-tuples.
@@ -144,7 +156,7 @@ def _random_block(args):
                 f"factored={value} spectral={spectral}",
             ))
             continue
-        cls = classify(value, envelope=None)
+        cls = classify(value)
         if isinstance(cls, NotInS):
             violations.append((a, value, cls))
     return size, violations, seen
@@ -199,10 +211,13 @@ def scan_exhaustive(
     ``limit`` caps the number of tuples; *violations* collects any vector
     whose value the classifier rejects (there should never be one).  Blocks
     are generated as they are consumed, so memory does not grow with
-    ``|support|**16``.  An empty support or a ``limit`` below 1 raises
-    :class:`ValueError`.
+    ``|support|**16``.  A support entry that is not an ``int`` (a ``bool``
+    or ``0.5`` is not one) raises :class:`TypeError` before any block runs;
+    an empty support or a ``limit`` below 1 raises :class:`ValueError`.
     """
-    supp = tuple(sorted(set(support)))
+    entries = tuple(support)
+    check_coefficients(entries)
+    supp = tuple(sorted(set(entries)))
     if not supp:
         raise ValueError("support must be nonempty")
     if limit is not None and limit < 1:

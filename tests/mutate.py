@@ -87,6 +87,13 @@ ORDER_TEST = (
     "::test_violations_match_brute_force_in_order"
 )
 GROUP_INDEX_TEST = "tests/test_gdet.py::TestDet16::test_group_index_is_g_times_h_inverse"
+ENTRY_TEST = (
+    "tests/test_gdet.py::TestKernels::test_a_public_route_refuses_an_entry_that_is_not_an_int"
+)
+SUPPORT_TEST = (
+    "tests/test_verification.py::TestScansCallTheKernels"
+    "::test_a_support_entry_that_is_not_an_int_raises_before_any_block"
+)
 
 # det16_factored's two pairs of even sums, written as the one four-name line
 # they replace: CPython builds and unpacks a tuple for it
@@ -125,10 +132,21 @@ MUTANTS = (
     # that pins the table and the one that reads the gathered blocks see it
     ("gdet.py", "(((g & 3) - (h & 3)) & 3) + 4 * (((g >> 2) - (h >> 2)) & 3)",
      "(((g & 3) + (h & 3)) & 3) + 4 * (((g >> 2) + (h >> 2)) & 3)", GROUP_INDEX_TEST, None),
-    ("gdet.py", "    check_coefficients(a)\n", "", "tests/test_gdet.py", None),
+    # det16_direct, then the entry checks of the other two public routes
+    ("gdet.py", "    a = tuple(a)\n    check_coefficients(a)\n", "    a = tuple(a)\n",
+     "tests/test_gdet.py", None),
+    ("gdet.py", "    check_coefficients(a)\n    return _factored(a)\n",
+     "    return _factored(a)\n", ENTRY_TEST, None),
+    ("gdet.py", "    check_coefficients(a)\n    return _spectral(a)\n",
+     "    return _spectral(a)\n", ENTRY_TEST, None),
     ("gdet.py", "return s * _det_n(", "return _det_n(", "tests/test_gdet.py", None),
-    ("gdet.py", "s = sum(a)\n", "s = sum(a[1:])\n", "tests/test_gdet.py", None),
-    ("gdet.py", "if s == 0:", "if s <= 0:", "tests/test_gdet.py", None),
+    ("gdet.py", 'got {len(a)}")\n    s = sum(a)\n', 'got {len(a)}")\n    s = sum(a[1:])\n',
+     "tests/test_gdet.py", None),
+    ("gdet.py", "if s == 0:\n        return 0\n    return s * _det_n(",
+     "if s <= 0:\n        return 0\n    return s * _det_n(", "tests/test_gdet.py", None),
+    # the scans' direct kernel without the factor sum(a)
+    ("gdet.py", "return s * _blocks(a)", "return _blocks(a)",
+     "tests/test_gdet.py::TestKernels::test_the_direct_kernel_is_det16_direct", None),
     ("gdet.py", "    a = tuple(a)\n", "", "tests/test_gdet.py", None),
     ("gdet.py", "- s1 * c4", "+ s1 * c4", LEIBNIZ_TEST, None),
     ("gdet.py", "b * (f * g - d * i)", "b * (d * i - f * g)", LEIBNIZ_TEST, None),
@@ -158,7 +176,8 @@ MUTANTS = (
     # evaluations of the blocks see it
     ("gdet.py", "_det_n(tuple(map(sub, a, repeat(a[0]))))", "_det_n(a)",
      "tests/test_gdet.py::TestDirectMemo", None),
-    ("gdet.py", "@lru_cache(maxsize=_DET_N_CACHE_SIZE)", "@lru_cache(maxsize=None)",
+    ("gdet.py", "lru_cache(maxsize=_DET_N_CACHE_SIZE)(_blocks)",
+     "lru_cache(maxsize=None)(_blocks)",
      "tests/test_gdet.py::TestDirectMemo", None),
     ("gdet.py", "repeat(a[0])", "repeat(a[1])", "tests/test_gdet.py",
      "P' and the 4x4 blocks are offset-invariant: a - a[1] gives the same blocks and "
@@ -214,6 +233,8 @@ MUTANTS = (
     ("verification.py", "tuples = islice(product(*factors), count)",
      "tuples = islice(product(*factors), 1, count + 1)", ORDER_TEST, None),
     ("verification.py", "seen |= s", "seen = s", BOUNDARY_TEST, None),
+    # a non-integer support reaches the blocks
+    ("verification.py", "    check_coefficients(entries)\n", "", SUPPORT_TEST, None),
     ("verification.py", "min(size, total - lo)", "size",
      "tests/test_verification.py::TestScanExhaustive::test_binary_support_small_limit", None),
     # the sample stream of scan_random: only its golden outputs pin it, and

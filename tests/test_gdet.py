@@ -1,5 +1,6 @@
 import dis
 import random
+import re
 import types
 from collections import Counter
 from fractions import Fraction
@@ -361,10 +362,10 @@ class TestDet16:
         # P' and one for each 4x4 block
         assert seen == Counter({tuple: 20 * 6})
 
-    def test_gathered_blocks_are_the_coset_blocks_of_the_group_matrix(
-            self, monkeypatch, fresh_det_n):
+    def test_gathered_blocks_are_the_coset_blocks_of_the_group_matrix(self, monkeypatch):
         # on free variables, so every entry names the coefficients it adds
-        # and subtracts; a Poly is unhashable, so _det_n runs uncached
+        # and subtracts: through the kernel, which checks no entry and
+        # gathers from the entries themselves
         x = Poly.variables(16)
         splits = klein_split(x)
         for m in splits:
@@ -378,11 +379,9 @@ class TestDet16:
         assert (sum(a) * det_gauss_slow(p_diff) * prod(map(det_gauss_slow, b))
                 == det_gauss_slow(group_matrix(a)))
         seen = []
-        monkeypatch.setattr(gdet, "check_coefficients", lambda a: None)
-        monkeypatch.setattr(gdet, "_det_n", gdet._det_n.__wrapped__)
         monkeypatch.setattr(gdet, "_det3", lambda m: seen.append(m) or 1)
         monkeypatch.setattr(gdet, "_det4", lambda m: seen.append(m) or 1)
-        assert det16_direct(x) == sum(x)
+        assert gdet._direct(x) == sum(x)
         assert seen == list(map(flat, klein_blocks(x)))
 
     def test_a_singular_quotient_block_skips_t(self, monkeypatch, fresh_det_n):
@@ -406,6 +405,32 @@ class TestDet16:
         a = (entry,) + (1,) * 15
         with pytest.raises(TypeError, match="must be exact integers"):
             det16_direct(a)
+
+
+class TestKernels:
+    """Each public route checks its entries, then runs the kernel the scans call."""
+
+    @pytest.mark.parametrize("bound", [1, 9, 1000])
+    def test_the_direct_kernel_is_det16_direct(self, bound):
+        # the kernel reads a itself, unmemoised; det16_direct reads the
+        # differences a - a[0] through the memo.  Bound 1 often sums to 0.
+        rng = random.Random(f"direct kernel {bound}")
+        for _ in range(1000):
+            a = tuple(rng.randint(-bound, bound) for _ in range(16))
+            m = rng.choice((-1, 1)) * rng.randint(1, 2**40)
+            shifted = tuple(x + m for x in a)
+            assert gdet._direct(a) == det16_direct(a), a
+            assert gdet._direct(shifted) == det16_direct(shifted), (a, m)
+
+    @pytest.mark.parametrize("route", [det16_direct, det16_factored, det16_spectral],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("entry", [0.5, True, "1"], ids=repr)
+    def test_a_public_route_refuses_an_entry_that_is_not_an_int(self, route, entry):
+        # unchecked, (0.5, 0, ..., 0) gives 2**-16 through the factored and
+        # spectral routes, a bool counts as 1 and a str fails in an addition
+        message = f"^coefficients must be exact integers, got {re.escape(repr(entry))}$"
+        with pytest.raises(TypeError, match=message):
+            route((entry,) + (0,) * 15)
 
 
 class TestDirectMemo:
@@ -664,16 +689,16 @@ class TestNoTuplePacking:
 
     @staticmethod
     def functions():
-        # the lru_cache wrapper of _det_n is not a function: walk what it wraps
-        values = (getattr(v, "__wrapped__", v) for v in vars(gdet).values())
-        return [f for f in values
+        # _det_n, the lru_cache wrapper of _blocks, is not a function
+        return [f for f in vars(gdet).values()
                 if isinstance(f, types.FunctionType) and f.__module__ == gdet.__name__]
 
     def test_no_function_in_gdet_packs_a_tuple_to_unpack_it(self):
         functions = self.functions()
         assert {f.__name__ for f in functions} >= {
-            "_det4_pairs", "_det_n", "det16_direct", "det16_factored",
-            "det16_spectral", "factored_pieces", "spectral_factors"}
+            "_blocks", "_det4_pairs", "_direct", "_factored", "_spectral",
+            "det16_direct", "det16_factored", "det16_spectral", "factored_pieces",
+            "spectral_factors"}
         assert [hit for f in functions for hit in packed_assignments(f.__code__)] == []
 
     def test_a_four_name_assignment_is_flagged(self):

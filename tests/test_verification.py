@@ -3,6 +3,7 @@ import importlib
 import json
 import os
 import random
+import re
 from itertools import islice, product
 
 import identities
@@ -11,7 +12,7 @@ from oracles import Poly
 
 from c4x4det import cli, verification
 from c4x4det.classifier import NotInS, Reason, classify
-from c4x4det.gdet import det16_spectral
+from c4x4det.gdet import det16_direct, det16_factored, det16_spectral
 from c4x4det.verification import scan_exhaustive, scan_random, window_roundtrip
 
 witness_module = importlib.import_module("c4x4det.witness")
@@ -82,6 +83,64 @@ class TestScanExhaustive:
         monkeypatch.setattr(verification, "_run_blocks", lambda fn, bl, jobs: blocks.extend(bl))
         scan_exhaustive({5})
         assert blocks == [((5,), (), 1)]
+
+
+class TestScansCallTheKernels:
+    """The scans give the reports of the public routes and ``classify``.
+
+    They call the unchecked route kernels and the unbounded classify cache
+    on tuples they built of ints; a reference loop over the checked public
+    routes and ``classify(v, envelope=None)`` must give the same report.
+    """
+
+    @staticmethod
+    def reference(tuples):
+        violations, seen = [], set()
+        for a in tuples:
+            value = det16_factored(a)
+            assert det16_direct(a) == value == det16_spectral(a), a
+            seen.add(value)
+            cls = classify(value, envelope=None)
+            if isinstance(cls, NotInS):
+                violations.append((a, value, cls))
+        return len(tuples), violations, seen
+
+    @staticmethod
+    def outcome(report):
+        return report.tuples_checked, list(report.violations), set(report.seen_values)
+
+    @pytest.mark.parametrize("support, limit", [
+        ((-1, 0, 1), 5000), ((0, 1, 2), 3000), (range(-3, 4), 2500),
+    ], ids=["-1..1", "0..2", "-3..3"])
+    def test_exhaustive_scan(self, support, limit):
+        # each limit ends inside the second block or later
+        tuples = list(islice(product(sorted(support), repeat=16), limit))
+        assert self.outcome(scan_exhaustive(support, limit=limit)) == self.reference(tuples)
+
+    @pytest.mark.parametrize("count, bound, seed", [
+        (4096 + 300, 9, 3), (500, 1, 0), (300, 1000, 7),
+    ])
+    def test_random_scan(self, count, bound, seed):
+        tuples = []
+        for block, lo in enumerate(range(0, count, 4096)):
+            rng = random.Random(seed * (1 << 32) + block)
+            tuples += [tuple(rng.randint(-bound, bound) for _ in range(16))
+                       for _ in range(min(4096, count - lo))]
+        assert self.outcome(scan_random(count, bound, seed)) == self.reference(tuples)
+
+    @pytest.mark.parametrize("support, bad", [
+        ([0.5, 1], 0.5), ([1, True], True), (["1"], "1"), ([0, "a", 1.5], "a"),
+    ], ids=["float", "bool-beside-its-int", "str", "first-in-input-order"])
+    def test_a_support_entry_that_is_not_an_int_raises_before_any_block(
+            self, monkeypatch, support, bad):
+        # the entries are checked as given: a set would fold True into 1
+        def refuse(args):
+            raise AssertionError("a block ran")
+
+        monkeypatch.setattr(verification, "_exhaustive_block", refuse)
+        message = f"^coefficients must be exact integers, got {re.escape(repr(bad))}$"
+        with pytest.raises(TypeError, match=message):
+            scan_exhaustive(support, limit=10)
 
 
 class _Future:

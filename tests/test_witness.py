@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 from oracles import Poly
 
+from c4x4det import gdet
 from c4x4det.classifier import Even15, Even16, NotInS, OddA, OddOne, Reason, classify
 from c4x4det.core import CoeffVec16
 from c4x4det.errors import (
@@ -13,7 +14,7 @@ from c4x4det.errors import (
     NotAttainableError,
     PreconditionError,
 )
-from c4x4det.gdet import det16_direct, det16_factored, det16_spectral
+from c4x4det.gdet import det16_direct
 from c4x4det.numtheory import TwoSquaresRep, is_in_P, two_squares_prime_5mod8
 from c4x4det.witness import WitnessCase, WitnessPlan, emit, plan, witness
 
@@ -310,10 +311,10 @@ class TestFormsArePolynomialIdentities:
     """Each case's form and row, on free parameters, has the family's value.
 
     The forms see only ``+``, ``-`` and ``*``, so they run unchanged on
-    polynomials, and so do the factored and spectral routes; the direct
-    route divides and cannot.  An identity holds for every parameter value,
-    which leaves ``plan`` and the two-squares routines to the runtime
-    re-check.
+    polynomials, and so do the kernels of the three routes, which check no
+    entry (the public routes refuse a polynomial).  An identity holds for
+    every parameter value, which leaves ``plan`` and the two-squares
+    routines to the runtime re-check.
     """
 
     FAMILIES = _family_polynomials()
@@ -326,8 +327,15 @@ class TestFormsArePolynomialIdentities:
         params, value = self.FAMILIES[case]
         form, sign, row = witness_module._TABLES[case]
         vec = form(row, sign, *params)
-        assert det16_factored(vec) == value
-        assert det16_spectral(vec) == value
+        assert gdet._factored(vec) == value
+        assert gdet._spectral(vec) == value
+
+    @pytest.mark.parametrize("case", list(WitnessCase), ids=lambda c: c.name)
+    def test_the_direct_kernel_expands_to_the_family(self, case):
+        # the route that re-checks every witness
+        params, value = self.FAMILIES[case]
+        form, sign, row = witness_module._TABLES[case]
+        assert gdet._direct(form(row, sign, *params)) == value
 
 
 # One value per WitnessCase: the first fourteen values of the golden suite.
