@@ -23,10 +23,9 @@ from typing import Iterable, Optional, Union
 
 from .core import _Record
 from .errors import InternalMismatchError, PreconditionError
-from .numtheory import ENVELOPE, _prime_powers, check_envelope, factorize
-from .numtheory import is_in_P, is_prime
-# Not used here: the benchmark's trace wraps classifier.signed_divisors_1mod8 by name.
-from .numtheory import signed_divisors_1mod8  # noqa: F401
+from .numtheory import ENVELOPE, _prime_powers, check_envelope, is_in_P, is_prime
+# Not used here: the benchmark's trace wraps these two in classifier by name.
+from .numtheory import factorize, signed_divisors_1mod8  # noqa: F401
 
 
 class Reason(enum.Enum):
@@ -164,12 +163,13 @@ def a_decompose(n: int, envelope: Optional[int] = ENVELOPE) -> Optional[OddA]:
     can change e, so :func:`classify` stops factoring there.  The fixed
     order makes the certificate reproducible.  n is checked as an integer
     within the envelope before its residue, so a float or a bool raises
-    TypeError.
+    TypeError.  The answer comes from :func:`classify`'s validated cache.
     """
     check_envelope(n, envelope)
     if n % 16 != 9:
         raise PreconditionError(f"{n} is not an odd value congruent to 9 mod 16")
-    return _a_certificate(n, factorize(n, envelope=envelope).factors, [])
+    cls = _classify_unbounded(n)
+    return cls if isinstance(cls, OddA) else None
 
 
 # r -> the two classes of 3, 5, 7 other than r, whose product is r (mod 8)
@@ -177,8 +177,8 @@ _OTHER_CLASSES = {3: (5, 7), 5: (3, 7)}
 
 
 def _a_certificate(n: int, powers: Iterable, read: list) -> Optional[OddA]:
-    # a_decompose on the ascending prime powers of n, read in one pass and
-    # each appended to ``read``: the triple takes the first three primes
+    # The set-A certificate from n's ascending prime powers, read in one pass
+    # and each appended to ``read``: the triple takes the first three primes
     # 5 mod 8 with multiplicity, and what it leaves of each prime goes to |c|.
     # Reading stops once the triple is complete and the least prime of |c| in
     # r = 7|c| mod 8 is known: every unread prime is larger, so neither it nor
@@ -280,9 +280,9 @@ def classify(n: int, envelope: Optional[int] = ENVELOPE) -> SClassification:
     Returns a certificate whose invariants have been re-checked, or a
     :class:`NotInS` carrying the rejection reason; a rejection that rests on
     a factorization is returned only once that factorization is re-checked.
-    Raises :class:`EnvelopeExceededError` when |n| exceeds ``envelope``;
+    Raises TypeError unless n is an ``int`` (a ``bool`` or ``17.0`` is not
+    one), and :class:`EnvelopeExceededError` when |n| exceeds ``envelope``;
     pass ``envelope=None`` to classify arbitrarily large integers.
     """
-    if envelope is not None or type(n) is not int:
-        check_envelope(n, envelope)
+    check_envelope(n, envelope)
     return _classify_unbounded(n)

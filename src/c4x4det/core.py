@@ -100,13 +100,21 @@ class CoeffVec16(tuple):
 
     Index j encodes the element (r, s) via j = r + 4*s, so inputs written as
     flat 16-tuples line up with the (r, s) grid row by row.
+
+    The one gate for coefficient vectors: each public route of
+    :mod:`c4x4det.gdet` applies it first.  It reads any iterable once,
+    raises ``TypeError`` at the first entry that is not an ``int`` (a
+    ``bool``, ``2.5`` or ``"1"`` is not one), then ``ValueError`` unless
+    there are 16.  A ``CoeffVec16`` comes back unchanged.
     """
 
     def __new__(cls, entries):
+        if type(entries) is cls:
+            return entries
         t = tuple(entries)
+        check_coefficients(t)
         if len(t) != 16:
             raise ValueError(f"expected 16 coefficients, got {len(t)}")
-        check_coefficients(t)
         return super().__new__(cls, t)
 
     def __repr__(self):

@@ -36,13 +36,13 @@
   integer pairs throughout; the route calls neither :func:`derive` nor
   :func:`factored_pieces`.
 
-Each public route checks that every entry is an ``int`` (``TypeError``
-otherwise), then runs its kernel: ``_direct``, ``_factored`` or
-``_spectral``.  The scans of :mod:`c4x4det.verification` build their tuples
-of ints and call the kernels, which check nothing; ``_direct`` reads ``a``
-itself and evaluates the blocks unmemoised, as random tuples rarely repeat
-their differences.  :func:`factored_pieces` and :func:`spectral_factors`
-check nothing either: they only add, subtract and multiply.
+Each public route applies the gate ``CoeffVec16(a)``, which states the
+input rule, then its kernel.  The scans of :mod:`c4x4det.verification`
+build their tuples of ints and call the kernels ``_direct``, ``_factored``
+and ``_spectral``, which check nothing; ``_direct`` reads ``a`` itself and
+evaluates the blocks unmemoised, as random tuples rarely repeat their
+differences.  :func:`factored_pieces` and :func:`spectral_factors` check
+nothing either: they only add, subtract and multiply.
 
 All three agree exactly on every input; the test suite enforces this both on
 fixed examples and on randomized sweeps.  It proves the pieces against
@@ -57,7 +57,7 @@ from functools import lru_cache
 from itertools import repeat
 from operator import itemgetter, sub
 
-from .core import check_coefficients, derive
+from .core import CoeffVec16, derive
 from .errors import InternalMismatchError
 
 __all__ = [
@@ -239,16 +239,9 @@ def det16_direct(a) -> int:
     ``(x_0..x_3, -x_0..-x_3)``.  ``det P'`` is expanded by cofactors along
     a row and each ``det B`` over the 2x2 minors of its first two rows,
     with no division and no pivot search; the tests prove the block
-    identity and both expansions on free variables.  The route is exact
-    only on integers, so an entry that is not an ``int`` (a ``bool`` or
-    ``2.5`` is not one) raises ``TypeError`` first, as :class:`CoeffVec16`
-    does, and then a length other than 16 raises ``ValueError``.
+    identity and both expansions on free variables.  Gate: :class:`CoeffVec16`.
     """
-    # any iterable, a CoeffVec16 too, becomes a plain tuple
-    a = tuple(a)
-    check_coefficients(a)
-    if len(a) != 16:
-        raise ValueError(f"expected 16 coefficients, got {len(a)}")
+    a = CoeffVec16(a)
     s = sum(a)
     if s == 0:
         return 0
@@ -290,9 +283,7 @@ def factored_pieces(a) -> tuple:
 
 
 def _factored(a) -> int:
-    # det16_factored's kernel for the scans: the entries are not checked.
-    if len(a) != 16:
-        raise ValueError(f"expected 16 coefficients, got {len(a)}")
+    # det16_factored's kernel for the scans: a is not checked.
     a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 = a
     e0, e1 = a0 + a8, a1 + a9
     e2, e3 = a2 + a10, a3 + a11
@@ -335,12 +326,9 @@ def det16_factored(a) -> int:
     the six sums of two squares; otherwise it returns ``lin`` times them.
     On {-1, 0, 1} entries about a third of all tuples take that exit.  The
     tests pin this frame to ``prod(factored_pieces(a))`` and to
-    :func:`det16_spectral`.  As in :func:`det16_direct`, an entry that is
-    not an ``int`` (a ``bool`` or ``2.5`` is not one) raises ``TypeError``
-    first, and then a length other than 16 raises ``ValueError``.
+    :func:`det16_spectral`.  Gate: :class:`CoeffVec16`.
     """
-    check_coefficients(a)
-    return _factored(a)
+    return _factored(CoeffVec16(a))
 
 
 def spectral_factors(a) -> tuple:
@@ -394,9 +382,6 @@ def det16_spectral(a) -> int:
 
     The product of the four Gaussian factors must be purely real; a nonzero
     imaginary part can only come from an index-convention bug, so it is a
-    hard failure rather than something to discard.  As in
-    :func:`det16_direct`, an entry that is not an ``int`` (a ``bool`` or
-    ``2.5`` is not one) raises ``TypeError`` first.
+    hard failure rather than something to discard.  Gate: :class:`CoeffVec16`.
     """
-    check_coefficients(a)
-    return _spectral(a)
+    return _spectral(CoeffVec16(a))

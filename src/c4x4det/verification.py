@@ -40,6 +40,7 @@ from .errors import InternalMismatchError, NotAttainableError
 from .gdet import _direct as det16_direct
 from .gdet import _factored as det16_factored
 from .gdet import _spectral as det16_spectral
+from .numtheory import check_envelope
 from .witness import witness
 
 # Tuples per block (an exhaustive block over a wider support runs its last
@@ -129,14 +130,11 @@ def _draw(rng, bound, count):
 def _random_block(args):
     """(checked, violations, seen values) over one block of seeded random tuples.
 
-    The direct, factored and spectral routes must agree on each tuple before
-    its value is classified.  The route kernels and the unbounded
-    classifier are bound under the names ``det16_direct``,
-    ``det16_factored``, ``det16_spectral`` and ``classify`` and looked up
-    as module globals on each call, so they can be wrapped by name.  The
-    block's ``16 * size`` entries are drawn up front by :func:`_draw`, so
-    the sample stream is ``randint(-bound, bound)``'s, and ``zip`` cuts
-    them into 16-tuples.
+    The direct, factored and spectral kernels, bound by name as the module
+    docstring says, must agree on each tuple before its value is
+    classified.  The block's ``16 * size`` entries are drawn up front by
+    :func:`_draw`, so the sample stream is ``randint(-bound, bound)``'s,
+    and ``zip`` cuts them into 16-tuples.
     """
     seed, block, size, bound = args
     rng = random.Random(seed * (1 << 32) + block)
@@ -211,12 +209,15 @@ def scan_exhaustive(
     ``limit`` caps the number of tuples; *violations* collects any vector
     whose value the classifier rejects (there should never be one).  Blocks
     are generated as they are consumed, so memory does not grow with
-    ``|support|**16``.  A support entry that is not an ``int`` (a ``bool``
-    or ``0.5`` is not one) raises :class:`TypeError` before any block runs;
-    an empty support or a ``limit`` below 1 raises :class:`ValueError`.
+    ``|support|**16``.  A support entry, ``jobs`` or a ``limit`` other than
+    None that is not an ``int`` (a ``bool`` or ``0.5`` is not one) raises
+    :class:`TypeError` before any block runs; then an empty support or a
+    ``limit`` below 1 raises :class:`ValueError`.
     """
     entries = tuple(support)
     check_coefficients(entries)
+    for x in (jobs,) if limit is None else (limit, jobs):
+        check_envelope(x, None)
     supp = tuple(sorted(set(entries)))
     if not supp:
         raise ValueError("support must be nonempty")
@@ -250,10 +251,13 @@ def scan_random(count: int, coeff_bound: int, seed: int, jobs: int = 1) -> ScanR
     that generator's ``randint(-coeff_bound, coeff_bound)`` draws on the
     running Python (CPython fixes only ``random()``'s sequence across
     versions).  Seeds are non-negative: ``random`` seeds from the absolute
-    value of an int, so ``-s`` would draw the stream of ``s``.  A ``count``
-    below 1, a negative ``coeff_bound`` or a negative ``seed`` raises
-    :class:`ValueError`.
+    value of an int, so ``-s`` would draw the stream of ``s``.  An argument
+    that is not an ``int`` (a float seed would draw a stream no int seed
+    draws) raises :class:`TypeError`; then a ``count`` below 1, a negative
+    ``coeff_bound`` or a negative ``seed`` raises :class:`ValueError`.
     """
+    for x in (count, coeff_bound, seed, jobs):
+        check_envelope(x, None)
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     if coeff_bound < 0:

@@ -94,6 +94,11 @@ SUPPORT_TEST = (
     "tests/test_verification.py::TestScansCallTheKernels"
     "::test_a_support_entry_that_is_not_an_int_raises_before_any_block"
 )
+SCAN_ARGUMENT_TEST = (
+    "tests/test_verification.py::TestScansCallTheKernels"
+    "::test_a_scan_argument_that_is_not_an_int_raises_before_any_block"
+)
+GATE_TEST = "tests/test_core.py::TestCoeffVec16"
 
 # det16_factored's two pairs of even sums, written as the one four-name line
 # they replace: CPython builds and unpacks a tuple for it
@@ -132,22 +137,20 @@ MUTANTS = (
     # that pins the table and the one that reads the gathered blocks see it
     ("gdet.py", "(((g & 3) - (h & 3)) & 3) + 4 * (((g >> 2) - (h >> 2)) & 3)",
      "(((g & 3) + (h & 3)) & 3) + 4 * (((g >> 2) + (h >> 2)) & 3)", GROUP_INDEX_TEST, None),
-    # det16_direct, then the entry checks of the other two public routes
-    ("gdet.py", "    a = tuple(a)\n    check_coefficients(a)\n", "    a = tuple(a)\n",
-     "tests/test_gdet.py", None),
-    ("gdet.py", "    check_coefficients(a)\n    return _factored(a)\n",
-     "    return _factored(a)\n", ENTRY_TEST, None),
-    ("gdet.py", "    check_coefficients(a)\n    return _spectral(a)\n",
-     "    return _spectral(a)\n", ENTRY_TEST, None),
+    # the gate of each public route: det16_direct converts without checking
+    # or takes its argument as given, and the other two skip the gate
+    ("gdet.py", "    a = CoeffVec16(a)\n", "    a = tuple(a)\n", "tests/test_gdet.py", None),
+    ("gdet.py", "    a = CoeffVec16(a)\n", "", "tests/test_gdet.py", None),
+    ("gdet.py", "return _factored(CoeffVec16(a))", "return _factored(a)", ENTRY_TEST, None),
+    ("gdet.py", "return _spectral(CoeffVec16(a))", "return _spectral(a)", ENTRY_TEST, None),
     ("gdet.py", "return s * _det_n(", "return _det_n(", "tests/test_gdet.py", None),
-    ("gdet.py", 'got {len(a)}")\n    s = sum(a)\n', 'got {len(a)}")\n    s = sum(a[1:])\n',
+    ("gdet.py", "CoeffVec16(a)\n    s = sum(a)\n", "CoeffVec16(a)\n    s = sum(a[1:])\n",
      "tests/test_gdet.py", None),
     ("gdet.py", "if s == 0:\n        return 0\n    return s * _det_n(",
      "if s <= 0:\n        return 0\n    return s * _det_n(", "tests/test_gdet.py", None),
     # the scans' direct kernel without the factor sum(a)
     ("gdet.py", "return s * _blocks(a)", "return _blocks(a)",
      "tests/test_gdet.py::TestKernels::test_the_direct_kernel_is_det16_direct", None),
-    ("gdet.py", "    a = tuple(a)\n", "", "tests/test_gdet.py", None),
     ("gdet.py", "- s1 * c4", "+ s1 * c4", LEIBNIZ_TEST, None),
     ("gdet.py", "b * (f * g - d * i)", "b * (d * i - f * g)", LEIBNIZ_TEST, None),
     # each difference of P' against the wrong column of row 0
@@ -182,6 +185,15 @@ MUTANTS = (
     ("gdet.py", "repeat(a[0])", "repeat(a[1])", "tests/test_gdet.py",
      "P' and the 4x4 blocks are offset-invariant: a - a[1] gives the same blocks and "
      "the same cache hits"),
+    # the gate: the length checked before the entries, no entry check, and a
+    # plain tuple passed through unchecked
+    ("core.py", "        check_coefficients(t)\n        if len(t) != 16:\n"
+     "            raise ValueError(f\"expected 16 coefficients, got {len(t)}\")\n",
+     "        if len(t) != 16:\n"
+     "            raise ValueError(f\"expected 16 coefficients, got {len(t)}\")\n"
+     "        check_coefficients(t)\n", GATE_TEST, None),
+    ("core.py", "        check_coefficients(t)\n", "", GATE_TEST, None),
+    ("core.py", "if type(entries) is cls:", "if isinstance(entries, tuple):", GATE_TEST, None),
     # trial division: the walk over the primes a chunk's gcd names, and the
     # shortcut for a gcd that is one prime
     ("numtheory.py", "                g //= p\n", "", WALK_TEST, None),
@@ -201,6 +213,11 @@ MUTANTS = (
     ("numtheory.py", "for s in (d, -d) if", "for s in (d,) if",
      "tests/test_numtheory.py::TestSignedDivisors", None),
     ("classifier.py", ") > most:", ") > most + 1:", "tests/test_classifier.py", None),
+    # classify without its argument check; a_decompose on the unvalidated decision
+    ("classifier.py", "    check_envelope(n, envelope)\n    return _classify_unbounded(n)",
+     "    return _classify_unbounded(n)", "tests/test_classifier.py::TestClassify", None),
+    ("classifier.py", "cls = _classify_unbounded(n)", "cls = _decide(n)",
+     "tests/test_classifier.py::TestValidateOnce", None),
     # the set-A cofactor divisor e in closed form
     ("classifier.py", "(least.get(r), least.get(q, 0) * least.get(s, 0))", "(least.get(r),)",
      CLOSED_FORM_TEST, None),
@@ -233,8 +250,11 @@ MUTANTS = (
     ("verification.py", "tuples = islice(product(*factors), count)",
      "tuples = islice(product(*factors), 1, count + 1)", ORDER_TEST, None),
     ("verification.py", "seen |= s", "seen = s", BOUNDARY_TEST, None),
-    # a non-integer support reaches the blocks
+    # a non-integer support, seed or limit reaches the blocks
     ("verification.py", "    check_coefficients(entries)\n", "", SUPPORT_TEST, None),
+    ("verification.py", "(count, coeff_bound, seed, jobs)", "(count, coeff_bound, jobs)",
+     SCAN_ARGUMENT_TEST, None),
+    ("verification.py", "else (limit, jobs)", "else (jobs,)", SCAN_ARGUMENT_TEST, None),
     ("verification.py", "min(size, total - lo)", "size",
      "tests/test_verification.py::TestScanExhaustive::test_binary_support_small_limit", None),
     # the sample stream of scan_random: only its golden outputs pin it, and

@@ -101,7 +101,7 @@ class TestClassify:
             classify(value, envelope=None)
 
     def test_int_subclass(self):
-        # an int subclass is not an int by type, so it takes the checked path
+        # an int subclass passes the type check and classifies as its value
         class N(int):
             pass
 
@@ -323,7 +323,20 @@ class TestValidateOnce:
         assert first == OddA(0, 0, 5, 5, 5)
         assert all(classify(-375) is first for _ in range(50))
         assert all(classify(-375, envelope=None) is first for _ in range(50))
+        assert a_decompose(-375) is first
         assert calls == [-375]
+
+    def test_a_decompose_returns_only_a_validated_certificate(self, monkeypatch):
+        # -375 is OddA(0, 0, 5, 5, 5); the patched certificate rebuilds -975
+        wrong = OddA(0, 0, 5, 5, 13)
+        monkeypatch.setattr(classifier, "_a_certificate", lambda n, powers, read: wrong)
+        classifier._classify_unbounded.cache_clear()
+        try:
+            for _ in range(2):
+                with pytest.raises(InternalMismatchError, match="reconstructs -975, not -375$"):
+                    a_decompose(-375)
+        finally:
+            classifier._classify_unbounded.cache_clear()
 
 
 @pytest.fixture
@@ -358,6 +371,11 @@ class TestRejectionCheck:
             assert classifier._classify_unbounded.cache_info().currsize == 0
         monkeypatch.undo()
         assert classify(n, envelope=None) == right
+
+    def test_a_decompose_re_checks_its_rejection(self, merged_primes):
+        # a_decompose reads classify's cache, so its None is checked too
+        with pytest.raises(InternalMismatchError, match="not prime"):
+            a_decompose(3069710425, envelope=None)
 
     def test_each_condition(self):
         n = 3069710425

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,9 +24,36 @@ class TestCoeffVec16:
         with pytest.raises(TypeError):
             CoeffVec16([True] + [0] * 15)
 
+    @pytest.mark.parametrize("entries, bad", [
+        ((0,) * 15 + ("1",), "1"),
+        # the entries are checked before the length
+        ((2.5,) * 17, 2.5),
+        ((0, 2.5, True), 2.5),
+    ], ids=["str", "float-17", "float-3"])
+    def test_an_entry_that_is_not_an_int_raises_first(self, entries, bad):
+        message = f"^coefficients must be exact integers, got {re.escape(repr(bad))}$"
+        with pytest.raises(TypeError, match=message):
+            CoeffVec16(entries)
+
     def test_is_a_tuple(self):
         v = CoeffVec16(range(16))
         assert v[3] == 3 and len(v) == 16
+
+    def test_reads_a_one_shot_iterator_once(self):
+        assert CoeffVec16(iter(range(16))) == tuple(range(16))
+        with pytest.raises(ValueError, match="^expected 16 coefficients, got 15$"):
+            CoeffVec16(iter((1,) * 15))
+        with pytest.raises(TypeError, match="^coefficients must be exact integers, got False$"):
+            CoeffVec16(iter((0, False, 1.5)))
+
+    def test_a_coeffvec16_comes_back_unchanged(self):
+        v = CoeffVec16(range(16))
+        assert CoeffVec16(v) is v
+        # a plain tuple, even one of 16 ints, is checked and wrapped
+        t = tuple(range(16))
+        assert type(CoeffVec16(t)) is CoeffVec16
+        with pytest.raises(TypeError):
+            CoeffVec16((0.5,) * 16)
 
 
 class IntSubclass(int):

@@ -407,8 +407,11 @@ class TestDet16:
             det16_direct(a)
 
 
+ROUTES = (det16_direct, det16_factored, det16_spectral)
+
+
 class TestKernels:
-    """Each public route checks its entries, then runs the kernel the scans call."""
+    """Each public route gates its argument through CoeffVec16, then runs its kernel."""
 
     @pytest.mark.parametrize("bound", [1, 9, 1000])
     def test_the_direct_kernel_is_det16_direct(self, bound):
@@ -422,15 +425,23 @@ class TestKernels:
             assert gdet._direct(a) == det16_direct(a), a
             assert gdet._direct(shifted) == det16_direct(shifted), (a, m)
 
-    @pytest.mark.parametrize("route", [det16_direct, det16_factored, det16_spectral],
-                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("route", [*ROUTES, CoeffVec16], ids=lambda f: f.__name__)
     @pytest.mark.parametrize("entry", [0.5, True, "1"], ids=repr)
     def test_a_public_route_refuses_an_entry_that_is_not_an_int(self, route, entry):
         # unchecked, (0.5, 0, ..., 0) gives 2**-16 through the factored and
-        # spectral routes, a bool counts as 1 and a str fails in an addition
+        # spectral routes, a bool counts as 1 and a str fails in an addition;
+        # the entries are checked before the length
         message = f"^coefficients must be exact integers, got {re.escape(repr(entry))}$"
-        with pytest.raises(TypeError, match=message):
-            route((entry,) + (0,) * 15)
+        for a in ((entry,) + (0,) * 15, (entry,) * 17):
+            with pytest.raises(TypeError, match=message):
+                route(a)
+
+    @pytest.mark.parametrize("route", ROUTES, ids=lambda f: f.__name__)
+    def test_a_public_route_reads_a_one_shot_iterator(self, route):
+        rng = random.Random(f"iterator {route.__name__}")
+        for bound in (1, 9, 10**6):
+            a = tuple(rng.randint(-bound, bound) for _ in range(16))
+            assert route(iter(a)) == route(a) == route(CoeffVec16(a)), a
 
 
 class TestDirectMemo:

@@ -142,6 +142,28 @@ class TestScansCallTheKernels:
         with pytest.raises(TypeError, match=message):
             scan_exhaustive(support, limit=10)
 
+    @pytest.mark.parametrize("scan, args, kwargs, bad", [
+        # a float seed draws a stream that no int seed draws
+        (scan_random, (10, 9, 0.5), {}, 0.5),
+        (scan_random, (10, True, 0), {}, True),
+        (scan_random, (10, 9.5, 0), {}, 9.5),
+        (scan_random, (10.0, 9, 0), {}, 10.0),
+        (scan_random, (10, 9, 0), {"jobs": 2.0}, 2.0),
+        (scan_exhaustive, ((0, 1),), {"limit": True}, True),
+        (scan_exhaustive, ((0, 1),), {"limit": 2.5}, 2.5),
+        (scan_exhaustive, ((0, 1),), {"limit": 10, "jobs": 1.0}, 1.0),
+    ], ids=["seed", "bound-bool", "bound", "count", "random-jobs", "limit-bool", "limit",
+            "exhaustive-jobs"])
+    def test_a_scan_argument_that_is_not_an_int_raises_before_any_block(
+            self, monkeypatch, scan, args, kwargs, bad):
+        def refuse(args):
+            raise AssertionError("a block ran")
+
+        for block in ("_random_block", "_exhaustive_block"):
+            monkeypatch.setattr(verification, block, refuse)
+        with pytest.raises(TypeError, match=f"^expected an exact integer, got {bad!r}$"):
+            scan(*args, **kwargs)
+
 
 class _Future:
     def __init__(self, pool, fn, args):
