@@ -39,10 +39,11 @@
 Each public route applies the gate ``CoeffVec16(a)``, which states the
 input rule, then its kernel.  The scans of :mod:`c4x4det.verification`
 build their tuples of ints and call the kernels ``_direct``, ``_factored``
-and ``_spectral``, which check nothing; ``_direct`` reads ``a`` itself and
-evaluates the blocks unmemoised, as random tuples rarely repeat their
-differences.  :func:`factored_pieces` and :func:`spectral_factors` check
-nothing either: they only add, subtract and multiply.
+and ``_spectral``, which check nothing; ``_direct`` reads ``a`` itself,
+returns 0 at once when ``sum(a)`` is 0, and evaluates the blocks
+unmemoised, as random tuples rarely repeat their differences.
+:func:`factored_pieces` and :func:`spectral_factors` check nothing either:
+they only add, subtract and multiply.
 
 All three agree exactly on every input; the test suite enforces this both on
 fixed examples and on randomized sweeps.  It proves the pieces against
@@ -219,16 +220,17 @@ def det16_direct(a) -> int:
     of ``V``.  Every row of it is a permutation of them, so it sums to
     ``S = sum(a)``; as for any group matrix, ``det P = S * det P'`` with
     ``P'[i][j] = P[i][j] - P[0][j]`` for ``1 <= i, j <= 3``.  So
-    ``det M = S * det P' * det B+- * det B-+ * det B--``; ``S == 0`` makes
-    ``M`` singular, and ``det P' == 0`` returns 0 without building the other
-    three blocks.  ``P'`` and the ``B`` blocks hold differences of entries,
-    so an offset common to every entry cancels in all four: their product
-    is a function of the differences ``d = a - a[0]`` alone.  It is
-    memoised on ``d`` in a least-recently-used cache of 256 entries.  That
-    is exact: every distinct ``d`` is still evaluated in integers, and
-    ``S`` is recomputed on every call.  The witnesses of one family
-    (``16m+1``, say) share one ``d``, so re-checking all of them costs one
-    evaluation of the blocks.  ``M`` itself is never built.  A signed sum
+    ``det M = S * det P' * det B+- * det B-+ * det B--``; ``det P' == 0``
+    returns 0 without building the other three blocks, and ``S == 0`` takes
+    no exit (on the witness re-check it is 0 only for ``n == 0``).  ``P'``
+    and the ``B`` blocks hold differences of entries, so an offset common to
+    every entry cancels in all four: their product is a function of the
+    differences ``d = a - a[0]`` alone.  It is memoised on ``d`` in a
+    least-recently-used cache of 256 entries.  That is exact: every distinct
+    ``d`` is still evaluated in integers, and ``S`` is recomputed on every
+    call.  The witnesses of one family (``16m+1``, say) share one ``d``, so
+    re-checking all of them costs one evaluation of the blocks.  ``M``
+    itself is never built.  A signed sum
     ``x`` over ``V`` only changes sign under ``V``, so it has one value
     ``x_k`` per coset, at the representative ``R_k``: ``d`` is read once,
     coset by coset, and a butterfly over ``z`` and one over ``w`` give all
@@ -242,10 +244,7 @@ def det16_direct(a) -> int:
     identity and both expansions on free variables.  Gate: :class:`CoeffVec16`.
     """
     a = CoeffVec16(a)
-    s = sum(a)
-    if s == 0:
-        return 0
-    return s * _det_n(tuple(map(sub, a, repeat(a[0]))))
+    return sum(a) * _det_n(tuple(map(sub, a, repeat(a[0]))))
 
 
 def factored_pieces(a) -> tuple:

@@ -303,13 +303,12 @@ def _sqrt_minus_one_mod(p: int) -> int:
 def _rep_for_prime(p: int) -> tuple:
     """The unique (u, v), u odd > 0, v even >= 0, with u^2 + v^2 = p prime = 5 mod 8.
 
-    Cornacchia via Euclidean descent from a square root of -1 mod p; both
-    constrained representations below start from this pair.
+    Brillhart's Euclidean descent (1972) from the root r of -1 mod p that
+    ``pow`` returns: either root gives the same first remainder at or below
+    sqrt(p), as the remainders of (p, r) and (p, p - r) meet at
+    (p - r, r mod (p - r)).  Both constrained representations start here.
     """
-    r = _sqrt_minus_one_mod(p)
-    if r > p // 2:
-        r = p - r
-    a, b = p, r
+    a, b = p, _sqrt_minus_one_mod(p)
     limit = isqrt(p)
     while b > limit:
         a, b = b, a % b
@@ -364,10 +363,9 @@ def two_squares_2p(p: int) -> TwoSquaresRep:
         raise PreconditionError(f"{p} is not a prime congruent to 5 mod 8")
     u, v = _rep_for_prime(p)
     s, t = u + v, abs(u - v)
-    if s * s % 16 == 9:
-        x, y = _fix_sign(s, 3), _fix_sign(t, 1)
-    else:
-        x, y = _fix_sign(t, 3), _fix_sign(s, 1)
+    if s * s % 16 != 9:
+        s, t = t, s
+    x, y = _fix_sign(s, 3), _fix_sign(t, 1)
     if x * x + y * y != 2 * p:
         raise InternalMismatchError(f"{x}^2 + {y}^2 != 2*{p}")
     return TwoSquaresRep(x, y, 2 * p)

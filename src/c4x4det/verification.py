@@ -189,6 +189,8 @@ def _merge(results, start: float) -> ScanReport:
 
 def _run_blocks(block_fn, blocks: Iterable, jobs: int) -> ScanReport:
     """Run ``block_fn`` over ``blocks`` on at most ``os.cpu_count()`` processes."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     start = time.perf_counter()
     if jobs > 1:  # a serial scan never asks for os.cpu_count()
         jobs = min(jobs, os.cpu_count() or 1)
@@ -211,8 +213,8 @@ def scan_exhaustive(
     are generated as they are consumed, so memory does not grow with
     ``|support|**16``.  A support entry, ``jobs`` or a ``limit`` other than
     None that is not an ``int`` (a ``bool`` or ``0.5`` is not one) raises
-    :class:`TypeError` before any block runs; then an empty support or a
-    ``limit`` below 1 raises :class:`ValueError`.
+    :class:`TypeError` before any block runs; then an empty support, a
+    ``limit`` below 1 or a ``jobs`` below 1 raises :class:`ValueError`.
     """
     entries = tuple(support)
     check_coefficients(entries)
@@ -254,7 +256,8 @@ def scan_random(count: int, coeff_bound: int, seed: int, jobs: int = 1) -> ScanR
     value of an int, so ``-s`` would draw the stream of ``s``.  An argument
     that is not an ``int`` (a float seed would draw a stream no int seed
     draws) raises :class:`TypeError`; then a ``count`` below 1, a negative
-    ``coeff_bound`` or a negative ``seed`` raises :class:`ValueError`.
+    ``coeff_bound``, a negative ``seed`` or a ``jobs`` below 1 raises
+    :class:`ValueError`.
     """
     for x in (count, coeff_bound, seed, jobs):
         check_envelope(x, None)

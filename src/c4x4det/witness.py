@@ -88,28 +88,23 @@ class WitnessPlan(_Record):
 def _pair_split(primes: Tuple[int, int, int], slot_residue: int):
     """Pick the single-slot prime and the shared pair from a sorted triple.
 
-    The slot prime must be congruent to slot_residue mod 16; when all three
-    primes share that residue the smallest takes the slot.  The remaining two
-    must share a residue class (guaranteed by the certificate parity).
+    The slot prime is the first one congruent to slot_residue mod 16; one or
+    all three must be.  The remaining two must share a residue class
+    (guaranteed by the certificate parity).
     """
-    matching = [p for p in primes if p % 16 == slot_residue]
-    if len(matching) == 1:
-        slot = matching[0]
-        rest = list(primes)
-        rest.remove(slot)
-    elif len(matching) == 3:
-        slot, rest = primes[0], list(primes[1:])
-    else:
-        raise InternalMismatchError(
-            f"prime residues {[p % 16 for p in primes]} do not fit slot {slot_residue}"
-        )
+    residues = [p % 16 for p in primes]
+    if residues.count(slot_residue) not in (1, 3):
+        raise InternalMismatchError(f"prime residues {residues} do not fit slot {slot_residue}")
+    i = residues.index(slot_residue)
+    rest = primes[:i] + primes[i + 1:]
     if rest[0] % 16 != rest[1] % 16:
-        raise InternalMismatchError(f"paired primes {rest} disagree mod 16")
-    return slot, (rest[0], rest[1])
+        raise InternalMismatchError(f"paired primes {list(rest)} disagree mod 16")
+    return primes[i], rest
 
 
-def _constrained_params(p: int, x_residue: int):
-    """(high, low) with p = (8*high + x_residue)^2 + (8*low + 2)^2."""
+def _constrained_params(p: int):
+    """(high, low) with p = (8*high + x)^2 + (8*low + 2)^2, x = 1 or 3 as p = 5 or 13 mod 16."""
+    x_residue = 1 if p % 16 == 5 else 3
     rep = two_squares_prime_5mod8(p)
     if rep.x % 8 != x_residue or rep.y % 8 != 2:
         raise InternalMismatchError(f"{rep} misses residues ({x_residue}, 2) mod 8")
@@ -139,16 +134,13 @@ def plan(cls: SClassification) -> WitnessPlan:
         return WitnessPlan(case, (("m", m), ("r", r), ("s", s)))
     if isinstance(cls, OddA):
         jp, kp = cls.j % 2, cls.k % 2
-        big_j = cls.j // 2 if jp == 0 else (cls.j + 1) // 2
-        big_k = cls.k // 2 if kp == 0 else (cls.k - 1) // 2
-        slot_residue = 5 if jp == kp else 13
-        slot_prime, pair = _pair_split((cls.p1, cls.p2, cls.p3), slot_residue)
+        slot_prime, pair = _pair_split((cls.p1, cls.p2, cls.p3), 5 if jp == kp else 13)
         e = 1 if pair[0] % 16 == 13 else 0
-        r, s = _constrained_params(slot_prime, 1 if slot_residue == 5 else 3)
-        t, u = _constrained_params(pair[0], 2 * e + 1)
-        v, w = _constrained_params(pair[1], 2 * e + 1)
-        params = (("J", big_j), ("K", big_k), ("r", r), ("s", s), ("t", t), ("u", u),
-                  ("v", v), ("w", w), ("e", e))
+        r, s = _constrained_params(slot_prime)
+        t, u = _constrained_params(pair[0])
+        v, w = _constrained_params(pair[1])
+        params = (("J", (cls.j + 1) // 2), ("K", cls.k // 2), ("r", r), ("s", s),
+                  ("t", t), ("u", u), ("v", v), ("w", w), ("e", e))
         return WitnessPlan(_A_CASES[(jp, kp, e)], params)
     raise PreconditionError(f"unrecognized certificate {cls!r}")
 

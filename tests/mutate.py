@@ -8,17 +8,19 @@ Each entry of ``MUTANTS`` names a module under ``src/c4x4det``, a text that
 occurs in it exactly once, the text that replaces it, and the pytest target
 (a test file or one test in it) that should fail on the mutant.  The sweep
 copies ``src/``, ``tests/``, ``demos/``, ``README.md`` and ``pyproject.toml``
-into a temporary directory, never editing the checkout.  There it first runs
-each distinct target once on the unmutated code: a target that fails
-without a mutation would count every mutant aimed at it as killed, so the
-sweep stops with exit status 1.  Then it runs ``pytest -x`` on each mutant.
-A mutant is *killed* when pytest reports a failing test (exit 1) or runs
-past ``TIMEOUT_S``, and *survived* when the target passes.  A mutant that
-leaves its module unable to import (a broken group index table stops
-``gdet`` at its import-time tables) makes pytest end in a collection or
-usage error instead; as every target passed unmutated, that error is the
-mutant's, so it counts as killed once a fresh interpreter confirms the
-mutated module fails to import.  A mutant
+into a temporary directory, never editing the checkout.  There it first
+checks that every mutant's text occurs exactly once in its module; if one
+does not, it names each such text and exits with status 1 before running
+anything.  Next it runs each distinct target once on the unmutated code: a
+target that fails without a mutation would count every mutant aimed at it
+as killed, so the sweep stops with exit status 1.  Then it runs
+``pytest -x`` on each mutant.  A mutant is *killed* when pytest reports a
+failing test (exit 1) or runs past ``TIMEOUT_S``, and *survived* when the
+target passes.  A mutant that leaves its module unable to import (a broken
+group index table stops ``gdet`` at its import-time tables) makes pytest
+end in a collection or usage error instead; as every target passed
+unmutated, that error is the mutant's, so it counts as killed once a fresh
+interpreter confirms the mutated module fails to import.  A mutant
 declared equivalent changes no answer any test can see; it is run and
 reported, but its survival is expected.  The exit status is 1 when a mutant
 that is not declared equivalent survives, or when pytest ends in any other
@@ -143,11 +145,9 @@ MUTANTS = (
     ("gdet.py", "    a = CoeffVec16(a)\n", "", "tests/test_gdet.py", None),
     ("gdet.py", "return _factored(CoeffVec16(a))", "return _factored(a)", ENTRY_TEST, None),
     ("gdet.py", "return _spectral(CoeffVec16(a))", "return _spectral(a)", ENTRY_TEST, None),
-    ("gdet.py", "return s * _det_n(", "return _det_n(", "tests/test_gdet.py", None),
-    ("gdet.py", "CoeffVec16(a)\n    s = sum(a)\n", "CoeffVec16(a)\n    s = sum(a[1:])\n",
-     "tests/test_gdet.py", None),
-    ("gdet.py", "if s == 0:\n        return 0\n    return s * _det_n(",
-     "if s <= 0:\n        return 0\n    return s * _det_n(", "tests/test_gdet.py", None),
+    ("gdet.py", "return sum(a) * _det_n(", "return _det_n(", "tests/test_gdet.py", None),
+    ("gdet.py", "return sum(a) * _det_n(", "return sum(a[1:]) * _det_n(", "tests/test_gdet.py",
+     None),
     # the scans' direct kernel without the factor sum(a)
     ("gdet.py", "return s * _blocks(a)", "return _blocks(a)",
      "tests/test_gdet.py::TestKernels::test_the_direct_kernel_is_det16_direct", None),
@@ -203,6 +203,9 @@ MUTANTS = (
     # an untyped memo answers a float equal to a cached int subclass
     ("numtheory.py", "@lru_cache(maxsize=1024, typed=True)\ndef two_squares_2p",
      "@lru_cache(maxsize=1024, typed=False)\ndef two_squares_2p", MEMO_TEST, None),
+    # the doubled representation with the 3 and the 1 mod 8 components swapped
+    ("numtheory.py", "if s * s % 16 != 9:", "if s * s % 16 == 9:", "tests/test_numtheory.py",
+     None),
     ("numtheory.py", "m < _TRIAL_BOUND * _TRIAL_BOUND", "m < _TRIAL_BOUND ** 3",
      "tests/test_classifier.py", None),
     ("numtheory.py", "(341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17))",
@@ -240,6 +243,19 @@ MUTANTS = (
      "p + s + t + w + c[1], p + r + t - v + c[0],", "tests/test_witness.py", None),
     ("witness.py", "(1, 1): (0, 0, 0, 0, 0, 0, -1, -1, 0, -1, 0, 0, -1, -1, -1, -1),",
      "(1, 1): (0, 0, 0, 0, 0, 0, -1, -1, 0, -1, 0, 0, -1, -1, -1, 0),",
+     "tests/test_witness.py", None),
+    # the set-A plan: J and K on the other side of j / 2 and k / 2, the slot
+    # taken by the last matching prime (only a triple of one class has more
+    # than one candidate), and the x residues of 5 and 13 mod 16 swapped
+    ("witness.py", '("J", (cls.j + 1) // 2)', '("J", cls.j // 2)', "tests/test_witness.py",
+     None),
+    ("witness.py", '("K", cls.k // 2)', '("K", (cls.k - 1) // 2)', "tests/test_witness.py",
+     None),
+    ("witness.py", "i = residues.index(slot_residue)",
+     "i = 2 - residues[::-1].index(slot_residue)",
+     "tests/test_witness.py::TestPinnedVectors::test_emitted_vector_at_generic_parameters",
+     None),
+    ("witness.py", "x_residue = 1 if p % 16 == 5 else 3", "x_residue = 3 if p % 16 == 5 else 1",
      "tests/test_witness.py", None),
     ("verification.py", "violations.extend(v)", "violations[:0] = v", ORDER_TEST, None),
     # a random scan that drops every classifier rejection
@@ -287,6 +303,9 @@ MUTANTS = (
     # seed -1 would draw the sample of seed 1
     ("verification.py", "if seed < 0:", "if seed < -1:",
      "tests/test_verification.py::TestScanRandom::test_a_negative_seed_is_refused", None),
+    # jobs 0 would run serially and pass
+    ("verification.py", "if jobs < 1:", "if jobs < 0:",
+     "tests/test_verification.py::TestInvalidSizes", None),
 )
 
 
@@ -348,6 +367,12 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="c4x4det-mutate-") as tmp:
         work = Path(tmp)
         _copy_tree(work)
+        stale = [(module, old) for module, old, *_ in MUTANTS
+                 if (work / "src" / "c4x4det" / module).read_text().count(old) != 1]
+        for module, old in stale:
+            print(f"{module}: {old!r} must occur exactly once")
+        if stale:
+            return 1
         env = _environment(work)
         if not _baseline(work, env):
             print("a target fails without a mutation; no mutant was run")
@@ -355,8 +380,6 @@ def main() -> int:
         for module, old, new, target, equivalent in MUTANTS:
             path = work / "src" / "c4x4det" / module
             original = path.read_text()
-            if original.count(old) != 1:
-                raise SystemExit(f"{module}: {old!r} must occur exactly once")
             path.write_text(original.replace(old, new))
             start = time.perf_counter()
             try:

@@ -45,11 +45,6 @@ class TestEval:
 
 
 class TestClassify:
-    def test_non_member(self, capsys):
-        code, out, _ = run_cli(capsys, "classify", "9")
-        assert code == 1
-        assert out.strip() == "not_in_S odd_a_no_decomposition"
-
     @pytest.mark.parametrize("value, line", [
         ("17", "in_S odd_16m_plus_1 m=1"),
         ("-922179077671", "in_S set_A j=0 k=-13 p1=2029 p2=2053 p3=2069"),
@@ -75,16 +70,6 @@ class TestClassify:
         assert code == 2
         assert out == ""
         assert err.splitlines() == ["error: rho failed to split 121946249"]
-
-    def test_envelope_exits_2(self, capsys):
-        code, _, err = run_cli(capsys, "classify", str(10**13))
-        assert code == 2
-        assert "envelope" in err
-
-    def test_parse_failure_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["classify", "seventeen"])
-        assert exc.value.code == 2
 
 
 class TestWitness:

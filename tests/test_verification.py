@@ -479,8 +479,10 @@ class TestInvalidSizes:
         lambda: scan_exhaustive(()),
         lambda: window_roundtrip([]),
         lambda: window_roundtrip(n for n in ()),
+        lambda: scan_random(10, 9, 0, jobs=-3),
+        lambda: scan_exhaustive((0, 1), limit=5, jobs=0),
     ], ids=["count-0", "count-neg", "bound-neg", "limit-0", "limit-neg", "empty-support",
-            "empty-window", "empty-window-generator"])
+            "empty-window", "empty-window-generator", "random-jobs-neg", "exhaustive-jobs-0"])
     def test_raises_value_error(self, call):
         with pytest.raises(ValueError, match="must be"):
             call()

@@ -210,7 +210,7 @@ class TestConstructionTables:
         monkeypatch.setattr(witness_module, "two_squares_prime_5mod8",
                             lambda p: TwoSquaresRep(3, 2, p))
         with pytest.raises(InternalMismatchError):
-            witness_module._constrained_params(13, 1)
+            witness_module._constrained_params(5)
 
 
 # One certificate per WitnessCase whose plan parameters are nonzero and
