@@ -401,6 +401,15 @@ class TestTwoSquares:
             x2, y2, _ = two_squares_2p(p)
             assert (abs(x2), abs(y2)) in two_squares_all(2 * p)
 
+    def test_the_descent_gives_one_pair_from_either_root(self, monkeypatch):
+        # the remainders of (p, r) and (p, p - r) meet, so the descent needs
+        # no fold of the root that pow returns into the lower half
+        expected = {p: numtheory._rep_for_prime(p) for p in primes_in_P_below(100_000)}
+        root = numtheory._sqrt_minus_one_mod
+        monkeypatch.setattr(numtheory, "_sqrt_minus_one_mod", lambda p: p - root(p))
+        for p, rep in expected.items():
+            assert numtheory._rep_for_prime(p) == rep, p
+
     def test_fast_path_agrees_with_brute_force(self):
         # random primes in P between 10^6 and 10^8, above the exhaustive check
         rng = random.Random(5)

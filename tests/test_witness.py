@@ -205,6 +205,18 @@ class TestConstructionTables:
             u = (y - 2) // 8
             assert (8 * t + 2 * e + 1) ** 2 + (8 * u + 2) ** 2 == p
 
+    def test_pair_split_takes_the_first_prime_of_the_slot_class(self):
+        # slot 5: one match, then all three matching; slot 13 the same
+        assert witness_module._pair_split((13, 29, 37), 5) == (37, (13, 29))
+        assert witness_module._pair_split((5, 37, 53), 5) == (5, (37, 53))
+        assert witness_module._pair_split((13, 37, 61), 5) == (37, (13, 61))
+        assert witness_module._pair_split((5, 13, 37), 13) == (13, (5, 37))
+        assert witness_module._pair_split((13, 29, 61), 13) == (13, (29, 61))
+        # two matches, no match, or a pair that disagrees mod 16 raise
+        for primes, slot in (((5, 13, 37), 5), ((13, 29, 61), 5), ((5, 7, 13), 7)):
+            with pytest.raises(InternalMismatchError):
+                witness_module._pair_split(primes, slot)
+
     def test_bad_representation_residue_raises(self, monkeypatch):
         # holds under ``python -O`` too: the check is not an assert
         monkeypatch.setattr(witness_module, "two_squares_prime_5mod8",
