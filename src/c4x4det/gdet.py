@@ -30,11 +30,11 @@
   sums of two squares.  The tests pin it to the product of the pieces,
   value for value.
 * :func:`det16_spectral` multiplies the four character-block determinants
-  of :func:`spectral_factors` (the det4 closed form on the Gaussian
-  arguments ``sum_s i^{k s} a[j+4s]``, k = 0..3) and checks that the
-  product has no imaginary part.  Gaussian integers are plain ``(re, im)``
-  integer pairs throughout; the route calls neither :func:`derive` nor
-  :func:`factored_pieces`.
+  of :func:`spectral_factors` (the det4 closed form on the arguments
+  ``sum_s i^{k s} a[j+4s]``, k = 0..3: real for k = 0, 2 and Gaussian for
+  k = 1, 3) and checks that the product has no imaginary part.  Gaussian
+  integers are plain ``(re, im)`` integer pairs throughout; the route calls
+  neither :func:`derive` nor :func:`factored_pieces`.
 
 Each public route applies the gate ``CoeffVec16(a)``, which states the
 input rule, then its kernel.  The scans of :mod:`c4x4det.verification`
@@ -74,17 +74,6 @@ __all__ = [
 # (BUILD_TUPLE, UNPACK_SEQUENCE), for two or three it stores them directly.
 # So four-wide lines are written as two pairs; tests/test_gdet.py checks
 # the bytecode.
-
-
-def _det4_pairs(x0r, x0i, x1r, x1i, x2r, x2i, x3r, x3i):
-    # The det4 closed form on Gaussian integers held as (re, im) int pairs.
-    sr, si = x0r + x2r, x0i + x2i
-    tr, ti = x1r + x3r, x1i + x3i
-    ur, ui = x0r - x2r, x0i - x2i
-    vr, vi = x1r - x3r, x1i - x3i
-    pr, pi = sr * sr - si * si - tr * tr + ti * ti, 2 * (sr * si - tr * ti)
-    qr, qi = ur * ur - ui * ui + vr * vr - vi * vi, 2 * (ur * ui + vr * vi)
-    return pr * qr - pi * qi, pr * qi + pi * qr
 
 
 # _GROUP_INDEX[g][h] is the flat index of g*h^-1: componentwise subtraction mod 4.
@@ -331,19 +320,23 @@ def det16_factored(a) -> int:
 
 
 def spectral_factors(a) -> tuple:
-    """The four Gaussian character-block determinants, k = 0..3, as (re, im) pairs.
+    """The four character-block determinants, k = 0..3, as (re, im) pairs.
 
-    Block k evaluates the det4 closed form, in Gaussian integers, on
-    the arguments ``z_j = sum_s i^{k s} * a[j + 4 s]``.  Block 0 sees the b
-    vector and block 2 the c vector of :func:`derive`; block 1 sees the
-    pairs ``(d[j], d[j+4])``, and blocks 1 and 3 are complex conjugates of
-    one another.  The entries are not checked: the blocks are sums,
-    differences and products of them, so the tests expand them on
-    polynomials.
+    Block k evaluates the det4 closed form on the arguments
+    ``z_j = sum_s i^{k s} * a[j + 4 s]``, all four blocks in this one frame.
+    Block 0 sees the b vector and block 2 the c vector of :func:`derive`;
+    both are real, so they take the real closed form, with imaginary part
+    the int 0.  Block 1 sees the pairs ``(d[j], d[j+4])`` and block 3 their
+    conjugates; each is evaluated in Gaussian integers from its own
+    arguments, not as the other's conjugate, so a sign slip in block 3
+    shows as an imaginary part in :func:`det16_spectral`.  The entries are
+    not checked: the blocks are sums, differences and products of them, so
+    the tests expand them on polynomials.
     """
     # With e_j/o_j the sums and r_j/w_j the differences of the s-even and
     # s-odd coefficients, z_j is (e+o, 0), (r, w), (e-o, 0) and (r, -w) for
-    # k = 0..3.
+    # k = 0..3; det4 is (s^2 - t^2) * (u^2 + v^2) on the sums s, t and the
+    # differences u, v of the z_j, with im parts kept apart in blocks 1, 3.
     if len(a) != 16:
         raise ValueError(f"expected 16 coefficients, got {len(a)}")
     a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 = a
@@ -355,11 +348,30 @@ def spectral_factors(a) -> tuple:
     r2, r3 = a2 - a10, a3 - a11
     w0, w1 = a4 - a12, a5 - a13
     w2, w3 = a6 - a14, a7 - a15
+    b0, b1 = e0 + o0, e1 + o1
+    b2, b3 = e2 + o2, e3 + o3
+    c0, c1 = e0 - o0, e1 - o1
+    c2, c3 = e2 - o2, e3 - o3
+    bs, bt = b0 + b2, b1 + b3
+    bu, bv = b0 - b2, b1 - b3
+    cs, ct = c0 + c2, c1 + c3
+    cu, cv = c0 - c2, c1 - c3
+    sr, tr = r0 + r2, r1 + r3
+    ur, vr = r0 - r2, r1 - r3
+    si, ti = w0 + w2, w1 + w3
+    ui, vi = w0 - w2, w1 - w3
+    pr, pi = sr * sr - si * si - tr * tr + ti * ti, 2 * (sr * si - tr * ti)
+    qr, qi = ur * ur - ui * ui + vr * vr - vi * vi, 2 * (ur * ui + vr * vi)
+    block1 = pr * qr - pi * qi, pr * qi + pi * qr
+    si, ti = -w0 - w2, -w1 - w3
+    ui, vi = w2 - w0, w3 - w1
+    pr, pi = sr * sr - si * si - tr * tr + ti * ti, 2 * (sr * si - tr * ti)
+    qr, qi = ur * ur - ui * ui + vr * vr - vi * vi, 2 * (ur * ui + vr * vi)
     return (
-        _det4_pairs(e0 + o0, 0, e1 + o1, 0, e2 + o2, 0, e3 + o3, 0),
-        _det4_pairs(r0, w0, r1, w1, r2, w2, r3, w3),
-        _det4_pairs(e0 - o0, 0, e1 - o1, 0, e2 - o2, 0, e3 - o3, 0),
-        _det4_pairs(r0, -w0, r1, -w1, r2, -w2, r3, -w3),
+        ((bs * bs - bt * bt) * (bu * bu + bv * bv), 0),
+        block1,
+        ((cs * cs - ct * ct) * (cu * cu + cv * cv), 0),
+        (pr * qr - pi * qi, pr * qi + pi * qr),
     )
 
 

@@ -6,8 +6,9 @@ Two directions are exercised:
   determinants of many coefficient vectors and insist the classifier accepts
   every one of them.  An exhaustive block builds its tuples in C and runs
   the factored route and the classifier over them as two mapped passes,
-  one call each per tuple; a random block also runs the direct and
-  spectral routes on each tuple and requires all three to agree;
+  one call each per tuple; a random block maps all three routes over its
+  tuples, whole pass by whole pass, and requires them to agree before it
+  maps the classifier over the values;
 * :func:`window_roundtrip` walks a window of integers, synthesizing and
   re-verifying a witness for every value the classifier accepts.
 
@@ -31,6 +32,7 @@ import random
 import time
 from collections import deque
 from itertools import islice, product, repeat
+from operator import sub
 from typing import Iterable, Iterator, Optional
 
 from .classifier import NotInS
@@ -123,29 +125,43 @@ def _draw(rng, bound, count):
     entries = []
     while len(entries) < count:
         draws = map(rng.getrandbits, repeat(k, count - len(entries)))
-        entries += [r - bound for r in draws if r < n]
+        entries += map(sub, filter(n.__gt__, draws), repeat(bound))
     return entries
 
 
 def _random_block(args):
     """(checked, violations, seen values) over one block of seeded random tuples.
 
-    The direct, factored and spectral kernels, bound by name as the module
-    docstring says, must agree on each tuple before its value is
-    classified.  The block's ``16 * size`` entries are drawn up front by
-    :func:`_draw`, so the sample stream is ``randint(-bound, bound)``'s,
-    and ``zip`` cuts them into 16-tuples.
+    The block's ``16 * size`` entries are drawn up front by :func:`_draw`,
+    so the sample stream is ``randint(-bound, bound)``'s, and ``zip`` cuts
+    them into 16-tuples once.  The factored, direct and spectral kernels,
+    bound by name as the module docstring says, are each mapped over all
+    the tuples, and when the three lists agree ``classify`` is mapped over
+    the values.  Only when they differ does one loop over the lists, in
+    tuple order, record each disagreement and classify only the tuples
+    whose routes agree.  So each kernel is called once per tuple,
+    ``classify`` once per tuple whose routes agree, and no list holds more
+    than ``_BLOCK`` entries.
     """
     seed, block, size, bound = args
     rng = random.Random(seed * (1 << 32) + block)
-    violations = []
-    seen = set()
     entries = iter(_draw(rng, bound, 16 * size))
-    for a in zip(*[entries] * 16):
-        value = det16_factored(a)
-        seen.add(value)
-        direct = det16_direct(a)
-        spectral = det16_spectral(a)
+    tuples = list(zip(*[entries] * 16))
+    values = list(map(det16_factored, tuples))
+    directs = list(map(det16_direct, tuples))
+    spectrals = list(map(det16_spectral, tuples))
+    if values == directs == spectrals:
+        classes = list(map(classify, values))
+        violations = []
+        if NotInS in map(type, classes):
+            violations = [
+                (a, value, cls)
+                for a, value, cls in zip(tuples, values, classes)
+                if isinstance(cls, NotInS)
+            ]
+        return size, violations, set(values)
+    violations = []
+    for a, value, direct, spectral in zip(tuples, values, directs, spectrals):
         if not (direct == value == spectral):
             violations.append((
                 a,
@@ -157,7 +173,7 @@ def _random_block(args):
         cls = classify(value)
         if isinstance(cls, NotInS):
             violations.append((a, value, cls))
-    return size, violations, seen
+    return size, violations, set(values)
 
 
 def _bounded_map(pool, block_fn, blocks, window: int) -> Iterator:

@@ -84,6 +84,9 @@ MEMO_TEST = (
 )
 STOP_TEST = "tests/test_classifier.py::TestStopRule"
 STREAM_TEST = "tests/test_verification.py::TestScanRandom::test_draws_the_randint_stream"
+DISAGREE_TEST = (
+    "tests/test_verification.py::TestRouteDisagreement::test_violations_interleave_in_tuple_order"
+)
 ORDER_TEST = (
     "tests/test_verification.py::TestScanFindsClassifierRegressions"
     "::test_violations_match_brute_force_in_order"
@@ -124,8 +127,16 @@ MUTANTS = (
      FRAMES_TEST, None),
     ("gdet.py", FACTORED_SUMS,
      "    es, et, fs, ft = e0 + e2, e1 + e3, o0 + o2, o1 + o3\n", PACKING_TEST, None),
-    ("gdet.py", "pr * qi + pi * qr", "pr * qi - pi * qr", SPECTRAL_TEST, None),
-    ("gdet.py", "r0, -w0", "r0, w0", SPECTRAL_TEST, None),
+    # spectral_factors: the imaginary part of block 1 and of block 3, block
+    # 3 built without negating w, and a real block with s^2 + t^2
+    ("gdet.py", "block1 = pr * qr - pi * qi, pr * qi + pi * qr",
+     "block1 = pr * qr - pi * qi, pr * qi - pi * qr", SPECTRAL_TEST, None),
+    ("gdet.py", "(pr * qr - pi * qi, pr * qi + pi * qr),", "(pr * qr - pi * qi, pr * qi - pi * qr),",
+     SPECTRAL_TEST, None),
+    ("gdet.py", "si, ti = -w0 - w2, -w1 - w3\n    ui, vi = w2 - w0, w3 - w1\n",
+     "si, ti = w0 + w2, w1 + w3\n    ui, vi = w0 - w2, w1 - w3\n", SPECTRAL_TEST, None),
+    ("gdet.py", "(bs * bs - bt * bt)", "(bs * bs + bt * bt)", SPECTRAL_TEST, None),
+    ("gdet.py", "* (cu * cu + cv * cv), 0)", "* (cu * cu - cv * cv), 0)", SPECTRAL_TEST, None),
     ("gdet.py", "+ 4 * (((g >> 2)", "+ 2 * (((g >> 2)", GROUP_INDEX_TEST, None),
     # The index table with g and h swapped in one coordinate, or in both
     # (its transpose): det16_direct's coset tables, built from it at
@@ -258,9 +269,16 @@ MUTANTS = (
     ("witness.py", "x_residue = 1 if p % 16 == 5 else 3", "x_residue = 3 if p % 16 == 5 else 1",
      "tests/test_witness.py", None),
     ("verification.py", "violations.extend(v)", "violations[:0] = v", ORDER_TEST, None),
-    # a random scan that drops every classifier rejection
-    ("verification.py", "            violations.append((a, value, cls))\n", "            pass\n",
+    # a random scan that drops every classifier rejection, when its routes
+    # agree and when they do not; one that ignores the spectral route; one
+    # that classifies the tuples whose routes disagree
+    ("verification.py", "        if NotInS in map(type, classes):\n", "        if False:\n",
      "tests/test_verification.py::TestScanFindsClassifierRegressions", None),
+    ("verification.py", "            violations.append((a, value, cls))\n", "            pass\n",
+     DISAGREE_TEST, None),
+    ("verification.py", "if values == directs == spectrals:", "if values == directs:",
+     DISAGREE_TEST + "[det16_spectral]", None),
+    ("verification.py", "            ))\n            continue\n", "            ))\n", DISAGREE_TEST, None),
     ("verification.py", "factors = [(x,) for x in prefix] + [support] * (16 - len(prefix))",
      "factors = [support] * (16 - len(prefix)) + [(x,) for x in prefix]", BOUNDARY_TEST, None),
     ("verification.py", "tuples = islice(product(*factors), count)",
@@ -279,7 +297,7 @@ MUTANTS = (
      "tests/test_golden.py::test_output_matches_golden[scan-random-seed1]", None),
     # the bulk draw against randint's rejection loop (not (n - 1).bit_length():
     # n is odd, so that mutant is equivalent)
-    ("verification.py", "if r < n]", "if r <= n]", STREAM_TEST, None),
+    ("verification.py", "n.__gt__", "n.__ge__", STREAM_TEST, None),
     ("verification.py", "k = n.bit_length()\n", "k = n.bit_length() + 1\n", STREAM_TEST,
      None),
     # the option floors: seed -1 passes the command line (scan_random then

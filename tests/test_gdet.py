@@ -707,9 +707,8 @@ class TestNoTuplePacking:
     def test_no_function_in_gdet_packs_a_tuple_to_unpack_it(self):
         functions = self.functions()
         assert {f.__name__ for f in functions} >= {
-            "_blocks", "_det4_pairs", "_direct", "_factored", "_spectral",
-            "det16_direct", "det16_factored", "det16_spectral", "factored_pieces",
-            "spectral_factors"}
+            "_blocks", "_direct", "_factored", "_spectral", "det16_direct",
+            "det16_factored", "det16_spectral", "factored_pieces", "spectral_factors"}
         assert [hit for f in functions for hit in packed_assignments(f.__code__)] == []
 
     def test_a_four_name_assignment_is_flagged(self):

@@ -10,8 +10,9 @@ import identities
 import pytest
 from oracles import Poly
 
-from c4x4det import cli, verification
+from c4x4det import cli, gdet, verification
 from c4x4det.classifier import NotInS, Reason, classify
+from c4x4det.errors import InternalMismatchError
 from c4x4det.gdet import det16_direct, det16_factored, det16_spectral
 from c4x4det.verification import scan_exhaustive, scan_random, window_roundtrip
 
@@ -22,6 +23,17 @@ witness_module = importlib.import_module("c4x4det.witness")
 # 17 of 32 draws; n = 19; n = 31, which keeps 31 of 32; k = 32, one word a
 # draw; k = 33, two words a draw; and two wide multi-word bounds.
 STREAM_BOUNDS = [0, 1, 8, 9, 15, 2**31 - 1, 2**31, 10**9, 10**30]
+ROUTES = ("det16_factored", "det16_direct", "det16_spectral")
+
+
+def drawn_tuples(count, bound, seed):
+    """The tuples scan_random(count, bound, seed) checks, drawn by randint, in order."""
+    tuples = []
+    for block, lo in enumerate(range(0, count, 4096)):
+        rng = random.Random(seed * (1 << 32) + block)
+        tuples += [tuple(rng.randint(-bound, bound) for _ in range(16))
+                   for _ in range(min(4096, count - lo))]
+    return tuples
 
 
 class TestScanExhaustive:
@@ -121,11 +133,7 @@ class TestScansCallTheKernels:
         (4096 + 300, 9, 3), (500, 1, 0), (300, 1000, 7),
     ])
     def test_random_scan(self, count, bound, seed):
-        tuples = []
-        for block, lo in enumerate(range(0, count, 4096)):
-            rng = random.Random(seed * (1 << 32) + block)
-            tuples += [tuple(rng.randint(-bound, bound) for _ in range(16))
-                       for _ in range(min(4096, count - lo))]
+        tuples = drawn_tuples(count, bound, seed)
         assert self.outcome(scan_random(count, bound, seed)) == self.reference(tuples)
 
     @pytest.mark.parametrize("support, bad", [
@@ -521,14 +529,11 @@ class TestScanFindsClassifierRegressions:
     def drawn_violations(count, bound, seed):
         """(a, value, reason) for each drawn tuple that ``_reject_odd`` refuses, in draw order."""
         expected = []
-        for block, lo in enumerate(range(0, count, 4096)):
-            rng = random.Random(seed * (1 << 32) + block)
-            for _ in range(min(4096, count - lo)):
-                a = tuple(rng.randint(-bound, bound) for _ in range(16))
-                value = det16_spectral(a)
-                cls = _reject_odd(value)
-                if isinstance(cls, NotInS):
-                    expected.append((a, value, cls))
+        for a in drawn_tuples(count, bound, seed):
+            value = det16_spectral(a)
+            cls = _reject_odd(value)
+            if isinstance(cls, NotInS):
+                expected.append((a, value, cls))
         return expected
 
     def test_random_violations_are_the_drawn_tuples_in_order(self, monkeypatch):
@@ -553,3 +558,90 @@ class TestScanFindsClassifierRegressions:
             {"coefficients": list(a), "value": str(value), "detail": str(cls)}
             for a, value, cls in expected
         ]
+
+
+class TestRouteDisagreement:
+    """A random scan in which one route is wrong on chosen tuples.
+
+    ``classify`` is ``_reject_odd``, so route violations and rejections
+    both occur; the report must equal a reference loop over the drawn
+    tuples, and a tuple whose routes disagree must never be classified.
+    """
+
+    # 4096 + 50 tuples: the first block disagrees at its first two tuples,
+    # one inner tuple and its last; the second block has no disagreement
+    COUNT, BOUND, SEED = 4096 + 50, 9, 4
+    WRONG_AT = (0, 1, 1500, 4095)
+
+    @staticmethod
+    def reference(tuples, wrong, route):
+        violations, classified, seen = [], [], set()
+        for a in tuples:
+            value = det16_factored(a)
+            got = {r: value + (r == route and a in wrong) for r in ROUTES}
+            seen.add(got["det16_factored"])
+            if a in wrong:
+                violations.append((
+                    a,
+                    got["det16_factored"],
+                    f"determinant routes disagree: direct={got['det16_direct']} "
+                    f"factored={got['det16_factored']} spectral={got['det16_spectral']}",
+                ))
+                continue
+            classified.append(value)
+            cls = _reject_odd(value)
+            if isinstance(cls, NotInS):
+                violations.append((a, value, cls))
+        return violations, classified, seen
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_violations_interleave_in_tuple_order(self, monkeypatch, route):
+        tuples = drawn_tuples(self.COUNT, self.BOUND, self.SEED)
+        wrong = {tuples[i] for i in self.WRONG_AT}
+        kernel = getattr(verification, route)
+        monkeypatch.setattr(verification, route, lambda a: kernel(a) + (a in wrong))
+        classified = []
+        monkeypatch.setattr(verification, "classify",
+                            lambda n: classified.append(n) or _reject_odd(n))
+        report = scan_random(self.COUNT, self.BOUND, self.SEED)
+        expected, expected_classified, seen = self.reference(tuples, wrong, route)
+        # route violations (str details) first, then rejections, then both
+        kinds = [isinstance(detail, str) for _, _, detail in expected]
+        assert kinds[:3] == [True, True, False] and True in kinds[3:]
+        assert list(report.violations) == expected
+        assert classified == expected_classified
+        assert (report.tuples_checked, report.seen_values) == (self.COUNT, seen)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_a_kernel_that_raises_mid_block_raises_the_same(self, monkeypatch, route):
+        tuples = drawn_tuples(self.COUNT, self.BOUND, self.SEED)
+        bad = tuples[4096 + 20]
+        kernel = getattr(verification, route)
+
+        def raising(a):
+            if a == bad:
+                raise InternalMismatchError(f"{route} failed on {list(a)}")
+            return kernel(a)
+
+        monkeypatch.setattr(verification, route, raising)
+        with pytest.raises(InternalMismatchError) as info:
+            scan_random(self.COUNT, self.BOUND, self.SEED)
+        assert str(info.value) == f"{route} failed on {list(bad)}"
+
+    def test_a_spectral_imaginary_part_mid_block_raises_its_own_message(self, monkeypatch):
+        # block 3 replaced by block 1 on one tuple: the spectral kernel's own
+        # check fails there, with the message the public route gives
+        tuples = drawn_tuples(self.COUNT, self.BOUND, self.SEED)
+        bad = tuples[2000]
+        blocks = gdet.spectral_factors
+
+        def corrupt(a):
+            f0, f1, f2, f3 = blocks(a)
+            return (f0, f1, f2, f1) if a == bad else (f0, f1, f2, f3)
+
+        monkeypatch.setattr(gdet, "spectral_factors", corrupt)
+        with pytest.raises(InternalMismatchError, match="nonzero imaginary part") as expected:
+            det16_spectral(bad)
+        with pytest.raises(InternalMismatchError) as info:
+            scan_random(self.COUNT, self.BOUND, self.SEED)
+        assert str(info.value) == str(expected.value)
