@@ -337,8 +337,6 @@ def spectral_factors(a) -> tuple:
     # s-odd coefficients, z_j is (e+o, 0), (r, w), (e-o, 0) and (r, -w) for
     # k = 0..3; det4 is (s^2 - t^2) * (u^2 + v^2) on the sums s, t and the
     # differences u, v of the z_j, with im parts kept apart in blocks 1, 3.
-    if len(a) != 16:
-        raise ValueError(f"expected 16 coefficients, got {len(a)}")
     a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 = a
     e0, e1 = a0 + a8, a1 + a9
     e2, e3 = a2 + a10, a3 + a11

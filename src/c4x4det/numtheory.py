@@ -190,7 +190,8 @@ def _brent_rho(n: int) -> int:
                 g = gcd(x - ys, n)
         if g != n:
             return g
-    raise FactorizationError(f"rho failed to split {n}")  # unreachable in practice
+    # no known composite reaches this line, so no test runs it
+    raise FactorizationError(f"rho failed to split {n}")
 
 
 class Factorization(_Record):

@@ -4,11 +4,11 @@ Two directions are exercised:
 
 * membership scans (:func:`scan_exhaustive`, :func:`scan_random`) evaluate
   determinants of many coefficient vectors and insist the classifier accepts
-  every one of them.  An exhaustive block builds its tuples in C and runs
-  the factored route and the classifier over them as two mapped passes,
-  one call each per tuple; a random block maps all three routes over its
-  tuples, whole pass by whole pass, and requires them to agree before it
-  maps the classifier over the values;
+  every one of them.  An exhaustive block builds its tuples in C and maps
+  the factored route and then the classifier over them, one call each per
+  tuple; a random block maps all three routes over its tuples, whole pass
+  by whole pass, and classifies only the values on which they agree.
+  Both blocks then take their violations from one pass over the details;
 * :func:`window_roundtrip` walks a window of integers, synthesizing and
   re-verifying a witness for every value the classifier accepts.
 
@@ -88,6 +88,26 @@ class ScanReport(_Record):
             )
 
 
+# A block's details are classes, and strings for the tuples whose routes
+# disagree; a rejection or a route message is a violation.
+_FLAGGED = frozenset((NotInS, str))
+
+
+def _violations(tuples: Iterable, values: list, details: list) -> list:
+    """The ``(tuple, value, detail)`` triples whose detail flags a fault, in tuple order.
+
+    ``details`` holds one class or route message per tuple.  A clean block
+    reads the detail types once and leaves ``tuples`` unread.
+    """
+    if _FLAGGED.isdisjoint(map(type, details)):
+        return []
+    return [
+        (a, value, detail)
+        for a, value, detail in zip(tuples, values, details)
+        if type(detail) in _FLAGGED
+    ]
+
+
 def _exhaustive_block(args):
     # The prefix entries enter product() as one-element factors, so each
     # 16-tuple is built in C; the tuples are regenerated, not held, for the
@@ -96,15 +116,8 @@ def _exhaustive_block(args):
     factors = [(x,) for x in prefix] + [support] * (16 - len(prefix))
     values = list(map(det16_factored, islice(product(*factors), count)))
     classes = list(map(classify, values))
-    violations = []
-    if NotInS in map(type, classes):
-        tuples = islice(product(*factors), count)
-        violations = [
-            (a, value, cls)
-            for a, value, cls in zip(tuples, values, classes)
-            if isinstance(cls, NotInS)
-        ]
-    return len(values), violations, set(values)
+    tuples = islice(product(*factors), count)
+    return len(values), _violations(tuples, values, classes), set(values)
 
 
 def _draw(rng, bound, count):
@@ -136,12 +149,12 @@ def _random_block(args):
     so the sample stream is ``randint(-bound, bound)``'s, and ``zip`` cuts
     them into 16-tuples once.  The factored, direct and spectral kernels,
     bound by name as the module docstring says, are each mapped over all
-    the tuples, and when the three lists agree ``classify`` is mapped over
-    the values.  Only when they differ does one loop over the lists, in
-    tuple order, record each disagreement and classify only the tuples
-    whose routes agree.  So each kernel is called once per tuple,
-    ``classify`` once per tuple whose routes agree, and no list holds more
-    than ``_BLOCK`` entries.
+    the tuples.  When the three lists agree, ``classify`` is mapped over
+    the values; otherwise one comprehension classifies each tuple whose
+    routes agree and gives each other tuple a message naming the three
+    values.  So each kernel is called once per tuple, ``classify`` once
+    per tuple whose routes agree, and no list holds more than ``_BLOCK``
+    entries.
     """
     seed, block, size, bound = args
     rng = random.Random(seed * (1 << 32) + block)
@@ -151,29 +164,15 @@ def _random_block(args):
     directs = list(map(det16_direct, tuples))
     spectrals = list(map(det16_spectral, tuples))
     if values == directs == spectrals:
-        classes = list(map(classify, values))
-        violations = []
-        if NotInS in map(type, classes):
-            violations = [
-                (a, value, cls)
-                for a, value, cls in zip(tuples, values, classes)
-                if isinstance(cls, NotInS)
-            ]
-        return size, violations, set(values)
-    violations = []
-    for a, value, direct, spectral in zip(tuples, values, directs, spectrals):
-        if not (direct == value == spectral):
-            violations.append((
-                a,
-                value,
-                f"determinant routes disagree: direct={direct} "
-                f"factored={value} spectral={spectral}",
-            ))
-            continue
-        cls = classify(value)
-        if isinstance(cls, NotInS):
-            violations.append((a, value, cls))
-    return size, violations, set(values)
+        details = list(map(classify, values))
+    else:
+        details = [
+            classify(value) if direct == value == spectral
+            else f"determinant routes disagree: direct={direct} "
+            f"factored={value} spectral={spectral}"
+            for value, direct, spectral in zip(values, directs, spectrals)
+        ]
+    return size, _violations(tuples, values, details), set(values)
 
 
 def _bounded_map(pool, block_fn, blocks, window: int) -> Iterator:

@@ -219,6 +219,11 @@ MUTANTS = (
      None),
     ("numtheory.py", "m < _TRIAL_BOUND * _TRIAL_BOUND", "m < _TRIAL_BOUND ** 3",
      "tests/test_classifier.py", None),
+    # base 37 of the last tier read as 38, to which its bound is no strong
+    # pseudoprime
+    ("numtheory.py", "31, 37, 41))", "31, 38, 41))",
+     "tests/test_numtheory.py::TestPrimality"
+     "::test_each_tier_bound_is_a_strong_pseudoprime_to_every_base_of_its_tier", None),
     ("numtheory.py", "(341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17))",
      "(341_550_071_728_321, (2, 3, 5, 7, 11, 13))", "tests/test_numtheory.py", None),
     # the expansion drops each prime's top power; then only positive divisors
@@ -269,16 +274,26 @@ MUTANTS = (
     ("witness.py", "x_residue = 1 if p % 16 == 5 else 3", "x_residue = 3 if p % 16 == 5 else 1",
      "tests/test_witness.py", None),
     ("verification.py", "violations.extend(v)", "violations[:0] = v", ORDER_TEST, None),
-    # a random scan that drops every classifier rejection, when its routes
-    # agree and when they do not; one that ignores the spectral route; one
-    # that classifies the tuples whose routes disagree
-    ("verification.py", "        if NotInS in map(type, classes):\n", "        if False:\n",
+    # a scan that drops every violation; one that drops the rejections from
+    # its filter, or from its filter and its clean-block test; a block whose
+    # only faults are route messages passing; a random scan that ignores the
+    # spectral route, in its whole-block test or per tuple; one that also
+    # classifies the tuples whose routes disagree
+    ("verification.py", "    if _FLAGGED.isdisjoint(map(type, details)):\n", "    if True:\n",
      "tests/test_verification.py::TestScanFindsClassifierRegressions", None),
-    ("verification.py", "            violations.append((a, value, cls))\n", "            pass\n",
+    ("verification.py", "if type(detail) in _FLAGGED", "if type(detail) is str",
      DISAGREE_TEST, None),
+    ("verification.py", "_FLAGGED = frozenset((NotInS, str))", "_FLAGGED = frozenset((str,))",
+     DISAGREE_TEST, None),
+    ("verification.py", "_FLAGGED = frozenset((NotInS, str))", "_FLAGGED = frozenset((NotInS,))",
+     "tests/test_verification.py::TestRouteDisagreement::test_a_lone_disagreement_fails_the_scan",
+     None),
     ("verification.py", "if values == directs == spectrals:", "if values == directs:",
      DISAGREE_TEST + "[det16_spectral]", None),
-    ("verification.py", "            ))\n            continue\n", "            ))\n", DISAGREE_TEST, None),
+    ("verification.py", "if direct == value == spectral", "if direct == value",
+     DISAGREE_TEST + "[det16_spectral]", None),
+    ("verification.py", 'else f"determinant routes disagree',
+     'else classify(value) and f"determinant routes disagree', DISAGREE_TEST, None),
     ("verification.py", "factors = [(x,) for x in prefix] + [support] * (16 - len(prefix))",
      "factors = [support] * (16 - len(prefix)) + [(x,) for x in prefix]", BOUNDARY_TEST, None),
     ("verification.py", "tuples = islice(product(*factors), count)",
@@ -321,6 +336,9 @@ MUTANTS = (
     # seed -1 would draw the sample of seed 1
     ("verification.py", "if seed < 0:", "if seed < -1:",
      "tests/test_verification.py::TestScanRandom::test_a_negative_seed_is_refused", None),
+    # two jobs on one CPU would start a pool of two
+    ("verification.py", "    if jobs > 1:", "    if jobs > 2:",
+     "tests/test_verification.py::TestPool::test_two_jobs_on_one_cpu_start_no_pool", None),
     # jobs 0 would run serially and pass
     ("verification.py", "if jobs < 1:", "if jobs < 0:",
      "tests/test_verification.py::TestInvalidSizes", None),

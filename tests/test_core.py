@@ -39,6 +39,9 @@ class TestCoeffVec16:
         v = CoeffVec16(range(16))
         assert v[3] == 3 and len(v) == 16
 
+    def test_repr_names_the_class_and_its_entries(self):
+        assert repr(CoeffVec16(range(16))) == f"CoeffVec16({tuple(range(16))})"
+
     def test_reads_a_one_shot_iterator_once(self):
         assert CoeffVec16(iter(range(16))) == tuple(range(16))
         with pytest.raises(ValueError, match="^expected 16 coefficients, got 15$"):

@@ -86,6 +86,13 @@ class TestPrimality:
         for n in PSI:
             assert not is_prime(n), n
 
+    def test_each_tier_bound_is_a_strong_pseudoprime_to_every_base_of_its_tier(self):
+        # so a base changed to one the bound fails (37 -> 38) shows; a base
+        # that fails a round proves the bound composite
+        for bound, bases in numtheory._MR_TIERS:
+            assert all(strong_probable_prime(bound, a) for a in bases), bound
+            assert not all(strong_probable_prime(bound, a) for a in range(2, 100)), bound
+
     def test_the_small_prime_screen_runs_no_miller_rabin_round(self, monkeypatch):
         # one gcd decides every n with a prime factor up to 37: n is prime
         # exactly when it is that prime
@@ -373,6 +380,11 @@ class TestTwoSquares:
         assert tuple(two_squares_2p(5))[:2] == (3, 1)
         assert tuple(two_squares_2p(13))[:2] == (-5, 1)
         assert tuple(two_squares_2p(29))[:2] == (3, -7)
+
+    def test_a_sign_fix_that_no_sign_satisfies_is_refused(self):
+        # 2 and -2 are 2 and 6 mod 8
+        with pytest.raises(PreconditionError, match="^neither sign of 2 is 1 mod 8$"):
+            numtheory._fix_sign(2, 1)
 
     def test_preconditions(self):
         with pytest.raises(PreconditionError):

@@ -244,6 +244,11 @@ class TestPool:
         assert scan_random(10, 3, seed=0).ok
         assert scan_exhaustive((0, 1), limit=100).ok
 
+    def test_two_jobs_on_one_cpu_start_no_pool(self, fake_pool, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert scan_random(10, 3, seed=0, jobs=2).ok
+        assert fake_pool == []
+
     def test_jobs_within_cpu_count_kept(self, fake_pool):
         scan_random(10, 3, seed=0, jobs=3)
         assert [p.max_workers for p in fake_pool] == [3]
@@ -611,6 +616,16 @@ class TestRouteDisagreement:
         assert list(report.violations) == expected
         assert classified == expected_classified
         assert (report.tuples_checked, report.seen_values) == (self.COUNT, seen)
+
+    def test_a_lone_disagreement_fails_the_scan(self, monkeypatch):
+        # the true classifier accepts every value: the one violation is a route's
+        bad = drawn_tuples(40, self.BOUND, self.SEED)[7]
+        kernel = verification.det16_direct
+        monkeypatch.setattr(verification, "det16_direct", lambda a: kernel(a) + (a == bad))
+        value = det16_factored(bad)
+        message = (f"determinant routes disagree: direct={value + 1} "
+                   f"factored={value} spectral={value}")
+        assert list(scan_random(40, self.BOUND, self.SEED).violations) == [(bad, value, message)]
 
     @pytest.mark.parametrize("route", ROUTES)
     def test_a_kernel_that_raises_mid_block_raises_the_same(self, monkeypatch, route):

@@ -46,6 +46,10 @@ class TestPlan:
         assert p.case is WitnessCase.POW2_15_4M_MINUS_1
         assert p["m"] == 0
 
+    def test_an_object_that_is_no_certificate_is_refused(self):
+        with pytest.raises(PreconditionError, match=r"^unrecognized certificate \(5, 5\)$"):
+            plan((5, 5))
+
     def test_set_a_all_fives(self):
         p = plan(OddA(0, 0, 5, 5, 5))
         assert p.case is WitnessCase.A_EVEN_EVEN_PAIR5
