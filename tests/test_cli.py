@@ -45,6 +45,15 @@ class TestEval:
 
 
 class TestClassify:
+    @pytest.mark.parametrize("value, line", [
+        ("17", "in_S odd_16m_plus_1 m=1"),
+        ("-922179077671", "in_S set_A j=0 k=-13 p1=2029 p2=2053 p3=2069"),
+        ("491520", "in_S pow2_15 p=5 cofactor=3"),
+        ("131072", "in_S pow2_16 m=2"),
+    ])
+    def test_params_follow_the_certificate_fields(self, capsys, value, line):
+        assert run_cli(capsys, "classify", "--", value) == (0, line + "\n", "")
+
     def test_factorization_failure_exits_2(self, capsys, monkeypatch):
         from c4x4det import classifier, numtheory
         from c4x4det.errors import FactorizationError
@@ -64,6 +73,19 @@ class TestClassify:
 
 
 class TestWitness:
+    def test_member_is_emitted_and_verified(self, capsys):
+        code, out, _ = run_cli(capsys, "witness", "--json", "17")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["status"] == "in_S"
+        assert doc["witness"] == [2] + [1] * 15
+        assert doc["verified"] is True
+
+    def test_non_member_exits_1(self, capsys):
+        code, out, _ = run_cli(capsys, "witness", "7")
+        assert code == 1
+        assert out.strip() == "not_in_S odd_bad_residue"
+
     def test_classifies_each_request_once(self, capsys, monkeypatch):
         import importlib
 
@@ -101,6 +123,32 @@ class TestScan:
         code, out, _ = run_cli(capsys, "scan", "--support", "0,1", "--limit", "2000")
         assert code == 0
         assert "2000 tuples" in out
+
+    @pytest.mark.parametrize("argv", [
+        ("--random", "5", "--bound", "-1"),
+        ("--random", "-5"),
+        ("--support", "0,1", "--limit", "-3"),
+        ("--support", "0,1", "--jobs", "0"),
+    ])
+    def test_out_of_range_count_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "scan", *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and argv[-2] in err
+
+    def test_negative_seed_exits_2(self, capsys):
+        # random.Random(-s) seeds as Random(s) does: seed -1 would repeat
+        # the sample of seed 1
+        code, out, err = run_cli(capsys, "scan", "--random", "5", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["scan: --seed must be at least 0, got -1"]
+
+    def test_support_with_random_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "scan", "--support", "0,1", "--random", "3")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["scan: --support and --random cannot be combined"]
 
     @pytest.mark.parametrize("argv, line", [
         (("--random", "3", "--limit", "1"), "scan: --limit cannot be used with --random"),
@@ -141,6 +189,13 @@ class TestScan:
 
 
 class TestSelfcheck:
+    def test_small_clean_run(self, capsys):
+        code, out, _ = run_cli(capsys, "selfcheck", "--samples", "50", "--seed", "1")
+        assert code == 0
+        assert "oracle agreement: PASS" in out
+        assert "witness round-trip: PASS" in out
+        assert "FAIL" not in out
+
     def test_single_sample(self, capsys):
         code, _, _ = run_cli(capsys, "selfcheck", "--samples", "1", "--seed", "0")
         assert code == 0
