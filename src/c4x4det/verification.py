@@ -6,9 +6,12 @@ Two directions are exercised:
   determinants of many coefficient vectors and insist the classifier accepts
   every one of them.  An exhaustive block builds its tuples in C and maps
   the factored route and then the classifier over them, one call each per
-  tuple; a random block maps all three routes over its tuples, whole pass
-  by whole pass, and classifies only the values on which they agree.
-  Both blocks then take their violations from one pass over the details;
+  tuple; a random block draws its entries as ``randint`` would, reading
+  them from the top bytes of one ``getrandbits`` call per rejection round
+  when the bound is at most 127 and filtering ``getrandbits(k)`` draws when
+  it is wider, then maps all three routes over its tuples, whole pass by
+  whole pass, and classifies only the values on which they agree.  Both
+  blocks then take their violations from one pass over the details;
 * :func:`window_roundtrip` walks a window of integers, synthesizing and
   re-verifying a witness for every value the classifier accepts.
 
@@ -30,7 +33,9 @@ import json
 import os
 import random
 import time
+from array import array
 from collections import deque
+from functools import lru_cache
 from itertools import islice, product, repeat
 from operator import sub
 from typing import Iterable, Iterator, Optional
@@ -120,21 +125,57 @@ def _exhaustive_block(args):
     return len(values), _violations(tuples, values, classes), set(values)
 
 
+@lru_cache(maxsize=128)
+def _top_byte_tables(bound):
+    """``bytes.translate``'s table and delete set for a word's top byte, ``bound <= 127``.
+
+    With ``n = 2 * bound + 1`` and ``k = n.bit_length() <= 8``, a top byte
+    ``b`` holds the draw ``b >> (8 - k)``.  The delete set holds the bytes
+    whose draw randint rejects (``>= n``); the table maps every other byte
+    to its entry ``draw - bound`` as a signed byte.  Built once per bound,
+    on first use, so importing the module builds none.
+    """
+    n = 2 * bound + 1
+    shift = 8 - n.bit_length()
+    table = bytes(((b >> shift) - bound) & 0xFF for b in range(256))
+    delete = bytes(b for b in range(256) if b >> shift >= n)
+    return table, delete
+
+
 def _draw(rng, bound, count):
     """``count`` draws of ``rng.randint(-bound, bound)``, as one list.
 
     CPython's ``randint(-bound, bound)`` is ``-bound + _randbelow(n)`` with
     ``n = 2 * bound + 1``, and ``_randbelow`` calls ``getrandbits(k)``,
-    ``k = n.bit_length()``, until a value falls below ``n``.  Each round
-    here maps ``getrandbits(k)`` over exactly as many draws as entries are
-    still missing, so it makes the same calls in the same order, keeps the
-    same values and leaves ``rng`` in the same state, for every ``k``.
+    ``k = n.bit_length()``, until a value falls below ``n``.  Both paths
+    here run in rounds, each making exactly as many draws as entries are
+    still missing, so they take the same 32-bit words in the same order,
+    keep the same values and leave ``rng`` in the same state.
+
+    For ``k <= 8`` (``bound <= 127``, which holds the benchmark's bound 9
+    and the command line's default) a round is one ``getrandbits(32 * w)``
+    call for its ``w`` draws.  CPython's ``getrandbits(k <= 32)`` is one
+    word shifted right by ``32 - k``, and ``getrandbits(32 * w)`` packs
+    ``w`` successive words, the first least significant; so every fourth
+    byte of the little-endian bytes is one draw's top byte, and one
+    ``bytes.translate`` drops the rejected draws and maps the rest to
+    entries, all in C.  A wider draw does not fit a byte, so every other
+    bound maps ``getrandbits(k)`` over the round's draws and filters them.
     CPython promises only ``random()``'s sequence across versions, so this
     is randint's stream on the running Python; the tests pin it against
-    ``Random.randint``.
+    ``Random.randint`` on both sides of the switch, and pin the two
+    ``getrandbits`` facts by name.
     """
     n = 2 * bound + 1
     k = n.bit_length()
+    if k <= 8:
+        table, delete = _top_byte_tables(bound)
+        bytewise = array("b")
+        while len(bytewise) < count:
+            w = count - len(bytewise)
+            top = rng.getrandbits(32 * w).to_bytes(4 * w, "little")[3::4]
+            bytewise.frombytes(top.translate(table, delete))
+        return bytewise.tolist()
     entries = []
     while len(entries) < count:
         draws = map(rng.getrandbits, repeat(k, count - len(entries)))

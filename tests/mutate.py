@@ -315,6 +315,12 @@ MUTANTS = (
     ("verification.py", "n.__gt__", "n.__ge__", STREAM_TEST, None),
     ("verification.py", "k = n.bit_length()\n", "k = n.bit_length() + 1\n", STREAM_TEST,
      None),
+    # the byte path: a word's top byte, the delete rule, and the switch (k = 9
+    # shifts by -1)
+    ("verification.py", "[3::4]", "[2::4]", STREAM_TEST, None),
+    ("verification.py", '"little"', '"big"', STREAM_TEST, None),
+    ("verification.py", "shift >= n", "shift > n", STREAM_TEST, None),
+    ("verification.py", "if k <= 8:", "if k <= 9:", STREAM_TEST, None),
     # the option floors: seed -1 passes the command line (scan_random then
     # raises), and --seed is named before --samples
     ("cli.py", '"samples": 1, "seed": 0}', '"samples": 1, "seed": -1}', "tests/test_golden.py",

@@ -20,9 +20,11 @@ witness_module = importlib.import_module("c4x4det.witness")
 
 # Bounds at the edges of randint's rejection loop, n = 2 * bound + 1 values
 # drawn k = n.bit_length() bits at a time: n = 1 and 3; n = 17, which keeps
-# 17 of 32 draws; n = 19; n = 31, which keeps 31 of 32; k = 32, one word a
-# draw; k = 33, two words a draw; and two wide multi-word bounds.
-STREAM_BOUNDS = [0, 1, 8, 9, 15, 2**31 - 1, 2**31, 10**9, 10**30]
+# 17 of 32 draws; n = 19; n = 31, which keeps 31 of 32; n = 127 and 255, the
+# widest draws (k = 7 and 8) that _draw reads from a word's top byte; n = 257
+# (k = 9), the narrowest it filters; k = 32, one word a draw; k = 33, two
+# words a draw; and two wide multi-word bounds.
+STREAM_BOUNDS = [0, 1, 8, 9, 15, 63, 127, 128, 2**31 - 1, 2**31, 10**9, 10**30]
 ROUTES = ("det16_factored", "det16_direct", "det16_spectral")
 
 
@@ -326,6 +328,21 @@ class TestScanRandom:
             single.randrange(-bound, bound + 1) for _ in range(count)
         ]
         assert bulk.getstate() == single.getstate()
+
+    def test_getrandbits_is_the_words_the_byte_path_reads(self):
+        # _draw's byte path rests on two facts of CPython's getrandbits, each
+        # checked here on twin generators: getrandbits(k <= 32) is one 32-bit
+        # word shifted right by 32 - k, and getrandbits(32 * w) packs w
+        # successive words, the first least significant
+        for k in range(1, 33):
+            shifted, whole = random.Random(k), random.Random(k)
+            assert shifted.getrandbits(k) == whole.getrandbits(32) >> (32 - k)
+            assert shifted.getstate() == whole.getstate()
+        for w in (1, 2, 3, 512):
+            packed, single = random.Random(w), random.Random(w)
+            words = [single.getrandbits(32) for _ in range(w)]
+            assert packed.getrandbits(32 * w) == sum(x << (32 * i) for i, x in enumerate(words))
+            assert packed.getstate() == single.getstate()
 
     def test_a_negative_seed_is_refused(self):
         # random.Random(-s) seeds as Random(s) does, so seed -s would repeat
